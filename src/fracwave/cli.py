@@ -19,7 +19,6 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .contour import HankelSpec, default_contour
 from .fractional import TimeGrid, trajectory_to_csv
 from .mittag_leffler import MLParams, ml_derivative, ml_eval
 from .operator_model import (
@@ -43,6 +42,7 @@ from .solvers import (
     ForcingSpec,
     PicardError,
     WaveProblem,
+    regime_report,
     residual_report_to_csv,
     solve_homogeneous,
     solve_linear,
@@ -179,7 +179,7 @@ def cmd_ml(args) -> int:
     try:
         p = MLParams(args.alpha, args.delta)
         v = ml_eval(p, z) if args.derivative == 0 else ml_derivative(p, z, args.derivative)
-    except ValueError as e:
+    except (ValueError, OverflowError) as e:
         raise DomainError(str(e)) from None
     if v.imag == 0.0:
         print(repr(v.real))
@@ -247,10 +247,7 @@ def _verify_checks(m, alpha: float, rng) -> list:
         0.0,
         1e-8,
     )
-    theta0 = 0.5 * (math.pi / 2.0 + (math.pi - m.profile.theta) / alpha)
-    ph = make_propagator(
-        m, alpha, representation="hankel-path", hankel=HankelSpec(theta0=theta0)
-    )
+    ph = make_propagator(m, alpha, representation="hankel-path")
     add(
         "repr-hankel-vs-oracle",
         float(np.linalg.norm(prop_apply(ph, 1.0, x) - oracle) / scale),
@@ -378,19 +375,6 @@ def cmd_solve(args) -> int:
 # ---------------------------------------------------------------- regions
 
 
-def _region_flag(theorem: str, alpha: float, nu: float, gamma: float) -> int:
-    upper = alpha * (1.0 + gamma) < 1.0
-    lower = alpha * (-gamma) > 1.0
-    holder = nu > alpha * (1.0 + gamma)
-    if theorem == "homogeneous":
-        return int(upper and lower)
-    if theorem == "linear":
-        return int(upper and lower and holder)
-    if theorem == "semilinear-mild":
-        return int(upper)
-    raise DomainError(f"unknown theorem {theorem!r}")
-
-
 def cmd_regions(args) -> int:
     cfg = load_config(args.config) if args.config else {}
     theorem = cfg.get("theorem", "homogeneous")
@@ -415,8 +399,12 @@ def cmd_regions(args) -> int:
     for line in _header_lines(cfg, args.seed):
         buf.write(f"# {line}\n")
     buf.write("alpha,nu,gamma,flag\n")
-    for a, v, g in pairs:
-        buf.write(f"{a:.17g},{v:.17g},{g:.17g},{_region_flag(theorem, a, v, g)}\n")
+    try:
+        for a, v, g in pairs:
+            flag = int(regime_report(theorem, a, g, v).classical_ok)
+            buf.write(f"{a:.17g},{v:.17g},{g:.17g},{flag}\n")
+    except ValueError as e:
+        raise DomainError(str(e)) from None
     _emit("regions.csv", buf.getvalue(), args.out, args.stdout)
     return 0
 

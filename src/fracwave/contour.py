@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .fractional import _trapezoid_weights
 from .operator_model import AlmostSectorialModel, resolvent_apply
 
 __all__ = [
@@ -29,7 +30,6 @@ __all__ = [
     "calculus_apply",
     "resolvent_of_power_sum",
     "hankel_propagator",
-    "integrand_profile",
 ]
 
 
@@ -86,17 +86,9 @@ def default_contour(
     )
 
 
-def _log_trapezoid_weights(r: np.ndarray) -> np.ndarray:
-    u = np.log(r)
-    w = np.zeros_like(u)
-    w[:-1] += 0.5 * np.diff(u)
-    w[1:] += 0.5 * np.diff(u)
-    return w * r
-
-
 def _gamma_path_sum(m, f, c, x, refine=1):
     r = c.radii(refine=refine)
-    w = _log_trapezoid_weights(r)
+    w = _trapezoid_weights(np.log(r)) * r
     up = cmath.exp(1j * c.theta)
     dn = cmath.exp(-1j * c.theta)
     total = np.zeros(m.dimension, dtype=complex)
@@ -269,14 +261,3 @@ def hankel_propagator(
         )
     return total / (2.0j * math.pi)
 
-
-def integrand_profile(m: AlmostSectorialModel, f, c: ContourSpec):
-    """Per-node |f(z) (z-A)^{-1}| magnitudes along the upper ray, for the
-    diagnostics CSV of the verify subcommand: rows (r, arg, |integrand|)."""
-    from .operator_model import resolvent_norm
-
-    rows = []
-    for rj in c.radii():
-        z = rj * cmath.exp(1j * c.theta)
-        rows.append((rj, c.theta, abs(f(z)) * resolvent_norm(m, z)))
-    return rows

@@ -19,7 +19,6 @@ __all__ = [
     "TimeGrid",
     "Kernel",
     "Trajectory",
-    "g_kernel",
     "rl_integral",
     "caputo_derivative",
     "duhamel_convolve",
@@ -66,10 +65,6 @@ class Kernel:
         t = np.asarray(t, dtype=float)
         with np.errstate(divide="ignore"):
             return np.where(t > 0, t ** (self.beta - 1.0), 0.0) * rgamma(self.beta)
-
-
-def g_kernel(beta: float) -> Kernel:
-    return Kernel(beta)
 
 
 @dataclass(frozen=True)

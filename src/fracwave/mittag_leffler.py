@@ -252,8 +252,21 @@ def _effective_switch(alpha: float, z_switch: float) -> float:
     return min(z_switch, 8.0**alpha)
 
 
-def ml_eval(p: MLParams, z: complex, z_switch: float = Z_SWITCH_DEFAULT) -> complex:
-    """Evaluate ``E_{alpha,delta}(z)``."""
+def _elementwise(kernel, p: MLParams, z, *args):
+    """A scalar kernel at scalar ``z``, or mapped over array ``z`` (shape kept)."""
+    if np.isscalar(z) or np.ndim(z) == 0:  # isscalar first: it is the cheap test
+        return kernel(p, z, *args)
+    z = np.asarray(z)
+    return np.array([kernel(p, zi, *args) for zi in z.ravel()], dtype=complex).reshape(z.shape)
+
+
+def ml_eval(p: MLParams, z, z_switch: float = Z_SWITCH_DEFAULT):
+    """Evaluate ``E_{alpha,delta}(z)`` at a scalar, or elementwise over an
+    array (same shape out)."""
+    return _elementwise(_ml_eval_scalar, p, z, z_switch)
+
+
+def _ml_eval_scalar(p: MLParams, z: complex, z_switch: float) -> complex:
     z = _check_finite(z)
     if abs(z) <= _effective_switch(p.alpha, z_switch):
         value, max_term = _series_compensated(p.alpha, p.delta, z)
@@ -267,14 +280,17 @@ def ml_eval(p: MLParams, z: complex, z_switch: float = Z_SWITCH_DEFAULT) -> comp
     return _series_mp(p.alpha, p.delta, z)
 
 
-def ml_derivative(
-    p: MLParams, z: complex, order: int, z_switch: float = Z_SWITCH_DEFAULT
-) -> complex:
-    """d^order/dz^order of ``E_{alpha,delta}(z)``, order <= 4."""
+def ml_derivative(p: MLParams, z, order: int, z_switch: float = Z_SWITCH_DEFAULT):
+    """d^order/dz^order of ``E_{alpha,delta}(z)``, order <= 4, at a scalar
+    or elementwise over an array (same shape out)."""
     if order < 0 or order > 4:
         raise ValueError(f"derivative order must be in 0..4, got {order}")
+    return _elementwise(_ml_derivative_scalar, p, z, order, z_switch)
+
+
+def _ml_derivative_scalar(p: MLParams, z: complex, order: int, z_switch: float) -> complex:
     if order == 0:
-        return ml_eval(p, z, z_switch=z_switch)
+        return _ml_eval_scalar(p, z, z_switch)
     z = _check_finite(z)
     if abs(z) <= _effective_switch(p.alpha, z_switch):
         s = 0.0j
@@ -298,11 +314,6 @@ def ml_derivative(
         if err <= 10.0 * _ASYMPTOTIC_RTOL:
             return dval
     return _series_mp(p.alpha, p.delta, z, order=order)
-
-
-def ml_eval_many(p: MLParams, zs, z_switch: float = Z_SWITCH_DEFAULT):
-    """Vectorized ``ml_eval`` over an iterable of points."""
-    return np.array([ml_eval(p, z, z_switch=z_switch) for z in np.asarray(zs).ravel()])
 
 
 def ml_sector_bound_check(p: MLParams, mu: float, samples) -> BoundReport:

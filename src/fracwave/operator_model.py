@@ -290,17 +290,18 @@ def verify_resolvent_bound(
 
 
 def spectral_matrices(m: AlmostSectorialModel, f, fprime) -> np.ndarray:
-    """Blockwise f(A): array (n_blocks, 2, 2) of [[f, s f'], [0, f]].
+    """Blockwise f(A): array (..., n_blocks, 2, 2) of [[f, s f'], [0, f]].
 
-    ``f`` and ``fprime`` are scalar callables evaluated at the eigenvalues.
-    This is the module's exact oracle for functions of the model.
+    ``f`` and ``fprime`` are called once, on the eigenvalue array ``m.lam``;
+    their results broadcast against it, so a symbol carrying leading axes
+    (e.g. a time axis) yields one block array per leading index.  This is
+    the module's exact oracle for functions of the model.
     """
-    fv = np.array([f(l) for l in m.lam], dtype=complex)
-    dv = np.array([fprime(l) for l in m.lam], dtype=complex)
-    out = np.zeros((m.n_blocks, 2, 2), dtype=complex)
-    out[:, 0, 0] = fv
-    out[:, 1, 1] = fv
-    out[:, 0, 1] = m.coupling * dv
+    fv, dv, _ = np.broadcast_arrays(f(m.lam), fprime(m.lam), m.lam)
+    out = np.zeros(fv.shape + (2, 2), dtype=complex)
+    out[..., 0, 0] = fv
+    out[..., 1, 1] = fv
+    out[..., 0, 1] = m.coupling * dv
     return out
 
 
@@ -312,12 +313,14 @@ def spectral_apply(m: AlmostSectorialModel, f, fprime, x) -> np.ndarray:
     return np.einsum("kab,kb->ka", blocks, xb).ravel()
 
 
-def model_norm_of_function(m: AlmostSectorialModel, f, fprime) -> float:
-    """Exact spectral norm of f(A) from the blockwise oracle."""
+def model_norm_of_function(m: AlmostSectorialModel, f, fprime):
+    """Exact spectral norm of f(A) from the blockwise oracle; one norm per
+    leading index of the symbol (a float when it has none)."""
     blocks = spectral_matrices(m, f, fprime)
-    return float(
-        np.max(_block_norms(blocks[:, 0, 0], blocks[:, 0, 1], blocks[:, 1, 1]))
+    norms = np.max(
+        _block_norms(blocks[..., 0, 0], blocks[..., 0, 1], blocks[..., 1, 1]), axis=-1
     )
+    return float(norms) if norms.ndim == 0 else norms
 
 
 def graph_norm(m: AlmostSectorialModel, x) -> float:

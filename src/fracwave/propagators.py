@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .contour import ContourSpec, HankelSpec, calculus_apply, default_contour, hankel_propagator
-from .fractional import Kernel, TimeGrid, Trajectory, rl_integral
+from .fractional import Kernel, TimeGrid, Trajectory, _trapezoid_weights, rl_integral
 from .mittag_leffler import BoundReport, MLParams, ml_derivative, ml_eval, reciprocal_gamma
 from .operator_model import (
     AlmostSectorialModel,
@@ -28,7 +28,6 @@ from .operator_model import (
     model_norm_of_function,
     resolvent_apply,
     spectral_apply,
-    spectral_matrices,
 )
 
 __all__ = [
@@ -36,7 +35,6 @@ __all__ = [
     "DecayReport",
     "make_propagator",
     "prop_apply",
-    "prop_matrices",
     "prop_norm_decay",
     "a_prop_norm_decay",
     "conv_norm_decay",
@@ -103,8 +101,12 @@ def make_propagator(
     )
 
 
-def _symbol(p: MLParams, t: float, alpha: float):
-    """Scalar symbol z -> E_{alpha,delta}(-t^alpha z) and its z-derivative."""
+def _symbol(p: MLParams, t, alpha: float):
+    """Symbol z -> E_{alpha,delta}(-t^alpha z) and its z-derivative.
+
+    ``t`` may be an array shaped to broadcast against z (e.g. ``ts[:, None]``
+    against the eigenvalues), giving one symbol value per (t, z) pair.
+    """
     ta = t**alpha
     f = lambda z: ml_eval(p, -ta * z)
     fp = lambda z: -ta * ml_derivative(p, -ta * z, 1)
@@ -133,17 +135,6 @@ def prop_apply(p: PropagatorHandle, t: float, x) -> np.ndarray:
     return hankel_propagator(p.model, p.alpha, t, h, x)
 
 
-def prop_matrices(p: PropagatorHandle, t: float) -> np.ndarray:
-    """Blockwise oracle snapshots (n_blocks, 2, 2) of E_{a,d}(-t^alpha A)."""
-    if t == 0.0:
-        m = p.model
-        out = np.zeros((m.n_blocks, 2, 2), dtype=complex)
-        out[:, 0, 0] = out[:, 1, 1] = reciprocal_gamma(p.delta)
-        return out
-    f, fp = _symbol(p.params(), t, p.alpha)
-    return spectral_matrices(p.model, f, fp)
-
-
 @dataclass(frozen=True)
 class DecayReport:
     """Norm sweep with fitted power law norm ~ C * t^slope."""
@@ -162,46 +153,44 @@ def _fit_decay(ts, norms) -> DecayReport:
     return DecayReport(t_values=ts, norms=norms, fitted_slope=slope, c_empirical=c)
 
 
-def prop_norm_decay(p: PropagatorHandle, t_values, with_prefactor: bool = False) -> DecayReport:
-    """Exact norms ||t^{delta-1} E_{alpha,delta}(-t^alpha A)|| (prefactor
-    optional) over a t sweep, with fitted log-log slope."""
+def _norm_sweep(
+    p: PropagatorHandle, t_values, delta: float, weight, power: float = 0.0
+) -> DecayReport:
+    """Exact norms ||t^power w(A, E_{alpha,delta}(-t^alpha A))|| over a t sweep.
+
+    E and its z-derivative are evaluated once on the (t x block) grid;
+    ``weight(z, e, de)`` maps them to the swept symbol and its z-derivative.
+    Returns the sweep with its fitted log-log slope.
+    """
     ts = np.asarray(t_values, dtype=float)
     if ts.size < 2 or np.any(ts <= 0):
         raise ValueError("need at least two positive t values")
-    norms = []
-    for t in ts:
-        f, fp = _symbol(p.params(), t, p.alpha)
-        n = model_norm_of_function(p.model, f, fp)
-        if with_prefactor:
-            n *= t ** (p.delta - 1.0)
-        norms.append(n)
-    return _fit_decay(ts, norms)
+    lam = p.model.lam
+    f, fp = _symbol(MLParams(p.alpha, delta), ts[:, None], p.alpha)
+    g, gp = weight(lam, f(lam), fp(lam))
+    norms = model_norm_of_function(p.model, lambda _: g, lambda _: gp)
+    return _fit_decay(ts, norms * ts**power)
+
+
+def _times_z(z, e, de):
+    return z * e, e + z * de
+
+
+def prop_norm_decay(p: PropagatorHandle, t_values, with_prefactor: bool = False) -> DecayReport:
+    """Exact norms ||t^{delta-1} E_{alpha,delta}(-t^alpha A)|| (prefactor
+    optional) over a t sweep, with fitted log-log slope."""
+    power = p.delta - 1.0 if with_prefactor else 0.0
+    return _norm_sweep(p, t_values, p.delta, lambda z, e, de: (e, de), power)
 
 
 def a_prop_norm_decay(p: PropagatorHandle, t_values) -> DecayReport:
     """Norm sweep of A E_{alpha,delta}(-t^alpha A) via the symbol z*E(..)."""
-    ts = np.asarray(t_values, dtype=float)
-    params = p.params()
-    norms = []
-    for t in ts:
-        f, fp = _symbol(params, t, p.alpha)
-        g = lambda z: z * f(z)
-        gp = lambda z: f(z) + z * fp(z)
-        norms.append(model_norm_of_function(p.model, g, gp))
-    return _fit_decay(ts, norms)
+    return _norm_sweep(p, t_values, p.delta, _times_z)
 
 
 def conv_norm_decay(p: PropagatorHandle, t_values) -> DecayReport:
     """Norm sweep of A (g_{alpha-1} * E_alpha)(t) = t^{alpha-1} A E_{alpha,alpha}(-t^alpha A)."""
-    ts = np.asarray(t_values, dtype=float)
-    params = MLParams(p.alpha, p.alpha)
-    norms = []
-    for t in ts:
-        f, fp = _symbol(params, t, p.alpha)
-        g = lambda z: z * f(z)
-        gp = lambda z: f(z) + z * fp(z)
-        norms.append(t ** (p.alpha - 1.0) * model_norm_of_function(p.model, g, gp))
-    return _fit_decay(ts, norms)
+    return _norm_sweep(p, t_values, p.alpha, _times_z, p.alpha - 1.0)
 
 
 def prop_time_derivative(p: PropagatorHandle, t: float, n: int, x) -> np.ndarray:
@@ -252,8 +241,7 @@ def _oracle_handle(p: PropagatorHandle, delta: float | None = None) -> Propagato
 
 
 def _conv_kernel_prop(p: PropagatorHandle, t: float, kernel_order: float, x) -> np.ndarray:
-    """(g_beta * E_alpha)(t) x via the closed form t^{alpha+beta-2}? -- no:
-    evaluated exactly through the symbol identity
+    """(g_beta * E_alpha)(t) x, evaluated exactly through the symbol identity
 
         (g_beta * E_{alpha,1})(t) = t^{beta} E_{alpha,1+beta}(-t^alpha A)
 
@@ -284,10 +272,7 @@ def laplace_check(p: PropagatorHandle, lam: float, x, nodes_per_decade: int = 48
     t_min = 1e-14 / lam
     n = max(16, int(nodes_per_decade * math.log10(t_max / t_min)))
     ts = np.geomspace(t_min, t_max, n)
-    u = np.log(ts)
-    w = np.zeros_like(u)
-    w[:-1] += 0.5 * np.diff(u)
-    w[1:] += 0.5 * np.diff(u)
+    w = _trapezoid_weights(np.log(ts))
     integral = np.zeros(p.model.dimension, dtype=complex)
     for tj, wj in zip(ts, w):
         integral += wj * tj * math.exp(-lam * tj) * prop_apply(oracle, tj, x)
@@ -365,22 +350,10 @@ def strong_continuity_check(p: PropagatorHandle, t_values) -> BoundReport:
     ||E x - x|| <= C ||A x|| t^{-alpha gamma} on D(A); the worst-case x
     moves with t, so the slope is only visible on the operator norm.
     """
-    ts = np.asarray(t_values, dtype=float)
-    if ts.size < 2 or np.any(ts <= 0):
-        raise ValueError("need at least two positive t values")
-    params = MLParams(p.alpha, 1.0)
-    norms = []
-    for t in ts:
-        ta = t**p.alpha
-        f = lambda z: (ml_eval(params, -ta * z) - 1.0) / z
-        fp = lambda z: (
-            -ta * ml_derivative(params, -ta * z, 1) * z
-            - (ml_eval(params, -ta * z) - 1.0)
-        ) / z**2
-        norms.append(model_norm_of_function(p.model, f, fp))
-    rep = _fit_decay(ts, norms)
+    weight = lambda z, e, de: ((e - 1.0) / z, (de * z - (e - 1.0)) / z**2)
+    rep = _norm_sweep(p, t_values, 1.0, weight)
     return BoundReport(
-        constant=rep.c_empirical, slope=rep.fitted_slope, n_samples=ts.size
+        constant=rep.c_empirical, slope=rep.fitted_slope, n_samples=rep.t_values.size
     )
 
 

@@ -16,8 +16,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fractional import Kernel, TimeGrid, Trajectory, caputo_derivative, duhamel_convolve
-from .mittag_leffler import MLParams, ml_derivative, ml_eval, reciprocal_gamma
-from .operator_model import AlmostSectorialModel, apply as op_apply
+from .mittag_leffler import MLParams, reciprocal_gamma
+from .operator_model import AlmostSectorialModel, apply as op_apply, spectral_matrices
+from .propagators import _symbol
 
 __all__ = [
     "ForcingSpec",
@@ -26,6 +27,7 @@ __all__ = [
     "ResidualReport",
     "HoelderEstimate",
     "PicardError",
+    "regime_report",
     "validate_regime",
     "propagator_snapshots",
     "solve_homogeneous",
@@ -35,9 +37,6 @@ __all__ = [
     "hoelder_modulus",
     "residual_report_to_csv",
 ]
-
-_THEOREMS = ("homogeneous", "linear", "semilinear-mild", "semilinear-classical")
-
 
 @dataclass(frozen=True)
 class ForcingSpec:
@@ -104,36 +103,44 @@ class RegimeReport:
     classical_ok: bool
 
 
+def regime_report(
+    theorem: str, alpha: float, gamma: float, nu: float | None = None
+) -> RegimeReport:
+    """Which inequalities assumed by the selected solvability result hold.
+
+    ``nu`` is the Hoelder exponent of the forcing; None (no time-only
+    forcing) leaves the Hoelder condition satisfied.
+    """
+    upper = alpha * (1.0 + gamma) < 1.0
+    lower = alpha * (-gamma) > 1.0
+    holder = True if nu is None else nu > alpha * (1.0 + gamma)
+    required = {
+        "homogeneous": upper and lower,
+        "linear": upper and lower and holder,
+        "semilinear-mild": upper,
+        "semilinear-classical": upper and lower,
+    }
+    if theorem not in required:
+        raise ValueError(f"unknown theorem {theorem!r}; pick one of {tuple(required)}")
+    return RegimeReport(
+        cond_alpha_upper=upper,
+        cond_alpha_lower=lower,
+        cond_holder=holder,
+        classical_ok=required[theorem],
+    )
+
+
 def validate_regime(p: WaveProblem, theorem: str) -> RegimeReport:
     """Evaluate the inequalities assumed by the selected solvability result.
 
     Solvers do not call this implicitly; runs outside the guaranteed regime
     are permitted but carry experimental status only.
     """
-    if theorem not in _THEOREMS:
-        raise ValueError(f"unknown theorem {theorem!r}; pick one of {_THEOREMS}")
-    gamma = p.model.profile.gamma
-    upper = p.alpha * (1.0 + gamma) < 1.0
-    lower = p.alpha * (-gamma) > 1.0
     nu = p.forcing.nu
     if nu is None and p.forcing.kind == "time":
         samples = np.array([p.forcing.func(t) for t in p.grid.nodes()], dtype=complex)
         nu = hoelder_modulus(Trajectory(p.grid, np.atleast_2d(samples.T).T)).nu
-    holder = True if nu is None else nu > p.alpha * (1.0 + gamma)
-    if theorem == "homogeneous":
-        ok = upper and lower
-    elif theorem == "linear":
-        ok = upper and lower and holder
-    elif theorem == "semilinear-mild":
-        ok = upper
-    else:  # semilinear-classical
-        ok = upper and lower
-    return RegimeReport(
-        cond_alpha_upper=upper,
-        cond_alpha_lower=lower,
-        cond_holder=holder,
-        classical_ok=ok,
-    )
+    return regime_report(theorem, p.alpha, p.model.profile.gamma, nu)
 
 
 def propagator_snapshots(
@@ -144,15 +151,9 @@ def propagator_snapshots(
     The t = 0 snapshot is the limit (1/Gamma(delta)) I.
     """
     t = grid.nodes()
-    params = MLParams(alpha, delta)
     out = np.zeros((t.size, m.n_blocks, 2, 2), dtype=complex)
     out[0, :, 0, 0] = out[0, :, 1, 1] = reciprocal_gamma(delta)
-    ta = t[1:, None] ** alpha
-    args = -ta * m.lam[None, :]
-    fv = np.array([[ml_eval(params, z) for z in row] for row in args])
-    fpv = np.array([[ml_derivative(params, z, 1) for z in row] for row in args])
-    out[1:, :, 0, 0] = out[1:, :, 1, 1] = fv
-    out[1:, :, 0, 1] = m.coupling[None, :] * (-ta) * fpv
+    out[1:] = spectral_matrices(m, *_symbol(MLParams(alpha, delta), t[1:, None], alpha))
     return out
 
 

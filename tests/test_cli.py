@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from fracwave.cli import _region_flag, config_hash, main, parse_config_text
+from fracwave.cli import config_hash, main, parse_config_text
 from fracwave.mittag_leffler import MLParams, ml_eval
 from fracwave.operator_model import model_from_text
+from fracwave.solvers import regime_report
 
 
 def write_config(tmp_path, text, name="run.cfg"):
@@ -56,6 +57,10 @@ class TestMl:
 
     def test_missing_args_usage(self):
         assert main(["ml", "--alpha", "1"]) == 2
+
+    @pytest.mark.parametrize("extra", [[], ["--derivative", "1"]])
+    def test_overflow_domain_error(self, extra):
+        assert main(["ml", "--alpha", "1.5", "--z", "1e5", *extra]) == 3
 
 
 class TestConfig:
@@ -156,10 +161,25 @@ class TestSolve:
 
 class TestRegions:
     def test_flag_arithmetic(self):
-        assert _region_flag("linear", 1.5, 0.5, -0.75) == 1
-        assert _region_flag("homogeneous", 1.1, 0.5, -0.75) == 0  # 1.1 < 4/3
-        assert _region_flag("homogeneous", 1.5, 0.5, -0.5) == 0  # 1.5 < 2
-        assert _region_flag("semilinear-mild", 1.9, 0.5, -0.75) == 1
+        def flag(theorem, alpha, nu, gamma):
+            return int(regime_report(theorem, alpha, gamma, nu).classical_ok)
+
+        assert flag("linear", 1.5, 0.5, -0.75) == 1
+        assert flag("homogeneous", 1.1, 0.5, -0.75) == 0  # 1.1 < 4/3
+        assert flag("homogeneous", 1.5, 0.5, -0.5) == 0  # 1.5 < 2
+        assert flag("semilinear-mild", 1.9, 0.5, -0.75) == 1
+
+    def test_semilinear_classical(self, tmp_path, capsys):
+        path = write_config(tmp_path, "n = 3\ntheorem = semilinear-classical\n")
+        assert main(["regions", "--config", path, "--stdout"]) == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        flags = [r.split(",")[3] for r in lines if not r.startswith(("#", "alpha,"))]
+        # alpha in {1.005, 1.5, 1.995} x gamma in {-0.995, -0.5, -0.005}
+        assert flags == ["0", "0", "0", "1", "0", "0", "1", "0", "0"]
+
+    def test_unknown_theorem_domain_error(self, tmp_path):
+        path = write_config(tmp_path, "n = 3\ntheorem = elliptic\n")
+        assert main(["regions", "--config", path, "--stdout"]) == 3
 
     def test_raster_row_count(self, tmp_path, capsys):
         path = write_config(tmp_path, "n = 20\n")

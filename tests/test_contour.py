@@ -10,7 +10,6 @@ from fracwave.contour import (
     calculus_apply,
     default_contour,
     hankel_propagator,
-    integrand_profile,
     resolvent_of_power_sum,
 )
 from fracwave.mittag_leffler import MLParams, ml_derivative, ml_eval
@@ -207,13 +206,3 @@ class TestHankelPropagator:
         bad = HankelSpec(theta0=math.pi - 0.05)
         with pytest.raises(ValueError):
             hankel_propagator(m, ALPHA, 1.0, bad, x)
-
-
-class TestDiagnostics:
-    def test_integrand_profile(self):
-        m = ladder()
-        f, _ = ml_pair(1.0)
-        c = default_contour(m, t_alpha_scale=1.0)
-        rows = integrand_profile(m, f, c)
-        assert len(rows) == len(c.radii())
-        assert all(len(r) == 3 and r[2] >= 0 for r in rows)

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from fracwave.mittag_leffler import MLParams, ml_derivative, ml_eval
 from fracwave.operator_model import (
     AlmostSectorialModel,
     SectorProfile,
@@ -198,6 +199,23 @@ class TestSpectralOracle:
         for k in range(m.n_blocks):
             dense[2 * k : 2 * k + 2, 2 * k : 2 * k + 2] = blocks[k]
         assert abs(model_norm_of_function(m, f, fp) - np.linalg.norm(dense, 2)) < 1e-10
+
+    def test_leading_time_axis(self):
+        m = build_ladder_model(-0.6, math.pi / 8, 0.5, 5.0, 3)
+        p = MLParams(1.5, 1.0)
+        ta = np.array([0.1, 1.0, 3.0])[:, None] ** 1.5
+
+        def symbol(ta):
+            f = lambda z: ml_eval(p, -ta * z)
+            fp = lambda z: -ta * ml_derivative(p, -ta * z, 1)
+            return f, fp
+
+        blocks = spectral_matrices(m, *symbol(ta))
+        norms = model_norm_of_function(m, *symbol(ta))
+        assert blocks.shape == (3, m.n_blocks, 2, 2) and norms.shape == (3,)
+        for i, t in enumerate(ta[:, 0]):
+            assert np.array_equal(blocks[i], spectral_matrices(m, *symbol(t)))
+            assert norms[i] == model_norm_of_function(m, *symbol(t))
 
     def test_graph_norm(self):
         m = build_scalar_model(3.0)

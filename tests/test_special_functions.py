@@ -156,6 +156,35 @@ class TestRecurrencesAndDerivatives:
             ml_derivative(MLParams(1.5, 1.0), 1.0, -1)
 
 
+class TestArrayInput:
+    # series, mid-band fallback and asymptotic regimes, decay and growth sectors
+    Z = np.array(
+        [
+            [0.0, 0.5 - 0.2j, -3.0 + 1.0j, 9.0j],
+            [-15.0 + 2.0j, 20.0, -60.0 - 5.0j, 300.0 * cmath.exp(2.5j)],
+        ]
+    )
+
+    def test_eval_matches_scalar_calls(self):
+        p = MLParams(1.5, 1.2)
+        got = ml_eval(p, self.Z)
+        assert got.shape == self.Z.shape and got.dtype == complex
+        want = np.array([[ml_eval(p, z) for z in row] for row in self.Z])
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("order", [0, 1, 2])
+    def test_derivative_matches_scalar_calls(self, order):
+        p = MLParams(1.5, 1.2)
+        got = ml_derivative(p, self.Z, order)
+        assert got.shape == self.Z.shape
+        want = np.array([[ml_derivative(p, z, order) for z in row] for row in self.Z])
+        assert np.array_equal(got, want)
+
+    def test_scalar_in_scalar_out(self):
+        assert isinstance(ml_eval(MLParams(1.5, 1.0), -1.0), complex)
+        assert isinstance(ml_derivative(MLParams(1.5, 1.0), -1.0, 1), complex)
+
+
 class TestReciprocalGamma:
     def test_poles(self):
         for n in range(0, 6):
