@@ -96,8 +96,6 @@ def config_hash(cfg: dict) -> str:
 
 def _get(cfg, key, default=None, cast=str):
     if key not in cfg:
-        if default is None and cast is not str:
-            return None
         return default
     try:
         return cast(cfg[key])
@@ -106,10 +104,7 @@ def _get(cfg, key, default=None, cast=str):
 
 
 def _getf(cfg, key, default=None):
-    v = _get(cfg, key, default=default, cast=float)
-    if v is None and default is not None:
-        return default
-    return v
+    return _get(cfg, key, default=default, cast=float)
 
 
 def build_model_from_config(cfg: dict):

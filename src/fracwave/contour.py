@@ -9,6 +9,10 @@ Two integration paths:
   the circular arc of radius rho joining them, used for the Laplace-type
   propagator representation.  Composite Gauss-Legendre on rays and arc,
   because the integrand does not vanish at the ray/arc junction.
+
+Both are one node sum sum_j c_j (z_j - A)^{-1} x, applied as one blockwise
+symbol through the spectral oracle; on Gamma_theta, f is called once on the
+array of nodes (a scalar result is broadcast).
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fractional import _trapezoid_weights
-from .operator_model import AlmostSectorialModel, resolvent_apply
+from .operator_model import AlmostSectorialModel, spectral_apply
 
 __all__ = [
     "ContourSpec",
@@ -86,20 +90,36 @@ def default_contour(
     )
 
 
+def _path_apply(m: AlmostSectorialModel, z, c, x) -> np.ndarray:
+    """sum_j c_j (z_j - A)^{-1} x for node and weight arrays z and c.
+
+    On a Jordan block (z - J)^{-1} = [[r, s r^2], [0, r]] with r = 1/(z - lambda),
+    so the sum is the symbol F = sum_j c_j r_j with F' = sum_j c_j r_j^2,
+    reduced one eigenvalue at a time (no nodes x blocks array is held).
+    """
+    tiny = 1e-14 * np.maximum(np.abs(z), 1e-300)
+    fv, dv = np.empty((2, m.n_blocks), dtype=complex)
+    for k, lam in enumerate(m.lam):
+        d = z - lam
+        hit = np.abs(d) < tiny
+        if np.any(hit):
+            raise ValueError(f"z={complex(z[np.argmax(hit)])} collides with the spectrum")
+        cr = c / d
+        fv[k] = np.sum(cr)
+        dv[k] = np.sum(cr / d)
+    return spectral_apply(m, lambda _: fv, lambda _: dv, x)
+
+
 def _gamma_path_sum(m, f, c, x, refine=1):
+    """Gamma_theta quadrature: the vector, the nodes (lower ray, then upper) and f on them."""
     r = c.radii(refine=refine)
     w = _trapezoid_weights(np.log(r)) * r
     up = cmath.exp(1j * c.theta)
     dn = cmath.exp(-1j * c.theta)
-    total = np.zeros(m.dimension, dtype=complex)
-    for rj, wj in zip(r, w):
-        z_up = rj * up
-        z_dn = rj * dn
-        total += wj * (
-            f(z_dn) * dn * resolvent_apply(m, z_dn, x)
-            - f(z_up) * up * resolvent_apply(m, z_up, x)
-        )
-    return total / (2.0j * math.pi)
+    z = np.concatenate([r * dn, r * up])
+    fz = np.broadcast_to(f(z), z.shape)
+    coef = fz * np.concatenate([w * dn, -w * up]) / (2.0j * math.pi)
+    return _path_apply(m, z, coef, x), z, fz
 
 
 def calculus_apply(
@@ -112,28 +132,25 @@ def calculus_apply(
     """f(A) x = (1/2 pi i) int_{Gamma_theta} f(z) (z-A)^{-1} x dz.
 
     The path runs in along the upper ray and out along the lower one, so
-    the spectral sector lies to the left.  With ``return_error=True`` also
-    returns the two-grid difference against half the node density (an
-    estimate, not a bound).
+    the spectral sector lies to the left.  ``f`` is called once, on the
+    array of path nodes, and may return a scalar, which is broadcast.  With
+    ``return_error=True`` also returns the two-grid difference against half
+    the node density (an estimate, not a bound; it calls ``f`` once more).
     """
-    x = np.asarray(x, dtype=complex).ravel()
-    lo, hi = m.spectral_radius_range()
     if c.theta <= m.profile.omega:
         raise ValueError("contour angle theta must exceed the sector angle omega")
-    _warn_on_slow_decay(f, c)
-    val = _gamma_path_sum(m, f, c, x)
+    val, z, fz = _gamma_path_sum(m, f, c, x)
+    _warn_on_slow_decay(z, fz)
     if not return_error:
         return val
-    coarse = _gamma_path_sum(m, f, c, x, refine=0.5)
+    coarse = _gamma_path_sum(m, f, c, x, refine=0.5)[0]
     return val, float(np.linalg.norm(val - coarse))
 
 
-def _warn_on_slow_decay(f, c: ContourSpec) -> None:
-    r_mid = math.sqrt(c.r_min * c.r_max)
-    z_mid = r_mid * cmath.exp(1j * c.theta)
-    z_out = c.r_max * cmath.exp(1j * c.theta)
-    fm = abs(f(z_mid)) * (1.0 + r_mid)
-    fo = abs(f(z_out)) * (1.0 + c.r_max)
+def _warn_on_slow_decay(z, fz) -> None:
+    # |f(z)| (1 + |z|) at the middle and the outer end of the upper ray
+    n = z.size // 2
+    fm, fo = (abs(fz[j]) * (1.0 + abs(z[j])) for j in (n + n // 2, -1))
     if fm > 0 and fo > 100.0 * fm:
         warnings.warn(
             "integrand does not satisfy the |f(z)| <= C/(1+|z|) decay "
@@ -211,17 +228,12 @@ def hankel_propagator(
             f"theta0={h.theta0} outside (pi/2, (pi - theta)/alpha) for "
             f"theta={theta_model}, alpha={alpha}"
         )
-    x = np.asarray(x, dtype=complex).ravel()
     rho = h.rho if h.rho is not None else 1.0 / t
     if h.r_max is not None:
         r_max = h.r_max
     else:
         r_max = max(45.0 / (abs(math.cos(h.theta0)) * t), 10.0 * rho)
 
-    def resolvent_power(lam: complex) -> np.ndarray:
-        return -resolvent_apply(m, -(lam**alpha), x)
-
-    total = np.zeros(m.dimension, dtype=complex)
     # rays, log-variable composite Gauss-Legendre; the e^{lambda t} factor
     # oscillates with total phase ~ r_max t sin(theta0), so the panel count
     # must track the cycle count, not just the decade count
@@ -234,30 +246,14 @@ def hankel_propagator(
     )
     u, wu = _gauss_panels(math.log(rho), math.log(r_max), n_panels)
     r = np.exp(u)
-    for direction in (+1.0, -1.0):
-        e = cmath.exp(1j * direction * h.theta0)
-        for rj, wj in zip(r, wu):
-            lam = rj * e
-            total += (
-                direction
-                * wj
-                * rj
-                * e
-                * cmath.exp(lam * t)
-                * lam ** (alpha - 1.0)
-                * resolvent_power(lam)
-            )
+    up = cmath.exp(1j * h.theta0)
+    dn = cmath.exp(-1j * h.theta0)
     # arc lambda = rho e^{i phi}, phi from -theta0 to +theta0
     phi, wphi = _gauss_panels(-h.theta0, h.theta0, max(1, h.arc_nodes // 8))
-    for pj, wj in zip(phi, wphi):
-        lam = rho * cmath.exp(1j * pj)
-        total += (
-            wj
-            * 1j
-            * lam
-            * cmath.exp(lam * t)
-            * lam ** (alpha - 1.0)
-            * resolvent_power(lam)
-        )
-    return total / (2.0j * math.pi)
-
+    arc = rho * np.exp(1j * phi)
+    lam = np.concatenate([r * up, r * dn, arc])
+    c = np.concatenate([wu * r * up, -wu * r * dn, 1j * wphi * arc])  # d lambda
+    c *= np.exp(lam * t)
+    # (lambda^alpha + A)^{-1} = -(z - A)^{-1} at z = -lambda^alpha
+    c *= lam ** (alpha - 1.0) / (-2.0j * math.pi)
+    return _path_apply(m, -(lam**alpha), c, x)

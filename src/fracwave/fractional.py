@@ -251,10 +251,10 @@ def trajectory_to_csv(w: Trajectory, header_lines=()) -> str:
 
 
 def trajectory_from_csv(text: str) -> Trajectory:
-    """Inverse of :func:`trajectory_to_csv` (grading is not recoverable and
-    is stored as 1; the node times themselves round-trip exactly through the
-    returned grid only approximately, so callers needing exact nodes should
-    keep the original grid)."""
+    """Inverse of :func:`trajectory_to_csv`.  The grading, which the CSV does
+    not store, is recovered from the first interior node (1 when n < 2); the
+    node times round-trip only up to rounding, so callers needing exact
+    nodes should keep the original grid."""
     rows = []
     for line in text.splitlines():
         line = line.strip()

@@ -196,13 +196,18 @@ def _check_vector(m: AlmostSectorialModel, x) -> np.ndarray:
 
 
 def apply(m: AlmostSectorialModel, x) -> np.ndarray:
-    """A x by blockwise upper-triangular multiply."""
-    x = _check_vector(m, x)
-    xb = x.reshape(-1, 2)
+    """A x by blockwise upper-triangular multiply; ``x`` is one vector or a
+    (..., d) array of rows, each multiplied."""
+    x = np.asarray(x, dtype=complex)
+    if x.ndim < 2:
+        x = _check_vector(m, x)
+    elif x.shape[-1] != m.dimension:
+        raise ValueError(f"row length {x.shape[-1]} != model dimension {m.dimension}")
+    xb = x.reshape(x.shape[:-1] + (-1, 2))
     out = np.empty_like(xb)
-    out[:, 0] = m.lam * xb[:, 0] + m.coupling * xb[:, 1]
-    out[:, 1] = m.lam * xb[:, 1]
-    return out.ravel()
+    out[..., 0] = m.lam * xb[..., 0] + m.coupling * xb[..., 1]
+    out[..., 1] = m.lam * xb[..., 1]
+    return out.reshape(x.shape)
 
 
 def resolvent_apply(m: AlmostSectorialModel, z: complex, x) -> np.ndarray:

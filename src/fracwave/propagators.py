@@ -28,6 +28,7 @@ from .operator_model import (
     model_norm_of_function,
     resolvent_apply,
     spectral_apply,
+    spectral_matrices,
 )
 
 __all__ = [
@@ -35,6 +36,7 @@ __all__ = [
     "DecayReport",
     "make_propagator",
     "prop_apply",
+    "propagator_snapshots",
     "prop_norm_decay",
     "a_prop_norm_decay",
     "conv_norm_decay",
@@ -111,6 +113,25 @@ def _symbol(p: MLParams, t, alpha: float):
     f = lambda z: ml_eval(p, -ta * z)
     fp = lambda z: -ta * ml_derivative(p, -ta * z, 1)
     return f, fp
+
+
+def propagator_snapshots(
+    m: AlmostSectorialModel, alpha: float, delta: float, grid: TimeGrid
+) -> np.ndarray:
+    """Blockwise snapshots E_{alpha,delta}(-t_i^alpha A), shape (n+1, nb, 2, 2).
+
+    The t = 0 snapshot is the limit (1/Gamma(delta)) I.
+    """
+    t = grid.nodes()
+    out = np.zeros((t.size, m.n_blocks, 2, 2), dtype=complex)
+    out[0, :, 0, 0] = out[0, :, 1, 1] = reciprocal_gamma(delta)
+    out[1:] = spectral_matrices(m, *_symbol(MLParams(alpha, delta), t[1:, None], alpha))
+    return out
+
+
+def _apply_snapshots(snaps: np.ndarray, x: np.ndarray) -> np.ndarray:
+    xb = x.reshape(-1, 2)
+    return np.einsum("ikab,kb->ika", snaps, xb).reshape(snaps.shape[0], -1)
 
 
 def prop_apply(p: PropagatorHandle, t: float, x) -> np.ndarray:
@@ -267,24 +288,24 @@ def laplace_check(p: PropagatorHandle, lam: float, x, nodes_per_decade: int = 48
     nx = np.linalg.norm(x)
     if nx == 0.0:
         return 0.0
-    oracle = _oracle_handle(p, delta=1.0)
     t_max = 45.0 / lam
     t_min = 1e-14 / lam
     n = max(16, int(nodes_per_decade * math.log10(t_max / t_min)))
     ts = np.geomspace(t_min, t_max, n)
-    w = _trapezoid_weights(np.log(ts))
-    integral = np.zeros(p.model.dimension, dtype=complex)
-    for tj, wj in zip(ts, w):
-        integral += wj * tj * math.exp(-lam * tj) * prop_apply(oracle, tj, x)
+    # the t integral is the symbol sum_j q_j E_alpha(-t_j^alpha z), per eigenvalue
+    q = _trapezoid_weights(np.log(ts)) * ts * np.exp(-lam * ts)
+    f, fp = _symbol(MLParams(p.alpha, 1.0), ts, p.alpha)
+    fv = np.array([np.sum(q * f(z)) for z in p.model.lam])
+    dv = np.array([np.sum(q * fp(z)) for z in p.model.lam])
+    integral = spectral_apply(p.model, lambda _: fv, lambda _: dv, x)
     rhs = lam ** (p.alpha - 1.0) * (-resolvent_apply(p.model, -(lam**p.alpha), x))
     return float(np.linalg.norm(integral - rhs) / nx)
 
 
 def _grid_convolution(p: PropagatorHandle, t: float, beta: float, x, n_grid: int):
     """(g_beta * E_alpha)(t) x by product integration of oracle snapshots."""
-    oracle = _oracle_handle(p, delta=1.0)
     grid = TimeGrid(t, n_grid, grading=2.0)
-    snaps = np.array([prop_apply(oracle, s, x) for s in grid.nodes()])
+    snaps = _apply_snapshots(propagator_snapshots(p.model, p.alpha, 1.0, grid), x)
     conv = rl_integral(Kernel(beta), Trajectory(grid, snaps))
     return conv.values[-1]
 

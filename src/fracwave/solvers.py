@@ -16,9 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fractional import Kernel, TimeGrid, Trajectory, caputo_derivative, duhamel_convolve
-from .mittag_leffler import MLParams, reciprocal_gamma
-from .operator_model import AlmostSectorialModel, apply as op_apply, spectral_matrices
-from .propagators import _symbol
+from .operator_model import AlmostSectorialModel, apply as op_apply
+from .propagators import _apply_snapshots, propagator_snapshots
 
 __all__ = [
     "ForcingSpec",
@@ -29,7 +28,6 @@ __all__ = [
     "PicardError",
     "regime_report",
     "validate_regime",
-    "propagator_snapshots",
     "solve_homogeneous",
     "solve_linear",
     "solve_semilinear",
@@ -143,37 +141,19 @@ def validate_regime(p: WaveProblem, theorem: str) -> RegimeReport:
     return regime_report(theorem, p.alpha, p.model.profile.gamma, nu)
 
 
-def propagator_snapshots(
-    m: AlmostSectorialModel, alpha: float, delta: float, grid: TimeGrid
-) -> np.ndarray:
-    """Blockwise snapshots E_{alpha,delta}(-t_i^alpha A), shape (n+1, nb, 2, 2).
-
-    The t = 0 snapshot is the limit (1/Gamma(delta)) I.
-    """
-    t = grid.nodes()
-    out = np.zeros((t.size, m.n_blocks, 2, 2), dtype=complex)
-    out[0, :, 0, 0] = out[0, :, 1, 1] = reciprocal_gamma(delta)
-    out[1:] = spectral_matrices(m, *_symbol(MLParams(alpha, delta), t[1:, None], alpha))
-    return out
-
-
-def _apply_snapshots(snaps: np.ndarray, x: np.ndarray) -> np.ndarray:
-    xb = x.reshape(-1, 2)
-    return np.einsum("ikab,kb->ika", snaps, xb).reshape(snaps.shape[0], -1)
-
-
 def solve_homogeneous(p: WaveProblem) -> Trajectory:
     """w(t_i) = E_alpha(-t_i^alpha A) w0 + t_i E_{alpha,2}(-t_i^alpha A) w1."""
     if p.forcing.kind != "none":
         raise ValueError("homogeneous solver requires absent forcing")
-    return Trajectory(p.grid, _homogeneous_values(p))
+    e1 = propagator_snapshots(p.model, p.alpha, 1.0, p.grid) if np.any(p.w0 != 0) else None
+    return Trajectory(p.grid, _homogeneous_values(p, e1))
 
 
-def _homogeneous_values(p: WaveProblem) -> np.ndarray:
+def _homogeneous_values(p: WaveProblem, e1) -> np.ndarray:
+    """Homogeneous solution on the grid; ``e1`` (E_alpha snapshots) is read only if w0 != 0."""
     t = p.grid.nodes()
     vals = np.zeros((t.size, p.model.dimension), dtype=complex)
     if np.any(p.w0 != 0):
-        e1 = propagator_snapshots(p.model, p.alpha, 1.0, p.grid)
         vals += _apply_snapshots(e1, p.w0)
     if np.any(p.w1 != 0):
         e2 = propagator_snapshots(p.model, p.alpha, 2.0, p.grid)
@@ -202,8 +182,8 @@ def solve_linear(p: WaveProblem) -> Trajectory:
     """Homogeneous part plus the Duhamel term (g_{alpha-1} * E_alpha * f)(t)."""
     if p.forcing.kind != "time":
         raise ValueError("linear solver requires a time-only forcing")
-    vals = _homogeneous_values(p)
     snaps = propagator_snapshots(p.model, p.alpha, 1.0, p.grid)
+    vals = _homogeneous_values(p, snaps)
     fvals = _sample_forcing(p)
     duh = duhamel_convolve(
         Kernel(p.alpha - 1.0), snaps, Trajectory(p.grid, fvals)
@@ -222,7 +202,7 @@ class PicardError(RuntimeError):
 
 def _graph_sup_norm(m: AlmostSectorialModel, values: np.ndarray) -> float:
     # sup over nodes of the D(A) (graph) norm ||v|| + ||A v||
-    av = np.array([op_apply(m, v) for v in values])
+    av = op_apply(m, values)
     return float(
         np.max(np.linalg.norm(values, axis=1) + np.linalg.norm(av, axis=1))
     )
@@ -244,8 +224,8 @@ def solve_semilinear(
         raise ValueError("semilinear solver requires a semilinear forcing")
     if tol <= 0 or max_iter < 1:
         raise ValueError("need tol > 0 and max_iter >= 1")
-    homog = _homogeneous_values(p)
     snaps = propagator_snapshots(p.model, p.alpha, 1.0, p.grid)
+    homog = _homogeneous_values(p, snaps)
     kernel = Kernel(p.alpha - 1.0)
     if initial == "w0":
         w = np.repeat(p.w0[None, :], p.grid.n_steps + 1, axis=0)
@@ -293,7 +273,7 @@ def verify_classical(p: WaveProblem, w: Trajectory, window: float = 0.02) -> Res
         raise ValueError("trajectory grid differs from the problem grid")
     t = p.grid.nodes()
     cap = caputo_derivative(p.alpha, w, p.w1).values
-    aw = np.array([op_apply(p.model, v) for v in w.values])
+    aw = op_apply(p.model, w.values)
     fvals = _sample_forcing(p, w.values)
     resid_vec = cap + aw - fvals
     scale = np.linalg.norm(aw, axis=1) + np.linalg.norm(fvals, axis=1) + 1e-300

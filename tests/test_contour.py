@@ -7,19 +7,24 @@ import pytest
 from fracwave.contour import (
     ContourSpec,
     HankelSpec,
+    _gauss_panels,
     calculus_apply,
     default_contour,
     hankel_propagator,
     resolvent_of_power_sum,
 )
+from fracwave.fractional import _trapezoid_weights
 from fracwave.mittag_leffler import MLParams, ml_derivative, ml_eval
 from fracwave.operator_model import (
+    AlmostSectorialModel,
+    SectorProfile,
     build_ladder_model,
     build_scalar_model,
     resolvent_apply,
     resolvent_norm,
     spectral_apply,
 )
+from fracwave.propagators import make_propagator, prop_apply
 
 RNG = np.random.default_rng(314159)
 ALPHA = 1.5
@@ -43,6 +48,48 @@ def ml_pair(t, alpha=ALPHA, delta=1.0):
 
 def mid_theta0(m, alpha=ALPHA):
     return 0.5 * (math.pi / 2.0 + (math.pi - m.profile.theta) / alpha)
+
+
+def gamma_path_reference(m, f, c, x):
+    """The Gamma_theta quadrature as a loop over nodes, one scalar symbol
+    value and one resolvent_apply per node."""
+    r = c.radii()
+    w = _trapezoid_weights(np.log(r)) * r
+    up, dn = cmath.exp(1j * c.theta), cmath.exp(-1j * c.theta)
+    total = np.zeros(m.dimension, dtype=complex)
+    for rj, wj in zip(r, w):
+        z_up, z_dn = rj * up, rj * dn
+        total += wj * (
+            f(z_dn) * dn * resolvent_apply(m, z_dn, x)
+            - f(z_up) * up * resolvent_apply(m, z_up, x)
+        )
+    return total / (2.0j * math.pi)
+
+
+def hankel_reference(m, alpha, t, h, x):
+    """The Hankel-path quadrature as a loop over nodes, one resolvent_apply
+    per node (rays and arc as in hankel_propagator, default rho and r_max)."""
+    rho = 1.0 / t
+    r_max = max(45.0 / (abs(math.cos(h.theta0)) * t), 10.0 * rho)
+    n_panels = max(
+        4,
+        int(math.ceil(h.nodes_per_decade * math.log10(r_max / rho) / 8.0)),
+        int(math.ceil(r_max * t * math.sin(h.theta0) / 3.0)),
+    )
+    u, wu = _gauss_panels(math.log(rho), math.log(r_max), n_panels)
+    phi, wphi = _gauss_panels(-h.theta0, h.theta0, max(1, h.arc_nodes // 8))
+    terms = []
+    for direction in (+1.0, -1.0):
+        e = cmath.exp(1j * direction * h.theta0)
+        terms += [(rj * e, direction * wj * rj * e) for rj, wj in zip(np.exp(u), wu)]
+    for pj, wj in zip(phi, wphi):
+        lam = rho * cmath.exp(1j * pj)
+        terms.append((lam, wj * 1j * lam))
+    total = np.zeros(m.dimension, dtype=complex)
+    for lam, dlam in terms:
+        resolvent_power = -resolvent_apply(m, -(lam**alpha), x)
+        total += dlam * cmath.exp(lam * t) * lam ** (alpha - 1.0) * resolvent_power
+    return total / (2.0j * math.pi)
 
 
 class TestCalculusApply:
@@ -119,6 +166,31 @@ class TestCalculusApply:
         c = ContourSpec(m.profile.theta, 1e-6, 1e6, 16)
         with pytest.warns(RuntimeWarning):
             calculus_apply(m, lambda z: 1.0 + z, c, x)
+
+    def test_symbol_called_once_per_node_grid(self):
+        m = ladder()
+        calls = []
+
+        def f(z):
+            calls.append(np.shape(z))
+            return 1.0 / (1.0 + z)
+
+        c = default_contour(m)
+        calculus_apply(m, f, c, rand_vec(m))
+        assert calls == [(2 * c.radii().size,)]
+        calls.clear()
+        calculus_apply(m, f, c, rand_vec(m), return_error=True)
+        assert len(calls) == 2
+
+    def test_spectral_collision(self):
+        # an eigenvalue on the upper ray, at a quadrature node
+        theta = 0.5 + 1e-13
+        prof = SectorProfile(omega=0.5, gamma=-0.5, mu=0.7, theta=theta)
+        c = ContourSpec(theta, 1e-2, 1e2, 16)
+        lam = c.radii()[5] * cmath.exp(1j * theta)
+        m = AlmostSectorialModel(lam=np.array([lam]), coupling=np.array([1.0]), profile=prof)
+        with pytest.raises(ValueError, match="collides with the spectrum"):
+            calculus_apply(m, lambda z: 1.0 / (1.0 + z), c, np.ones(2))
 
     def test_rejects_theta_inside_sector(self):
         m = ladder()
@@ -206,3 +278,25 @@ class TestHankelPropagator:
         bad = HankelSpec(theta0=math.pi - 0.05)
         with pytest.raises(ValueError):
             hankel_propagator(m, ALPHA, 1.0, bad, x)
+
+
+class TestNodeLoopReference:
+    """The batched node sums against per-node loops over resolvent_apply;
+    only the order of summation differs."""
+
+    def test_gamma_path(self):
+        m = ladder()
+        x = rand_vec(m)
+        f, _ = ml_pair(1.0)
+        want = gamma_path_reference(m, f, default_contour(m, t_alpha_scale=1.0), x)
+        got = prop_apply(make_propagator(m, ALPHA), 1.0, x)
+        assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+    def test_hankel_path(self):
+        m = ladder()
+        x = rand_vec(m)
+        h = HankelSpec(theta0=mid_theta0(m))
+        for t in [0.01, 1.0, 10.0]:
+            want = hankel_reference(m, ALPHA, t, h, x)
+            got = hankel_propagator(m, ALPHA, t, h, x)
+            assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)

@@ -75,6 +75,14 @@ class TestApplyAndResolvent:
         )
         assert np.allclose(apply(m, [0.0, 1.0]), [3.0, 1.0])
 
+    def test_apply_rows(self):
+        m = ladder()
+        rows = np.array([[rand_vec(m) for _ in range(3)] for _ in range(2)])
+        want = np.array([[apply(m, v) for v in r] for r in rows])
+        assert np.array_equal(apply(m, rows), want)
+        with pytest.raises(ValueError):
+            apply(m, rows[..., :-2])
+
     def test_resolvent_diagonal(self):
         m = build_scalar_model(1.0)
         assert np.allclose(resolvent_apply(m, 2.0, [1.0, 0.0]), [1.0, 0.0])

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from fracwave.contour import HankelSpec
+from fracwave.fractional import _trapezoid_weights
 from fracwave.mittag_leffler import MLParams, ml_eval
 from fracwave.operator_model import apply as op_apply
-from fracwave.operator_model import build_ladder_model, build_scalar_model
+from fracwave.operator_model import build_ladder_model, build_scalar_model, resolvent_apply
 from fracwave.propagators import (
     DecayReport,
     a_prop_apply,
@@ -208,6 +209,21 @@ class TestIdentities:
         p = make_propagator(m, ALPHA, representation="oracle")
         for lam in [0.5, 2.0, 10.0]:
             assert laplace_check(p, lam, x) <= 1e-4
+
+    def test_laplace_matches_per_t_loop(self):
+        m = build_ladder_model(GAMMA, math.pi / 6, 1e-2, 1e2, 2)
+        x = rand_vec(m)
+        p = make_propagator(m, ALPHA, representation="oracle")
+        lam, npd = 2.0, 8
+        # the t integral as a loop of oracle prop_apply calls
+        ts = np.geomspace(1e-14 / lam, 45.0 / lam, int(npd * math.log10(45.0 / 1e-14)))
+        w = _trapezoid_weights(np.log(ts))
+        integral = sum(wj * tj * math.exp(-lam * tj) * prop_apply(p, tj, x) for tj, wj in zip(ts, w))
+        rhs = lam ** (ALPHA - 1.0) * (-resolvent_apply(m, -(lam**ALPHA), x))
+        want = np.linalg.norm(integral - rhs) / np.linalg.norm(x)
+        # the residual is relative to ||x||, so this bounds the change of the
+        # integral by 1e-13 ||x||
+        assert abs(laplace_check(p, lam, x, nodes_per_decade=npd) - want) <= 1e-13
 
     def test_laplace_rejects_bad_lam(self):
         p = make_propagator(ladder(), ALPHA, representation="oracle")

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from fracwave import solvers
 from fracwave.fractional import TimeGrid, Trajectory
 from fracwave.mittag_leffler import MLParams, ml_eval
 from fracwave.operator_model import build_ladder_model, build_scalar_model
@@ -209,6 +210,16 @@ class TestSemilinear:
             solve_semilinear(p, tol=1e-12, max_iter=15)
         assert len(err.value.history) == 15
         assert err.value.history[-1] > err.value.history[0]
+
+    def test_snapshots_built_once(self, monkeypatch):
+        calls = []
+        build = solvers.propagator_snapshots
+        monkeypatch.setattr(
+            solvers, "propagator_snapshots", lambda *a: calls.append(a[2]) or build(*a)
+        )
+        f = ForcingSpec.semilinear(lambda t, w: np.sin(w), lipschitz=1.0)
+        solve_semilinear(scalar_problem(w0=1.0, w1=0.0, forcing=f, n=64, T=0.5))
+        assert calls == [1.0]
 
     def test_rejects_wrong_forcing(self):
         with pytest.raises(ValueError):
