@@ -10,8 +10,11 @@ Evaluation strategy is split by modulus and argument:
   ``mu <= |arg z| <= pi`` but are kept because they dominate the truncation
   error of the algebraic tail at moderate modulus.
 * the band in between, where neither expansion reaches full double
-  precision, falls back to an arbitrary-precision Taylor sum (mpmath) with
-  working precision chosen from the largest series term.
+  precision, falls back to an arbitrary-precision Taylor sum with working
+  precision chosen from the largest series term.  Its coefficients
+  ``1/Gamma(alpha k + delta)`` come from mpmath; the sum itself is binary
+  fixed point on Python ints (Horner's rule in ``z / 2**E``), correctly
+  rounded to a double at the end.
 
 All branch powers use the principal argument in ``(-pi, pi]``.
 """
@@ -43,6 +46,8 @@ Z_SWITCH_DEFAULT = 12.0
 _ASYMPTOTIC_RTOL = 1e-13
 
 _MAX_SERIES_TERMS = 400
+
+_LOG2_10 = math.log2(10.0)
 
 
 @dataclass(frozen=True)
@@ -201,43 +206,100 @@ def _mp_series_params(alpha: float, r: float):
 
 
 @functools.lru_cache(maxsize=64)
-def _mp_coefficients(alpha: float, delta: float, n: int, dps: int):
-    with mpmath.workdps(dps):
-        return tuple(
-            mpmath.rgamma(mpmath.mpf(alpha) * k + delta) for k in range(n)
-        )
+def _coefficient_prefix(alpha: float, delta: float, dps: int) -> list:
+    # one list per working precision, extended in place by _mp_coefficients:
+    # the k-th value does not depend on how many follow it
+    return []
+
+
+def _mp_coefficients(alpha: float, delta: float, n: int, dps: int) -> list:
+    """The first ``n`` values ``1/Gamma(alpha k + delta)`` rounded at ``dps``
+    digits, each as an exact pair ``(signed mantissa, binary exponent)``."""
+    coef = _coefficient_prefix(alpha, delta, dps)
+    if len(coef) < n:
+        with mpmath.workdps(dps):
+            a = mpmath.mpf(alpha)
+            for k in range(len(coef), n):
+                sign, man, exp, _ = mpmath.rgamma(a * k + delta)._mpf_
+                coef.append((-man if sign else man, exp))
+    return coef
+
+
+def _fixed_point_unit(z: complex):
+    """``z = u 2**E`` with ``u = (ur + i ui) / 2**s`` in exact integers.
+
+    ``E = floor(log2|z|) + 1``, so ``|u| <= 1`` and Horner's rule cannot amplify
+    its rounding errors.  Both parts of the double ``z`` are dyadic
+    rationals, so the split is exact at any precision.
+    """
+    big_e = math.frexp(abs(z))[1] if z else 0
+    (nr, dr), (ni, di) = z.real.as_integer_ratio(), z.imag.as_integer_ratio()
+    tr, ti = dr.bit_length() - 1 + big_e, di.bit_length() - 1 + big_e
+    s = max(tr, ti, 0)
+    return nr << (s - tr), ni << (s - ti), s, big_e
+
+
+def _horner_fixed(coef, order: int, n_terms: int, unit, p: int):
+    """sum_{order <= k < n_terms} k!/(k-order)! c_k z^(k-order), times 2**p,
+    as two ints (real, imaginary): Horner's rule in ``u = z / 2**E`` on the
+    scaled coefficients ``c_k 2**((k-order) E)``, each a shift of a mantissa."""
+    ur, ui, s, big_e = unit
+    ar = ai = 0
+    for j in range(n_terms - 1 - order, -1, -1):
+        man, exp = coef[j + order]
+        b = man * math.perm(j + order, order)
+        shift = exp + j * big_e + p
+        b = b << shift if shift >= 0 else b >> -shift
+        ar, ai = ((ar * ur - ai * ui) >> s) + b, (ar * ui + ai * ur) >> s
+    return ar, ai
+
+
+def _fixed_to_float(a: int, p: int) -> float:
+    # int / int is correctly rounded, as is mpmath's float conversion; it
+    # raises where mpmath overflows to infinity
+    try:
+        return a / (1 << p)
+    except OverflowError:
+        return math.inf if a > 0 else -math.inf
 
 
 def _series_mp(alpha: float, delta: float, z: complex, order: int = 0) -> complex:
     """Arbitrary-precision Taylor sum; ``order`` differentiates termwise.
 
     Working precision starts a safe margin above the largest-term magnitude
-    and is doubled while cancellation still swamps the result.
+    and is doubled while cancellation still swamps the result.  mpmath only
+    computes the coefficients; the sum is exact-integer fixed point with
+    ``P = ceil(dps log2 10) + 16`` fractional bits (``_horner_fixed``).  Its
+    roundings are absolute, below ``2**-P`` each, and ``|u| <= 1`` keeps them
+    from growing, so the sum is closer to the exact one than a power sum in
+    mpmath arithmetic at ``dps`` digits, whose roundings scale with the
+    largest term; both round to the same double.
     """
+    z = complex(z)
     r = abs(z)
     peak_digits, n_terms = _mp_series_params(alpha, r)
+    unit = _fixed_point_unit(z)
+    log2_r = math.log2(r) if r else -math.inf
     dps = peak_digits + 30
     while True:
         coef = _mp_coefficients(alpha, delta, n_terms, dps)
-        with mpmath.workdps(dps):
-            zz = mpmath.mpc(z)
-            total = mpmath.mpc(0)
-            zk = mpmath.mpc(1)
-            term = mpmath.mpc(0)
-            for k in range(order, n_terms):
-                factor = 1
-                for j in range(order):
-                    factor *= k - j
-                term = factor * zk * coef[k]
-                total += term
-                zk *= zz
-            # the tail must be negligible at the working precision
-            floor = mpmath.mpf(10) ** (peak_digits - dps + 15)
-            tail_ok = abs(term) < floor * (1 + abs(total))
-            # detect catastrophic cancellation relative to the working
-            # precision and retry harder
-            ok = abs(total) > mpmath.mpf(10) ** (peak_digits - dps + 20)
-            result = complex(total)
+        p = math.ceil(dps * _LOG2_10) + 16
+        ar, ai = _horner_fixed(coef, order, n_terms, unit, p)
+        norm2 = ar * ar + ai * ai
+        # the tail must be negligible at the working precision:
+        # |last term| < 10**(peak_digits - dps + 15) (1 + |total|), in log2
+        last = n_terms - 1
+        man, exp = coef[last]
+        man *= math.perm(last, order)
+        log2_term = math.log2(abs(man)) + exp + (last - order) * log2_r if man else -math.inf
+        log2_total = 0.5 * math.log2(norm2) - p if norm2 else -math.inf
+        # log2(1 + |total|) without |total| as a float, which may overflow
+        log2_one_plus = max(log2_total, 0.0) + math.log2(1.0 + 2.0 ** -abs(log2_total))
+        tail_ok = log2_term < (peak_digits - dps + 15) * _LOG2_10 + log2_one_plus
+        # detect catastrophic cancellation relative to the working precision
+        # and retry harder: |total| > 10**(peak_digits - dps + 20), exactly
+        ok = norm2 * 10 ** (2 * (dps - peak_digits - 20)) > 1 << (2 * p)
+        result = complex(_fixed_to_float(ar, p), _fixed_to_float(ai, p))
         if not tail_ok and n_terms < 200_000:
             n_terms = n_terms * 2 + 100
             continue
@@ -338,8 +400,11 @@ def ml_sector_bound_check(p: MLParams, mu: float, samples) -> BoundReport:
         a = abs(math.atan2(z.imag, z.real))
         if not (mu - 1e-12 <= a <= math.pi + 1e-12):
             raise ValueError(f"sample {z} violates mu <= |arg z| <= pi")
-    mags = np.array([abs(z) for z in samples])
-    vals = np.array([abs(ml_eval(p, z)) for z in samples])
+    samples = np.array(samples)
+    values = ml_eval(p, samples)
+    # np.hypot, not np.abs: its bits are those of the scalar abs(complex)
+    mags = np.hypot(samples.real, samples.imag)
+    vals = np.hypot(values.real, values.imag)
     constant = float(np.max(vals * (1.0 + mags)))
     pos = vals > 0
     if np.count_nonzero(pos) < 2:

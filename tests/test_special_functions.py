@@ -1,10 +1,13 @@
 import cmath
+import functools
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.special import erfc
 
+from fracwave import mittag_leffler
 from fracwave.mittag_leffler import (
     MLParams,
     ml_derivative,
@@ -183,6 +186,104 @@ class TestArrayInput:
     def test_scalar_in_scalar_out(self):
         assert isinstance(ml_eval(MLParams(1.5, 1.0), -1.0), complex)
         assert isinstance(ml_derivative(MLParams(1.5, 1.0), -1.0, 1), complex)
+
+
+@functools.lru_cache(maxsize=64)
+def _reference_coefficients(alpha, delta, n, dps):
+    with mpmath.workdps(dps):
+        return tuple(mpmath.rgamma(mpmath.mpf(alpha) * k + delta) for k in range(n))
+
+
+def reference_series_mp(alpha, delta, z, order=0):
+    """The mid-band fallback summed in mpmath arithmetic: the power sum that
+    ``_series_mp`` replaced by its fixed-point form, kept here unchanged
+    (same terms, precision schedule, tail and cancellation tests)."""
+    r = abs(z)
+    peak_digits = int(0.4343 * r ** (1.0 / alpha)) + 10
+    n_terms = int(3.0 * r ** (1.0 / alpha) / alpha) + 80
+    dps = peak_digits + 30
+    while True:
+        coef = _reference_coefficients(alpha, delta, n_terms, dps)
+        with mpmath.workdps(dps):
+            zz = mpmath.mpc(z)
+            total = mpmath.mpc(0)
+            zk = mpmath.mpc(1)
+            term = mpmath.mpc(0)
+            for k in range(order, n_terms):
+                factor = 1
+                for j in range(order):
+                    factor *= k - j
+                term = factor * zk * coef[k]
+                total += term
+                zk *= zz
+            floor = mpmath.mpf(10) ** (peak_digits - dps + 15)
+            tail_ok = abs(term) < floor * (1 + abs(total))
+            ok = abs(total) > mpmath.mpf(10) ** (peak_digits - dps + 20)
+            result = complex(total)
+        if not tail_ok and n_terms < 200_000:
+            n_terms = n_terms * 2 + 100
+            continue
+        if ok or abs(result) == 0.0 or dps > 8 * peak_digits + 400:
+            return result
+        dps *= 2
+
+
+class TestSeriesFallback:
+    """The fixed-point mid-band sum gives the mpmath power sum's doubles."""
+
+    ALPHAS = (1.2, 1.5, 1.8)
+
+    def test_matches_mpmath_power_sum(self):
+        rng = np.random.default_rng(20261018)
+        args = []
+        for a in self.ALPHAS:
+            for d in (0.0, 1.0, a, 2.0, 2.5):
+                for order in range(5):
+                    # one point in the decay sector, one in the growth sector
+                    for lo, hi in ((a * math.pi / 2, math.pi), (0.0, a * math.pi / 2)):
+                        r = 10.0 ** rng.uniform(1.0, math.log10(300.0))
+                        ang = rng.uniform(lo, hi) * rng.choice((-1.0, 1.0))
+                        args.append((a, d, complex(r * cmath.exp(1j * ang)), order))
+        got = np.array([mittag_leffler._series_mp(*q) for q in args])
+        want = np.array([reference_series_mp(*q) for q in args])
+        assert np.array_equal(got, want)
+
+    def test_small_modulus_cancellation_fallback(self, monkeypatch):
+        # below the series switch, _ml_eval_scalar hands a call to the
+        # fallback when the float series cancels too many digits
+        calls = []
+        kernel = mittag_leffler._series_mp
+
+        def recorded(alpha, delta, z, order=0):
+            value = kernel(alpha, delta, z, order)
+            calls.append(((alpha, delta, z, order), value))
+            return value
+
+        monkeypatch.setattr(mittag_leffler, "_series_mp", recorded)
+        for d in (0.0, 1.0, 1.2, 2.0, 2.5):
+            for r in (7.0, 9.0, 11.0):
+                ml_eval(MLParams(1.2, d), r * cmath.exp(0.9j * math.pi))
+        assert len(calls) >= 5
+        for args, value in calls:
+            assert value == reference_series_mp(*args)
+
+    def test_overflow_to_infinity(self):
+        # E''_{2,1}(z) = d^2/dz^2 cosh(sqrt z) exceeds the double range
+        args = (2.0, 1.0, 6e5 + 0j, 2)
+        got = mittag_leffler._series_mp(*args)
+        assert got == reference_series_mp(*args) == complex(math.inf, 0.0)
+
+    @pytest.mark.parametrize(
+        "r, want",
+        [
+            (2e3, -6.283609326887514e-11 - 3.201610722516652e-11j),
+            # P exceeds 1000 bits here, past where a float scaling of z overflows
+            (2e4, -6.283706515980728e-14 - 3.201707905512886e-14j),
+        ],
+    )
+    def test_far_decay_sector_second_derivative(self, r, want):
+        z = r * cmath.exp(0.95j * math.pi)
+        assert ml_derivative(MLParams(1.5, 1.0), z, 2) == want
 
 
 class TestReciprocalGamma:
