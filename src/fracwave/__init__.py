@@ -1,153 +1,25 @@
 """fracwave: contour-integral functional calculus for almost sectorial
-operators and Caputo wave-type Volterra equations (1 < alpha < 2)."""
+operators and Caputo wave-type Volterra equations (1 < alpha < 2).
+
+The package namespace re-exports each library module's ``__all__``.
+"""
 
 __version__ = "0.1.0"
 
-from .mittag_leffler import (
-    BoundReport,
-    MLParams,
-    ml_derivative,
-    ml_eval,
-    ml_sector_bound_check,
-    reciprocal_gamma,
-)
-from .fractional import (
-    Kernel,
-    TimeGrid,
-    Trajectory,
-    caputo_derivative,
-    duhamel_convolve,
-    rl_integral,
-    trajectory_from_csv,
-    trajectory_to_csv,
-)
-from .operator_model import (
-    AlmostSectorialModel,
-    SectorProfile,
-    build_ladder_model,
-    build_scalar_model,
-    graph_norm,
-    model_from_text,
-    model_norm_of_function,
-    model_to_text,
-    power,
-    resolvent_apply,
-    resolvent_norm,
-    spectral_apply,
-    spectral_matrices,
-    verify_resolvent_bound,
-)
-from .contour import (
-    ContourSpec,
-    HankelSpec,
-    calculus_apply,
-    default_contour,
-    hankel_propagator,
-    resolvent_of_power_sum,
-)
-from .propagators import (
-    DecayReport,
-    PropagatorHandle,
-    a_prop_apply,
-    a_prop_norm_decay,
-    conv_norm_decay,
-    decay_report_to_csv,
-    derivative_identity_check,
-    laplace_check,
-    make_propagator,
-    prop_apply,
-    prop_norm_decay,
-    prop_time_derivative,
-    propagator_snapshots,
-    strong_continuity_check,
-    uno_identity_check,
-)
-from .solvers import (
-    ForcingSpec,
-    HoelderEstimate,
-    PicardError,
-    RegimeReport,
-    ResidualReport,
-    WaveProblem,
-    hoelder_modulus,
-    regime_report,
-    residual_report_to_csv,
-    solve_homogeneous,
-    solve_linear,
-    solve_semilinear,
-    validate_regime,
-    verify_classical,
-)
+from . import contour, fractional, mittag_leffler, operator_model, propagators, solvers
+from .mittag_leffler import *
+from .fractional import *
+from .operator_model import *
+from .contour import *
+from .propagators import *
+from .solvers import *
 
-__all__ = [
-    "__version__",
-    # special functions
-    "BoundReport",
-    "MLParams",
-    "ml_derivative",
-    "ml_eval",
-    "ml_sector_bound_check",
-    "reciprocal_gamma",
-    # fractional time
-    "Kernel",
-    "TimeGrid",
-    "Trajectory",
-    "caputo_derivative",
-    "duhamel_convolve",
-    "rl_integral",
-    "trajectory_from_csv",
-    "trajectory_to_csv",
-    # operator model
-    "AlmostSectorialModel",
-    "SectorProfile",
-    "build_ladder_model",
-    "build_scalar_model",
-    "graph_norm",
-    "model_from_text",
-    "model_norm_of_function",
-    "model_to_text",
-    "power",
-    "resolvent_apply",
-    "resolvent_norm",
-    "spectral_apply",
-    "spectral_matrices",
-    "verify_resolvent_bound",
-    # contour calculus
-    "ContourSpec",
-    "HankelSpec",
-    "calculus_apply",
-    "default_contour",
-    "hankel_propagator",
-    "resolvent_of_power_sum",
-    # propagators
-    "DecayReport",
-    "PropagatorHandle",
-    "a_prop_apply",
-    "a_prop_norm_decay",
-    "conv_norm_decay",
-    "decay_report_to_csv",
-    "derivative_identity_check",
-    "laplace_check",
-    "make_propagator",
-    "prop_apply",
-    "prop_norm_decay",
-    "prop_time_derivative",
-    "propagator_snapshots",
-    "strong_continuity_check",
-    "uno_identity_check",
-    # solvers
-    "ForcingSpec",
-    "HoelderEstimate",
-    "PicardError",
-    "RegimeReport",
-    "ResidualReport",
-    "WaveProblem",
-    "hoelder_modulus",
-    "regime_report",
-    "residual_report_to_csv",
-    "solve_homogeneous",
-    "solve_linear",
-    "solve_semilinear",
-    "validate_regime",
-    "verify_classical",
+# too generic a name for the package namespace: fracwave.operator_model.apply
+del apply
+
+__all__ = ["__version__"] + [
+    name
+    for module in (mittag_leffler, fractional, operator_model, contour, propagators, solvers)
+    for name in module.__all__
+    if name != "apply"
 ]

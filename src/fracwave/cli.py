@@ -112,7 +112,10 @@ def build_model_from_config(cfg: dict):
         p = Path(cfg["model_file"])
         if not p.is_file():
             raise UsageError(f"model file not found: {cfg['model_file']}")
-        return model_from_text(p.read_text())
+        try:
+            return model_from_text(p.read_text())
+        except ValueError as e:
+            raise DomainError(f"model file {cfg['model_file']}: {e}") from None
     kind = cfg.get("model", "ladder")
     try:
         if kind == "scalar":

@@ -47,9 +47,6 @@ class TimeGrid:
         i = np.arange(self.n_steps + 1, dtype=float)
         return self.T * (i / self.n_steps) ** self.grading
 
-    def refined(self, factor: int = 2) -> "TimeGrid":
-        return TimeGrid(self.T, self.n_steps * factor, self.grading)
-
 
 @dataclass(frozen=True)
 class Kernel:
@@ -196,13 +193,12 @@ def _trapezoid_weights(t: np.ndarray) -> np.ndarray:
 def duhamel_convolve(k: Kernel, opvals, f: Trajectory) -> Trajectory:
     """Triple convolution (g_beta * E * f)(t_i) by product integration.
 
-    ``opvals`` holds snapshots of the propagator at the grid nodes used as
-    quadrature shifts: either shape (n+1, d, d) dense matrices or shape
-    (n+1, nb, 2, 2) block-diagonal 2x2 blocks.  The operator convolution
-    (E * f) is evaluated by the trapezoidal rule over the graded nodes with
-    f interpolated linearly at the shifted times; the weakly singular
-    kernel g_beta is then integrated exactly against the piecewise-linear
-    result.
+    ``opvals`` holds snapshots of the block-diagonal propagator at the grid
+    nodes used as quadrature shifts, shape (n+1, nb, 2, 2).  The operator
+    convolution (E * f) is evaluated by the trapezoidal rule over the graded
+    nodes with f interpolated linearly at the shifted times; the weakly
+    singular kernel g_beta is then integrated exactly against the
+    piecewise-linear result.
     """
     ops = np.asarray(opvals, dtype=complex)
     t = f.grid.nodes()
@@ -212,22 +208,17 @@ def duhamel_convolve(k: Kernel, opvals, f: Trajectory) -> Trajectory:
         raise ValueError(
             f"need one operator snapshot per node ({n + 1}), got {ops.shape[0]}"
         )
-    blockform = ops.ndim == 4
-    if blockform:
-        if ops.shape[1] * 2 != d or ops.shape[2:] != (2, 2):
-            raise ValueError(f"block snapshots {ops.shape} do not match dimension {d}")
-    elif ops.ndim != 3 or ops.shape[1:] != (d, d):
-        raise ValueError(f"snapshots {ops.shape} do not match dimension {d}")
+    if ops.ndim != 4 or ops.shape[1] * 2 != d or ops.shape[2:] != (2, 2):
+        raise ValueError(f"block snapshots {ops.shape} do not match dimension {d}")
+    # trapezoid weights on t[:i+1] are those on t, but for the last node
+    weights = _trapezoid_weights(t)
+    half_h = 0.5 * np.diff(t)
     q = np.zeros((n + 1, d), dtype=complex)
     for i in range(1, n + 1):
-        s = t[: i + 1]
-        wts = _trapezoid_weights(s)
-        fv = f.interp(t[i] - s)
-        if blockform:
-            fb = fv.reshape(i + 1, -1, 2)
-            contrib = np.einsum("jkab,jkb->jka", ops[: i + 1], fb).reshape(i + 1, d)
-        else:
-            contrib = np.einsum("jab,jb->ja", ops[: i + 1], fv)
+        wts = weights[: i + 1].copy()
+        wts[i] = half_h[i - 1]
+        fb = f.interp(t[i] - t[: i + 1]).reshape(i + 1, -1, 2)
+        contrib = np.einsum("jkab,jkb->jka", ops[: i + 1], fb).reshape(i + 1, d)
         q[i] = wts @ contrib
     return rl_integral(k, Trajectory(f.grid, q))
 

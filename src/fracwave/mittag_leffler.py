@@ -1,20 +1,23 @@
 """Two-parameter Mittag-Leffler function on the complex plane.
 
-Evaluation strategy is split by modulus and argument:
+Values and derivatives of every order 0..4 share one regime dispatch,
+split by modulus and argument:
 
-* ``|z| <= z_switch``: Taylor series with compensated (Neumaier) summation.
-* large ``|z|``: algebraic asymptotic series truncated at its smallest term,
-  plus the exponential branch contributions ``(1/alpha) s^(1-delta) exp(s)``
-  for every branch ``s = z^(1/alpha) * exp(2*pi*i*m/alpha)`` lying in the
-  principal sector.  The branch terms decay in the sector
-  ``mu <= |arg z| <= pi`` but are kept because they dominate the truncation
-  error of the algebraic tail at moderate modulus.
+* ``|z| <= z_switch``: the termwise differentiated Taylor series in doubles,
+  real and imaginary parts each summed exactly by ``math.fsum``.
+* large ``|z|``, orders 0 and 1: algebraic asymptotic series truncated at
+  its smallest term, plus the exponential branch contributions
+  ``(1/alpha) s^(1-delta) exp(s)`` for every branch
+  ``s = z^(1/alpha) * exp(2*pi*i*m/alpha)`` lying in the principal sector.
+  The branch terms decay in the sector ``mu <= |arg z| <= pi`` but are kept
+  because they dominate the truncation error of the algebraic tail at
+  moderate modulus.
 * the band in between, where neither expansion reaches full double
-  precision, falls back to an arbitrary-precision Taylor sum with working
-  precision chosen from the largest series term.  Its coefficients
-  ``1/Gamma(alpha k + delta)`` come from mpmath; the sum itself is binary
-  fixed point on Python ints (Horner's rule in ``z / 2**E``), correctly
-  rounded to a double at the end.
+  precision, and orders 2..4 outside the series disc fall back to an
+  arbitrary-precision Taylor sum with working precision chosen from the
+  largest series term.  Its coefficients ``1/Gamma(alpha k + delta)`` come
+  from mpmath; the sum itself is binary fixed point on Python ints
+  (Horner's rule in ``z / 2**E``), correctly rounded to a double at the end.
 
 All branch powers use the principal argument in ``(-pi, pi]``.
 """
@@ -88,38 +91,43 @@ def _check_finite(z: complex) -> complex:
     return z
 
 
-def _neumaier_add(s: float, c: float, t: float):
-    total = s + t
-    if abs(s) >= abs(t):
-        c += (s - total) + t
-    else:
-        c += (t - total) + s
-    return total, c
+@functools.lru_cache(maxsize=64)
+def _float_coefficients(alpha: float, delta: float, order: int) -> tuple:
+    """``k!/(k-order)! / Gamma(alpha k + delta)`` for ``order <= k`` below
+    the series term cap, as doubles."""
+    k = np.arange(order, _MAX_SERIES_TERMS)
+    falling = np.array([math.perm(j, order) for j in k], dtype=float)
+    return tuple((falling * rgamma(alpha * k + delta)).tolist())
 
 
-def _series_compensated(alpha: float, delta: float, z: complex):
-    """Taylor sum with Neumaier compensation, split by real/imag part.
+def _series_float(alpha: float, delta: float, z: complex, order: int):
+    """d^order/dz^order of the Taylor series in doubles, each part summed
+    exactly (``math.fsum``) and rounded once.
 
     Returns the sum together with the largest term magnitude, from which the
     caller can bound the cancellation error.
     """
-    s_re = c_re = s_im = c_im = 0.0
+    r = abs(z)
+    re, im = [], []
+    s_re = s_im = 0.0  # running sums, for the stop rule only
     zk = 1.0 + 0.0j
     tiny_streak = 0
     max_term = 0.0
-    for k in range(_MAX_SERIES_TERMS):
-        term = zk * rgamma(alpha * k + delta)
+    for k, coef in enumerate(_float_coefficients(alpha, delta, order), order):
+        term = zk * coef
         max_term = max(max_term, abs(term))
-        s_re, c_re = _neumaier_add(s_re, c_re, term.real)
-        s_im, c_im = _neumaier_add(s_im, c_im, term.imag)
-        if abs(term) < 1e-18 * (abs(s_re) + abs(s_im) + 1e-300) and alpha * k > abs(z):
+        re.append(term.real)
+        im.append(term.imag)
+        s_re += term.real
+        s_im += term.imag
+        if abs(term) < 1e-18 * (abs(s_re) + abs(s_im) + 1e-300) and alpha * k > r:
             tiny_streak += 1
             if tiny_streak >= 3:
                 break
         else:
             tiny_streak = 0
         zk *= z
-    return complex(s_re + c_re, s_im + c_im), max_term
+    return complex(math.fsum(re), math.fsum(im)), max_term
 
 
 def _exponential_branch_terms(alpha: float, delta: float, z: complex):
@@ -325,21 +333,7 @@ def _elementwise(kernel, p: MLParams, z, *args):
 def ml_eval(p: MLParams, z, z_switch: float = Z_SWITCH_DEFAULT):
     """Evaluate ``E_{alpha,delta}(z)`` at a scalar, or elementwise over an
     array (same shape out)."""
-    return _elementwise(_ml_eval_scalar, p, z, z_switch)
-
-
-def _ml_eval_scalar(p: MLParams, z: complex, z_switch: float) -> complex:
-    z = _check_finite(z)
-    if abs(z) <= _effective_switch(p.alpha, z_switch):
-        value, max_term = _series_compensated(p.alpha, p.delta, z)
-        # per-term coefficient roundoff times the cancellation ratio
-        if 3e-16 * max_term <= 1e-13 * (abs(value) + 1e-300):
-            return value
-        return _series_mp(p.alpha, p.delta, z)
-    value, _, err = _asymptotic(p.alpha, p.delta, z, want_derivative=False)
-    if err <= _ASYMPTOTIC_RTOL:
-        return value
-    return _series_mp(p.alpha, p.delta, z)
+    return _elementwise(_ml_scalar, p, z, 0, z_switch)
 
 
 def ml_derivative(p: MLParams, z, order: int, z_switch: float = Z_SWITCH_DEFAULT):
@@ -347,35 +341,22 @@ def ml_derivative(p: MLParams, z, order: int, z_switch: float = Z_SWITCH_DEFAULT
     or elementwise over an array (same shape out)."""
     if order < 0 or order > 4:
         raise ValueError(f"derivative order must be in 0..4, got {order}")
-    return _elementwise(_ml_derivative_scalar, p, z, order, z_switch)
+    return _elementwise(_ml_scalar, p, z, order, z_switch)
 
 
-def _ml_derivative_scalar(p: MLParams, z: complex, order: int, z_switch: float) -> complex:
-    if order == 0:
-        return _ml_eval_scalar(p, z, z_switch)
+def _ml_scalar(p: MLParams, z: complex, order: int, z_switch: float) -> complex:
+    """The regime dispatch, one scalar ``z``, any order 0..4."""
     z = _check_finite(z)
     if abs(z) <= _effective_switch(p.alpha, z_switch):
-        s = 0.0j
-        zk = 1.0 + 0.0j
-        max_term = 0.0
-        for k in range(order, _MAX_SERIES_TERMS):
-            factor = 1.0
-            for j in range(order):
-                factor *= k - j
-            term = factor * zk * rgamma(p.alpha * k + p.delta)
-            max_term = max(max_term, abs(term))
-            s += term
-            if abs(term) < 1e-18 * (abs(s) + 1e-300) and k * p.alpha > abs(z):
-                break
-            zk *= z
-        if 3e-16 * max_term <= 1e-11 * (abs(s) + 1e-300):
-            return s
-        return _series_mp(p.alpha, p.delta, z, order=order)
-    if order == 1:
-        value, dval, err = _asymptotic(p.alpha, p.delta, z, want_derivative=True)
-        if err <= 10.0 * _ASYMPTOTIC_RTOL:
-            return dval
-    return _series_mp(p.alpha, p.delta, z, order=order)
+        value, max_term = _series_float(p.alpha, p.delta, z, order)
+        # per-term coefficient roundoff times the cancellation ratio
+        if 3e-16 * max_term <= (1e-11 if order else 1e-13) * (abs(value) + 1e-300):
+            return value
+    elif order <= 1:
+        value, dval, err = _asymptotic(p.alpha, p.delta, z, want_derivative=order == 1)
+        if err <= (10.0 * _ASYMPTOTIC_RTOL if order else _ASYMPTOTIC_RTOL):
+            return dval if order else value
+    return _series_mp(p.alpha, p.delta, z, order)
 
 
 def ml_sector_bound_check(p: MLParams, mu: float, samples) -> BoundReport:

@@ -361,11 +361,15 @@ def model_from_text(text: str) -> AlmostSectorialModel:
             continue
         parts = line.split()
         if parts[0] in {"omega", "gamma", "mu", "theta", "c_mu", "blocks"}:
-            fields[parts[0]] = float(parts[1])
+            key, value = parts  # a header line without its value is a ValueError
+            fields[key] = float(value)
         else:
             rows.append([float(v) for v in parts])
     if len(rows) != int(fields.get("blocks", len(rows))):
         raise ValueError("block count mismatch in model file")
+    for key in ("omega", "gamma", "mu", "theta"):
+        if key not in fields:
+            raise ValueError(f"model file has no {key!r} line")
     lam = np.array([complex(r, i) for r, i, _ in rows])
     coupling = np.array([s for _, _, s in rows])
     profile = SectorProfile(

@@ -229,3 +229,23 @@ class TestModel:
 
     def test_unknown_subcommand_usage(self):
         assert main(["model"]) == 2
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda text: text.replace("omega ", "# omega "),  # missing header key
+            lambda text: text.replace("\nblocks ", "\n1 0 zero\nblocks "),  # non-numeric row
+            lambda text: text.replace("\nblocks ", "\nblocks 1"),  # count mismatch
+        ],
+        ids=["missing-key", "non-numeric-row", "count-mismatch"],
+    )
+    def test_check_malformed_model_file_domain_error(self, tmp_path, capsys, edit):
+        path = write_config(tmp_path, LADDER_CFG)
+        assert main(["model", "build", "--config", path, "--out", str(tmp_path)]) == 0
+        mpath = tmp_path / "edited.txt"
+        mpath.write_text(edit((tmp_path / "model.txt").read_text()))
+        cfg = write_config(tmp_path, f"model_file = {mpath}\n", name="check.cfg")
+        capsys.readouterr()
+        assert main(["model", "check", "--config", cfg]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: model file ")

@@ -143,16 +143,17 @@ class TestCaputo:
 
 
 def scalar_opvals(grid, alpha, a):
+    # E_alpha(-t^alpha a) times the 2x2 identity: one block, the scalar
+    # problem on each of its two components
     t = grid.nodes()
-    return np.array(
-        [[[ml_eval(MLParams(alpha, 1.0), -(ti**alpha) * a)]] for ti in t]
-    )
+    e = np.array([ml_eval(MLParams(alpha, 1.0), -(ti**alpha) * a) for ti in t])
+    return e[:, None, None, None] * np.eye(2)[None, None]
 
 
 class TestDuhamel:
     def test_zero_forcing(self):
         grid = TimeGrid(1.0, 64)
-        f = make_traj(grid, lambda t: 0.0)
+        f = make_traj(grid, lambda t: [0.0, 0.0])
         ops = scalar_opvals(grid, 1.5, 1.0)
         out = duhamel_convolve(Kernel(0.5), ops, f)
         assert np.all(out.values == 0.0)
@@ -163,7 +164,7 @@ class TestDuhamel:
         errs = []
         for n in [128, 256]:
             grid = TimeGrid(1.0, n, grading=2.0)
-            f = make_traj(grid, lambda t: 1.0)
+            f = make_traj(grid, lambda t: [1.0, 1.0])
             ops = scalar_opvals(grid, alpha, a)
             out = duhamel_convolve(Kernel(alpha - 1.0), ops, f)
             t = grid.nodes()
@@ -180,30 +181,22 @@ class TestDuhamel:
     def test_linearity(self):
         grid = TimeGrid(1.0, 48, grading=2.0)
         ops = scalar_opvals(grid, 1.5, 1.0)
-        f1 = make_traj(grid, lambda t: math.sin(t))
-        f2 = make_traj(grid, lambda t: t * t)
+        f1 = make_traj(grid, lambda t: [math.sin(t), t])
+        f2 = make_traj(grid, lambda t: [t * t, 1.0])
         both = Trajectory(grid, f1.values + f2.values)
         k = Kernel(0.5)
         out = duhamel_convolve(k, ops, both)
         sep = duhamel_convolve(k, ops, f1).values + duhamel_convolve(k, ops, f2).values
         assert np.max(np.abs(out.values - sep)) < 1e-13
 
-    def test_block_snapshots(self):
-        # (n+1, nb, 2, 2) block form agrees with dense form
-        grid = TimeGrid(1.0, 32, grading=2.0)
-        n = grid.n_steps
-        rng = np.random.default_rng(7)
-        blocks = rng.standard_normal((n + 1, 2, 2, 2)) + 1j * rng.standard_normal(
-            (n + 1, 2, 2, 2)
-        )
-        dense = np.zeros((n + 1, 4, 4), dtype=complex)
-        dense[:, :2, :2] = blocks[:, 0]
-        dense[:, 2:, 2:] = blocks[:, 1]
-        f = make_traj(grid, lambda t: np.array([t, 1.0, math.sin(t), t * t]))
-        k = Kernel(0.5)
-        a = duhamel_convolve(k, blocks, f)
-        b = duhamel_convolve(k, dense, f)
-        assert np.max(np.abs(a.values - b.values)) < 1e-12
+    def test_rejects_dense_snapshots(self):
+        # snapshots come as (n+1, nb, 2, 2) blocks; a dense (n+1, d, d)
+        # array is refused, not read as blocks
+        grid = TimeGrid(1.0, 8)
+        f = make_traj(grid, lambda t: [t, 1.0])
+        dense = np.zeros((grid.n_steps + 1, 2, 2), dtype=complex)
+        with pytest.raises(ValueError):
+            duhamel_convolve(Kernel(0.5), dense, f)
 
 
 class TestSerialization:

@@ -144,6 +144,18 @@ class TestRecurrencesAndDerivatives:
                 v = ml_derivative(p, z, order)
                 assert abs(v - fd) <= 2e-4 * (abs(v) + 1.0)
 
+    def test_series_regime_derivatives_match_reference(self):
+        # orders 1-4 in the double series disc against the high-precision sum
+        rng = np.random.default_rng(20261019)
+        for a in (1.2, 1.5, 1.8):
+            for d in (1.0, a, 2.0):
+                p = MLParams(a, d)
+                for z in rand_z(rng, rmax=2.0, n=6):
+                    for order in range(1, 5):
+                        v = ml_derivative(p, z, order)
+                        ref = reference_series_mp(a, d, complex(z), order)
+                        assert abs(v - ref) <= 1e-13 * abs(ref)
+
     def test_derivative_large_modulus(self):
         # d/dz e^z = e^z
         p = MLParams(1.0, 1.0)
@@ -249,7 +261,7 @@ class TestSeriesFallback:
         assert np.array_equal(got, want)
 
     def test_small_modulus_cancellation_fallback(self, monkeypatch):
-        # below the series switch, _ml_eval_scalar hands a call to the
+        # below the series switch, _ml_scalar hands a call to the
         # fallback when the float series cancels too many digits
         calls = []
         kernel = mittag_leffler._series_mp
