@@ -5,10 +5,10 @@ Two integration paths:
 * ``Gamma_theta``: the pair of rays r e^{+/- i theta}, used for f(A)x with
   f decaying like 1/(1+|z|) on the rays.  Geometric nodes, trapezoid in
   log space; the integrand vanishes at both ends of the (truncated) rays.
-* Hankel path ``Gamma_theta0``: two rays at +/- theta0 in (pi/2, pi) plus
-  the circular arc of radius rho joining them, used for the Laplace-type
-  propagator representation.  Composite Gauss-Legendre on rays and arc,
-  because the integrand does not vanish at the ray/arc junction.
+* Hankel path ``Gamma_theta0``: the hyperbola with asymptotes at +/- theta0
+  in (pi/2, pi), used for the Laplace-type propagator representation.
+  Trapezoid rule in the hyperbola's parameter, with step and node count set
+  by the target accuracy (Weideman and Trefethen, Math. Comp. 76 (2007)).
 
 Both are one node sum sum_j c_j (z_j - A)^{-1} x, applied as one blockwise
 symbol through the spectral oracle; on Gamma_theta, f is called once on the
@@ -56,18 +56,22 @@ class ContourSpec:
         if self.nodes_per_decade < 4:
             raise ValueError("nodes_per_decade must be >= 4")
 
-    def radii(self, refine: int = 1) -> np.ndarray:
+    def radii(self, refine: float = 1.0) -> np.ndarray:
         decades = math.log10(self.r_max / self.r_min)
         n = max(8, int(round(self.nodes_per_decade * refine * decades)) + 1)
         return np.geomspace(self.r_min, self.r_max, n)
+
+
+# the Gamma_theta rays reach _CONTOUR_MARGIN times past the spectral radius,
+# and at least to where |t_alpha_scale z|^gamma has fallen to _CONTOUR_TAIL_TOL
+_CONTOUR_MARGIN = 1e2
+_CONTOUR_TAIL_TOL = 1e-10
 
 
 def default_contour(
     m: AlmostSectorialModel,
     t_alpha_scale: float = 1.0,
     nodes_per_decade: int = 96,
-    margin: float = 1e2,
-    tail_tol: float = 1e-10,
 ) -> ContourSpec:
     """Contour covering the model's spectral range with truncation margin.
 
@@ -80,8 +84,8 @@ def default_contour(
     # inner truncation error ~ r_min * |f(0)| * ||A^-1||; decades are cheap,
     # so cut far below the spectral floor (well past the stated margin)
     r_min = min(lo, 1.0) * 1e-12
-    r_tail = (tail_tol ** (1.0 / gamma)) / max(t_alpha_scale, 1e-300)
-    r_max = max(hi * margin, r_tail, r_min * 1e4)
+    r_tail = (_CONTOUR_TAIL_TOL ** (1.0 / gamma)) / max(t_alpha_scale, 1e-300)
+    r_max = max(hi * _CONTOUR_MARGIN, r_tail, r_min * 1e4)
     return ContourSpec(
         theta=m.profile.theta,
         r_min=r_min,
@@ -174,37 +178,18 @@ def resolvent_of_power_sum(
 
 @dataclass(frozen=True)
 class HankelSpec:
-    """Hankel path: rays at +/- theta0 plus an arc of radius rho.
-
-    ``rho`` defaults to 1/t at evaluation time when left as None.
-    ``r_max`` of None truncates the rays where the e^{lambda t} factor has
-    decayed to 1e-20 of its arc peak.
-    """
+    """Hankel path: the hyperbola whose asymptotes lie at +/- theta0."""
 
     theta0: float
-    rho: float | None = None
-    r_max: float | None = None
-    nodes_per_decade: int = 48
-    arc_nodes: int = 128
 
     def __post_init__(self) -> None:
         if not (math.pi / 2.0 < self.theta0 < math.pi):
             raise ValueError(f"theta0 must lie in (pi/2, pi), got {self.theta0}")
-        if self.rho is not None and self.rho <= 0:
-            raise ValueError("rho must be positive")
-        if self.nodes_per_decade < 4 or self.arc_nodes < 4:
-            raise ValueError("node counts too small")
 
 
-def _gauss_panels(a: float, b: float, n_panels: int, order: int = 8):
-    """Composite Gauss-Legendre nodes/weights on [a, b]."""
-    xg, wg = np.polynomial.legendre.leggauss(order)
-    edges = np.linspace(a, b, n_panels + 1)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * np.diff(edges)
-    nodes = (mid[:, None] + half[:, None] * xg[None, :]).ravel()
-    wts = (half[:, None] * wg[None, :]).ravel()
-    return nodes, wts
+# the Hankel trapezoid rule aims at an error e^{-L}; its hyperbola has mu t = mu_t
+_HANKEL_L = 36.0
+_HANKEL_MU_T = 4.0
 
 
 def hankel_propagator(
@@ -217,6 +202,14 @@ def hankel_propagator(
     """E_alpha(-t^alpha A) x via the Laplace-inversion path integral
 
         (1/2 pi i) int e^{lambda t} lambda^{alpha-1} (lambda^alpha+A)^{-1} x
+
+    by the trapezoid rule in u on lambda(u) = mu (1 + sin(i u - phi)), the
+    hyperbola with asymptotes at +/- theta0 (phi = theta0 - pi/2, mu = mu_t/t;
+    Weideman and Trefethen, Math. Comp. 76 (2007)).  On the strip |Im u| < d
+    the asymptotes stay within [pi/2, (pi - theta)/alpha], clear of the poles
+    of (lambda^alpha + A)^{-1}.  The step balances the discretization error
+    e^{mu_t - 2 pi d / step} against e^{-L}, and the path is cut where
+    e^{lambda t} has fallen to e^{-L}.
     """
     if t <= 0:
         raise ValueError(f"t must be positive, got {t}")
@@ -228,31 +221,14 @@ def hankel_propagator(
             f"theta0={h.theta0} outside (pi/2, (pi - theta)/alpha) for "
             f"theta={theta_model}, alpha={alpha}"
         )
-    rho = h.rho if h.rho is not None else 1.0 / t
-    if h.r_max is not None:
-        r_max = h.r_max
-    else:
-        r_max = max(45.0 / (abs(math.cos(h.theta0)) * t), 10.0 * rho)
-
-    # rays, log-variable composite Gauss-Legendre; the e^{lambda t} factor
-    # oscillates with total phase ~ r_max t sin(theta0), so the panel count
-    # must track the cycle count, not just the decade count
-    decades = math.log10(r_max / rho)
-    phase = r_max * t * math.sin(h.theta0)
-    n_panels = max(
-        4,
-        int(math.ceil(h.nodes_per_decade * decades / 8.0)),
-        int(math.ceil(phase / 3.0)),
-    )
-    u, wu = _gauss_panels(math.log(rho), math.log(r_max), n_panels)
-    r = np.exp(u)
-    up = cmath.exp(1j * h.theta0)
-    dn = cmath.exp(-1j * h.theta0)
-    # arc lambda = rho e^{i phi}, phi from -theta0 to +theta0
-    phi, wphi = _gauss_panels(-h.theta0, h.theta0, max(1, h.arc_nodes // 8))
-    arc = rho * np.exp(1j * phi)
-    lam = np.concatenate([r * up, r * dn, arc])
-    c = np.concatenate([wu * r * up, -wu * r * dn, 1j * wphi * arc])  # d lambda
+    phi = h.theta0 - math.pi / 2.0
+    d = min(phi, (math.pi - theta_model) / alpha - h.theta0)
+    step = 2.0 * math.pi * d / (_HANKEL_L + _HANKEL_MU_T)
+    n = math.ceil(math.acosh((1.0 + _HANKEL_L / _HANKEL_MU_T) / math.sin(phi)) / step)
+    iu = 1j * step * np.arange(-n, n + 1)
+    mu = _HANKEL_MU_T / t
+    lam = mu * (1.0 + np.sin(iu - phi))
+    c = step * 1j * mu * np.cos(iu - phi)  # d lambda
     c *= np.exp(lam * t)
     # (lambda^alpha + A)^{-1} = -(z - A)^{-1} at z = -lambda^alpha
     c *= lam ** (alpha - 1.0) / (-2.0j * math.pi)

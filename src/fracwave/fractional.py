@@ -86,26 +86,15 @@ class Trajectory:
     def dimension(self) -> int:
         return self.values.shape[1]
 
-    def norms(self) -> np.ndarray:
-        return np.linalg.norm(self.values, axis=1)
 
-    def interp(self, s) -> np.ndarray:
-        """Piecewise-linear interpolation at times ``s`` (clipped to [0, T])."""
-        t = self.grid.nodes()
-        s = np.atleast_1d(np.asarray(s, dtype=float))
-        out = np.empty((s.size, self.dimension), dtype=complex)
-        for j in range(self.dimension):
-            out[:, j] = np.interp(s, t, self.values[:, j].real) + 1j * np.interp(
-                s, t, self.values[:, j].imag
-            )
-        return out
-
-
-def _panel_moments(beta: float, a: np.ndarray, b: np.ndarray):
+def _panel_moments(
+    beta: float, a: np.ndarray, b: np.ndarray, pa: np.ndarray, pb: np.ndarray
+):
     """Exact integrals of g_beta against piecewise-linear hat pieces.
 
     For a panel [t_j, t_{j+1}] contributing to the value at t_i, with
-    a = t_i - t_{j+1} and b = t_i - t_j, returns
+    a = t_i - t_{j+1}, b = t_i - t_j and their powers pa = a**beta and
+    pb = b**beta, returns
 
         M0 = int_a^b g_beta(tau) dtau
         M1 = int_a^b (b - tau) g_beta(tau) dtau
@@ -113,8 +102,6 @@ def _panel_moments(beta: float, a: np.ndarray, b: np.ndarray):
     so the panel contributes u_j*M0 + (u_{j+1}-u_j)*M1/h.
     """
     rg = rgamma(beta)
-    pb = b**beta
-    pa = a**beta
     m0 = (pb - pa) / beta * rg
     m1 = (b * (pb - pa) / beta - (b * pb - a * pa) / (beta + 1.0)) * rg
     return m0, m1
@@ -129,9 +116,9 @@ def rl_integral(k: Kernel, u: Trajectory) -> Trajectory:
     beta = k.beta
     h = np.diff(t)
     for i in range(1, n + 1):
-        a = t[i] - t[1 : i + 1]
-        b = t[i] - t[:i]
-        m0, m1 = _panel_moments(beta, a, b)
+        lag = t[i] - t[: i + 1]
+        p = lag**beta
+        m0, m1 = _panel_moments(beta, lag[1:], lag[:-1], p[1:], p[:-1])
         w_left = m0 - m1 / h[:i]
         w_right = m1 / h[:i]
         out[i] = w_left @ vals[:i] + w_right @ vals[1 : i + 1]
@@ -213,11 +200,16 @@ def duhamel_convolve(k: Kernel, opvals, f: Trajectory) -> Trajectory:
     # trapezoid weights on t[:i+1] are those on t, but for the last node
     weights = _trapezoid_weights(t)
     half_h = 0.5 * np.diff(t)
+    re, im = f.values.real, f.values.imag
     q = np.zeros((n + 1, d), dtype=complex)
     for i in range(1, n + 1):
         wts = weights[: i + 1].copy()
         wts[i] = half_h[i - 1]
-        fb = f.interp(t[i] - t[: i + 1]).reshape(i + 1, -1, 2)
+        s = t[i] - t[: i + 1]
+        fb = np.empty((i + 1, d), dtype=complex)
+        for j in range(d):
+            fb[:, j] = np.interp(s, t, re[:, j]) + 1j * np.interp(s, t, im[:, j])
+        fb = fb.reshape(i + 1, -1, 2)
         contrib = np.einsum("jkab,jkb->jka", ops[: i + 1], fb).reshape(i + 1, d)
         q[i] = wts @ contrib
     return rl_integral(k, Trajectory(f.grid, q))

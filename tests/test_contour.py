@@ -7,7 +7,8 @@ import pytest
 from fracwave.contour import (
     ContourSpec,
     HankelSpec,
-    _gauss_panels,
+    _HANKEL_L,
+    _HANKEL_MU_T,
     calculus_apply,
     default_contour,
     hankel_propagator,
@@ -68,25 +69,17 @@ def gamma_path_reference(m, f, c, x):
 
 def hankel_reference(m, alpha, t, h, x):
     """The Hankel-path quadrature as a loop over nodes, one resolvent_apply
-    per node (rays and arc as in hankel_propagator, default rho and r_max)."""
-    rho = 1.0 / t
-    r_max = max(45.0 / (abs(math.cos(h.theta0)) * t), 10.0 * rho)
-    n_panels = max(
-        4,
-        int(math.ceil(h.nodes_per_decade * math.log10(r_max / rho) / 8.0)),
-        int(math.ceil(r_max * t * math.sin(h.theta0) / 3.0)),
-    )
-    u, wu = _gauss_panels(math.log(rho), math.log(r_max), n_panels)
-    phi, wphi = _gauss_panels(-h.theta0, h.theta0, max(1, h.arc_nodes // 8))
-    terms = []
-    for direction in (+1.0, -1.0):
-        e = cmath.exp(1j * direction * h.theta0)
-        terms += [(rj * e, direction * wj * rj * e) for rj, wj in zip(np.exp(u), wu)]
-    for pj, wj in zip(phi, wphi):
-        lam = rho * cmath.exp(1j * pj)
-        terms.append((lam, wj * 1j * lam))
+    per node (the trapezoid rule on the hyperbola of hankel_propagator)."""
+    phi = h.theta0 - math.pi / 2.0
+    d = min(phi, (math.pi - m.profile.theta) / alpha - h.theta0)
+    step = 2.0 * math.pi * d / (_HANKEL_L + _HANKEL_MU_T)
+    n = math.ceil(math.acosh((1.0 + _HANKEL_L / _HANKEL_MU_T) / math.sin(phi)) / step)
+    mu = _HANKEL_MU_T / t
     total = np.zeros(m.dimension, dtype=complex)
-    for lam, dlam in terms:
+    for k in range(-n, n + 1):
+        w = 1j * k * step - phi
+        lam = mu * (1.0 + cmath.sin(w))
+        dlam = step * 1j * mu * cmath.cos(w)
         resolvent_power = -resolvent_apply(m, -(lam**alpha), x)
         total += dlam * cmath.exp(lam * t) * lam ** (alpha - 1.0) * resolvent_power
     return total / (2.0j * math.pi)
@@ -251,6 +244,16 @@ class TestHankelPropagator:
             hankel = hankel_propagator(m, ALPHA, t, h, x)
             gap = np.linalg.norm(gamma_path - hankel) / np.linalg.norm(gamma_path)
             assert gap <= 1e-8
+
+    def test_ladder_oracle_gap(self):
+        m = ladder()
+        x = rand_vec(m)
+        h = HankelSpec(theta0=mid_theta0(m))
+        oracle = make_propagator(m, ALPHA, representation="oracle")
+        for t in np.geomspace(0.01, 10.0, 8):
+            want = prop_apply(oracle, t, x)
+            got = hankel_propagator(m, ALPHA, t, h, x)
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
     def test_strong_continuity_bound(self):
         # ||E_alpha(-t^alpha A)x - x|| <= C ||Ax|| t^{-alpha gamma} on D(A);
