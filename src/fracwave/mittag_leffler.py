@@ -1,23 +1,33 @@
 """Two-parameter Mittag-Leffler function on the complex plane.
 
-Values and derivatives of every order 0..4 share one regime dispatch,
-split by modulus and argument:
+Values and derivatives of every order 0..4 share one array kernel.  A
+scalar argument is a 0-d array; an array is cut into chunks of at most
+``_CHUNK`` points, so the working memory does not grow with the call.  Each
+point of a chunk lands in one of three regimes, split by modulus and
+argument, and its result does not depend on the other points of the chunk:
 
 * ``|z| <= z_switch``: the termwise differentiated Taylor series in doubles,
-  real and imaginary parts each summed exactly by ``math.fsum``.
+  by one numpy Horner loop over every point of the disc.  Each point sums
+  only the terms its modulus needs (``_series_table``).  The same loop
+  accumulates ``S = sum |c_k| |z|^k``, and a point is accepted only if
+  ``8 * 2**-53 * S <= tol * |value|``, the Horner error bound in the
+  running form of Higham, *Accuracy and Stability of Numerical
+  Algorithms*, section 5.1; the factor 8 also covers the rounding of the
+  coefficients.
 * large ``|z|``, orders 0 and 1: algebraic asymptotic series truncated at
   its smallest term, plus the exponential branch contributions
   ``(1/alpha) s^(1-delta) exp(s)`` for every branch
   ``s = z^(1/alpha) * exp(2*pi*i*m/alpha)`` lying in the principal sector.
   The branch terms decay in the sector ``mu <= |arg z| <= pi`` but are kept
   because they dominate the truncation error of the algebraic tail at
-  moderate modulus.
-* the band in between, where neither expansion reaches full double
-  precision, and orders 2..4 outside the series disc fall back to an
-  arbitrary-precision Taylor sum with working precision chosen from the
-  largest series term.  Its coefficients ``1/Gamma(alpha k + delta)`` come
-  from mpmath; the sum itself is binary fixed point on Python ints
-  (Horner's rule in ``z / 2**E``), correctly rounded to a double at the end.
+  moderate modulus.  The coefficients and envelope terms are cached per
+  ``(alpha, delta)``; each point stops at its own smallest term.
+* the points both regimes reject, and orders 2..4 outside the series disc,
+  fall back one at a time to an arbitrary-precision Taylor sum with working
+  precision chosen from the largest series term.  Its coefficients
+  ``1/Gamma(alpha k + delta)`` come from mpmath; the sum itself is binary
+  fixed point on Python ints (Horner's rule in ``z / 2**E``), correctly
+  rounded to a double at the end.
 
 All branch powers use the principal argument in ``(-pi, pi]``.
 """
@@ -49,6 +59,15 @@ Z_SWITCH_DEFAULT = 12.0
 _ASYMPTOTIC_RTOL = 1e-13
 
 _MAX_SERIES_TERMS = 400
+
+#: the double series is accepted if _SERIES_BOUND * S <= tol * |value|
+_SERIES_BOUND = 8.0 * 2.0**-53
+
+#: a point's series stops once the next term is 2**-64 below an earlier one
+_TAIL_NATS = 64.0 * math.log(2.0)
+
+#: points per chunk of an array call
+_CHUNK = 4096
 
 _LOG2_10 = math.log2(10.0)
 
@@ -84,127 +103,160 @@ def reciprocal_gamma(x):
     return rgamma(x)
 
 
-def _check_finite(z: complex) -> complex:
-    z = complex(z)
-    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-        raise ValueError(f"argument must be finite, got {z}")
+def _finite_array(z) -> np.ndarray:
+    z = np.asarray(z, dtype=complex)
+    bad = ~np.isfinite(z)
+    if bad.any():
+        raise ValueError(f"argument must be finite, got {complex(z[bad][0])}")
     return z
 
 
 @functools.lru_cache(maxsize=64)
-def _float_coefficients(alpha: float, delta: float, order: int) -> tuple:
-    """``k!/(k-order)! / Gamma(alpha k + delta)`` for ``order <= k`` below
-    the series term cap, as doubles."""
+def _series_table(alpha: float, delta: float, order: int):
+    """Coefficients of the ``order``-th derivative series and its term counts.
+
+    ``c[j] = (j+order)!/j! / Gamma(alpha (j+order) + delta)`` multiplies
+    ``z**j``.  A point of modulus ``r`` sums the first
+    ``searchsorted(radii, r, "right")`` terms, ``len(c)`` meaning the cap was
+    reached.  Term ``n`` is left out, with all later ones, once it is smaller
+    than term ``n - 1`` and ``2**-64`` below an earlier term.  Past the poles
+    of 1/Gamma, log|c_j| is concave in j, so from there on the terms fall
+    by at least a constant ratio and the tail is negligible against ``S``.
+    Both conditions hold for all ``r`` below a radius, so the term count
+    grows with ``r``.
+    """
     k = np.arange(order, _MAX_SERIES_TERMS)
     falling = np.array([math.perm(j, order) for j in k], dtype=float)
-    return tuple((falling * rgamma(alpha * k + delta)).tolist())
+    c = falling * rgamma(alpha * k + delta)
+    # coefficients that underflow to 0 count as 1e-300
+    logc = np.log(np.maximum(np.abs(c), 1e-300))
+    log_radii = np.full(c.size, -np.inf)
+    for n in range(1, c.size):
+        if alpha * (n - 1 + order) + delta <= 0.0:
+            continue
+        below = np.max((logc[:n] - logc[n] - _TAIL_NATS) / np.arange(n, 0, -1))
+        log_radii[n] = min(logc[n - 1] - logc[n], below)
+    radii = np.exp(np.maximum.accumulate(np.minimum(log_radii, 700.0)))
+    return c, radii
 
 
-def _series_float(alpha: float, delta: float, z: complex, order: int):
-    """d^order/dz^order of the Taylor series in doubles, each part summed
-    exactly (``math.fsum``) and rounded once.
+def _series(alpha: float, delta: float, z: np.ndarray, r: np.ndarray, order: int):
+    """The double Taylor series by Horner's rule; returns (values, accepted).
 
-    Returns the sum together with the largest term magnitude, from which the
-    caller can bound the cancellation error.
+    Lanes are sorted by term count, so the lanes still summing at degree
+    ``j`` are a suffix; a lane enters its first term from zero, as a lone
+    point does.  The complex product is not taken in place: numpy's
+    in-place product of one element rounds differently from its array loop.
     """
-    r = abs(z)
-    re, im = [], []
-    s_re = s_im = 0.0  # running sums, for the stop rule only
-    zk = 1.0 + 0.0j
-    tiny_streak = 0
-    max_term = 0.0
-    for k, coef in enumerate(_float_coefficients(alpha, delta, order), order):
-        term = zk * coef
-        max_term = max(max_term, abs(term))
-        re.append(term.real)
-        im.append(term.imag)
-        s_re += term.real
-        s_im += term.imag
-        if abs(term) < 1e-18 * (abs(s_re) + abs(s_im) + 1e-300) and alpha * k > r:
-            tiny_streak += 1
-            if tiny_streak >= 3:
-                break
-        else:
-            tiny_streak = 0
-        zk *= z
-    return complex(math.fsum(re), math.fsum(im)), max_term
+    c, radii = _series_table(alpha, delta, order)
+    n = np.searchsorted(radii, r, side="right")
+    perm = np.argsort(n, kind="stable")
+    z, r, n = z[perm], r[perm], n[perm]
+    value = np.zeros_like(z)
+    bound = np.zeros_like(r)  # S = sum |c_j| r^j, by the same recurrence
+    counts = [0] + np.unique(n).tolist()
+    for i in range(len(counts) - 1, 0, -1):
+        # degrees counts[i-1] <= j < counts[i] are summed by the lanes from lo on
+        lo = np.searchsorted(n, counts[i])
+        v, b, zz, rr = value[lo:], bound[lo:], z[lo:], r[lo:]
+        for j in range(counts[i] - 1, counts[i - 1] - 1, -1):
+            v = v * zz + c[j]
+            b = b * rr + abs(c[j])
+        value[lo:], bound[lo:] = v, b
+    tol = 1e-11 if order else 1e-13
+    ok = (n < c.size) & (_SERIES_BOUND * bound <= tol * np.abs(value))
+    values, accepted = np.empty_like(value), np.empty_like(ok)
+    values[perm], accepted[perm] = value, ok
+    return values, accepted
 
 
-def _exponential_branch_terms(alpha: float, delta: float, z: complex):
+@functools.lru_cache(maxsize=64)
+def _asymptotic_table(alpha: float, delta: float):
+    """``1/Gamma(delta - alpha k)`` and ``log Gamma(1 - delta + alpha k) - log pi``
+    for ``1 <= k < 200``."""
+    x = delta - alpha * np.arange(1, 200)
+    return rgamma(x).tolist(), (gammaln(1.0 - x) - math.log(math.pi)).tolist()
+
+
+def _exponential_branch_terms(alpha: float, delta: float, z, r, order: int):
     """Sum of residue contributions (1/alpha) s^(1-delta) e^s over admissible
-    branches, together with the same sum differentiated in z."""
-    if z == 0:
-        return 0.0j, 0.0j
-    r = abs(z)
-    phi = math.atan2(z.imag, z.real)
-    val = 0.0j
-    dval = 0.0j
+    branches, and for ``order`` 1 the same sum differentiated in z."""
+    phi = np.arctan2(z.imag, z.real)
     root = r ** (1.0 / alpha)
+    val = np.zeros_like(z)
+    dval = np.zeros_like(z)
     m_max = int(math.ceil(alpha / 2.0)) + 1
     for m in range(-m_max, m_max + 1):
         ang = (phi + 2.0 * math.pi * m) / alpha
-        if abs(ang) > math.pi * (1.0 + 1e-14):
+        live = np.abs(ang) <= math.pi * (1.0 + 1e-14)
+        if not live.any():
             continue
+        re = root * np.cos(ang)
+        hot = live & (re > 700.0)
+        if hot.any():
+            raise OverflowError(f"exp branch overflows for z={complex(z[hot][0])}, alpha={alpha}")
+        im = root * np.sin(ang)
         # a branch sitting exactly on the contour counts with half weight
-        weight = 0.5 if abs(abs(ang) - math.pi) <= 1e-14 else 1.0
-        s = root * complex(math.cos(ang), math.sin(ang))
-        if s.real > 700.0:
-            raise OverflowError(
-                f"exp branch overflows for z={z}, alpha={alpha}"
-            )
-        es = np.exp(s)
-        base = weight / alpha * s ** (1.0 - delta) * es
+        weight = np.where(np.abs(np.abs(ang) - math.pi) <= 1e-14, 0.5, 1.0) / alpha
+        # s^(1-delta) e^s, with arg s = ang on the principal branch
+        mag = weight * root ** (1.0 - delta) * np.exp(np.where(live, re, -np.inf))
+        phase = (1.0 - delta) * ang + im
+        base = np.where(live, mag * (np.cos(phase) + 1j * np.sin(phase)), 0.0)
         val += base
-        # d/dz of (1/alpha) s^(1-delta) e^s with ds/dz = s/(alpha z)
-        dval += weight / alpha**2 / z * es * s ** (1.0 - delta) * (1.0 - delta + s)
+        if order:
+            # d/dz of (1/alpha) s^(1-delta) e^s with ds/dz = s/(alpha z)
+            dval += base * (1.0 - delta + (re + 1j * im)) / (alpha * z)
     return val, dval
 
 
-def _asymptotic(alpha: float, delta: float, z: complex, want_derivative: bool):
-    """Algebraic expansion + exponential branches.
+def _asymptotic(alpha: float, delta: float, z: np.ndarray, r: np.ndarray, order: int):
+    """Algebraic expansion + exponential branches; returns (values, accepted).
 
-    Returns (value, derivative, relative error estimate); derivative is None
-    unless requested.  Terms whose Gamma argument sits exactly on a pole
-    vanish and are excluded from the smallest-term truncation logic.
+    Each point stops at its own smallest term.  Terms whose Gamma argument
+    sits exactly on a pole vanish and are excluded from the smallest-term
+    truncation logic.
     """
-    exp_val, exp_dval = _exponential_branch_terms(alpha, delta, z)
+    coefs, log_envelope = _asymptotic_table(alpha, delta)
     inv = 1.0 / z
-    log_absz = math.log(abs(z))
-    total = 0.0j
-    dtotal = 0.0j
+    log_absz = np.log(r)
+    total = np.zeros_like(z)
+    dtotal = np.zeros_like(z)
     zk = inv
-    smallest_env = math.inf
-    prev_env = math.inf
-    all_poles = True
-    for k in range(1, 200):
-        x = delta - alpha * k
-        # envelope of |z^-k / Gamma(x)| with the reflection sine set to 1;
-        # the realized terms can dip far below it, so the truncation error
-        # must be judged against the envelope, not the terms themselves
-        log_env = -k * log_absz + gammaln(1.0 - x) - math.log(math.pi)
-        env = math.exp(log_env) if log_env < 700 else math.inf
-        if env > prev_env and k > 2:
-            break
-        coef = rgamma(x)
-        if coef != 0.0 and math.isfinite(coef) and zk != 0.0:
-            all_poles = False
-            total -= zk * coef
-            if want_derivative:
-                dtotal += k * zk * inv * coef
-        prev_env = env
-        smallest_env = min(smallest_env, env)
-        zk *= inv
-        if zk == 0.0 and k > 2:
-            break
-    value = total + exp_val
-    if all_poles:
-        # every algebraic coefficient hit a Gamma pole (e.g. alpha = 1);
-        # the branch terms are then the exact value
-        err = 0.0
-    else:
-        scale = abs(value) + abs(total)
-        err = smallest_env / scale if scale > 0 else math.inf
-    return value, (dtotal + exp_dval) if want_derivative else None, err
+    prev_env = np.inf
+    smallest_env = np.full(r.shape, np.inf)
+    all_poles = np.ones(r.shape, dtype=bool)
+    active = np.ones(r.shape, dtype=bool)
+    # lanes past their last term keep running in the arithmetic below; their
+    # overflows and NaNs are masked out
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for k, (coef, h) in enumerate(zip(coefs, log_envelope), 1):
+            # envelope of |z^-k / Gamma(x)| with the reflection sine set to 1;
+            # the realized terms can dip far below it, so the truncation error
+            # must be judged against the envelope, not the terms themselves
+            log_env = h - k * log_absz
+            env = np.where(log_env < 700.0, np.exp(log_env), np.inf)
+            if k > 2:
+                active &= ~(env > prev_env)
+                if not active.any():
+                    break
+            if coef != 0.0 and math.isfinite(coef):
+                live = active & (zk != 0.0)
+                all_poles &= ~live
+                total = np.where(live, total - zk * coef, total)
+                if order:
+                    dtotal = np.where(live, dtotal + k * zk * inv * coef, dtotal)
+            prev_env = env
+            smallest_env = np.where(active, np.minimum(smallest_env, env), smallest_env)
+            zk = zk * inv
+            if k > 2:
+                active &= zk != 0.0
+        exp_val, exp_dval = _exponential_branch_terms(alpha, delta, z, r, order)
+        value = total + exp_val
+        # every algebraic coefficient on a Gamma pole (e.g. alpha = 1): the
+        # branch terms are then the exact value
+        err = np.where(all_poles, 0.0, smallest_env / (np.abs(value) + np.abs(total)))
+    ok = err <= (10.0 * _ASYMPTOTIC_RTOL if order else _ASYMPTOTIC_RTOL)
+    return (dtotal + exp_dval if order else value), ok
 
 
 def _mp_series_params(alpha: float, r: float):
@@ -247,17 +299,30 @@ def _fixed_point_unit(z: complex):
     return nr << (s - tr), ni << (s - ti), s, big_e
 
 
-def _horner_fixed(coef, order: int, n_terms: int, unit, p: int):
-    """sum_{order <= k < n_terms} k!/(k-order)! c_k z^(k-order), times 2**p,
-    as two ints (real, imaginary): Horner's rule in ``u = z / 2**E`` on the
-    scaled coefficients ``c_k 2**((k-order) E)``, each a shift of a mantissa."""
-    ur, ui, s, big_e = unit
-    ar = ai = 0
+@functools.lru_cache(maxsize=64)
+def _scaled_coefficients(
+    alpha: float, delta: float, dps: int, order: int, n_terms: int, big_e: int, p: int
+) -> tuple:
+    """The Horner coefficients of ``_horner_fixed``, highest degree first:
+    ``k!/(k-order)! c_k 2**((k-order) E + p)`` for ``order <= k < n_terms``,
+    each a shift of the mantissa of ``c_k``."""
+    coef = _mp_coefficients(alpha, delta, n_terms, dps)
+    scaled = []
     for j in range(n_terms - 1 - order, -1, -1):
         man, exp = coef[j + order]
         b = man * math.perm(j + order, order)
         shift = exp + j * big_e + p
-        b = b << shift if shift >= 0 else b >> -shift
+        scaled.append(b << shift if shift >= 0 else b >> -shift)
+    return tuple(scaled)
+
+
+def _horner_fixed(scaled, unit):
+    """sum_j b_j u^j as two ints (real, imaginary) for the scaled
+    coefficients ``b_j`` (``_scaled_coefficients``): Horner's rule in
+    ``u = z / 2**E``."""
+    ur, ui, s, _ = unit
+    ar = ai = 0
+    for b in scaled:
         ar, ai = ((ar * ur - ai * ui) >> s) + b, (ar * ui + ai * ur) >> s
     return ar, ai
 
@@ -292,7 +357,8 @@ def _series_mp(alpha: float, delta: float, z: complex, order: int = 0) -> comple
     while True:
         coef = _mp_coefficients(alpha, delta, n_terms, dps)
         p = math.ceil(dps * _LOG2_10) + 16
-        ar, ai = _horner_fixed(coef, order, n_terms, unit, p)
+        scaled = _scaled_coefficients(alpha, delta, dps, order, n_terms, unit[3], p)
+        ar, ai = _horner_fixed(scaled, unit)
         norm2 = ar * ar + ai * ai
         # the tail must be negligible at the working precision:
         # |last term| < 10**(peak_digits - dps + 15) (1 + |total|), in log2
@@ -322,18 +388,39 @@ def _effective_switch(alpha: float, z_switch: float) -> float:
     return min(z_switch, 8.0**alpha)
 
 
-def _elementwise(kernel, p: MLParams, z, *args):
-    """A scalar kernel at scalar ``z``, or mapped over array ``z`` (shape kept)."""
-    if np.isscalar(z) or np.ndim(z) == 0:  # isscalar first: it is the cheap test
-        return kernel(p, z, *args)
-    z = np.asarray(z)
-    return np.array([kernel(p, zi, *args) for zi in z.ravel()], dtype=complex).reshape(z.shape)
+def _ml_chunk(p: MLParams, z: np.ndarray, order: int, z_switch: float) -> np.ndarray:
+    """The regime dispatch over one chunk of points, any order 0..4."""
+    r = np.abs(z)
+    out = np.empty_like(z)
+    rest = np.ones(z.shape, dtype=bool)  # points no regime has accepted yet
+    disc = r <= _effective_switch(p.alpha, z_switch)
+    regimes = [(disc, _series)]
+    if order <= 1:
+        regimes.append((~disc, _asymptotic))
+    for mask, regime in regimes:
+        idx = np.flatnonzero(mask)
+        if idx.size:
+            value, ok = regime(p.alpha, p.delta, z[idx], r[idx], order)
+            out[idx[ok]] = value[ok]
+            rest[idx[ok]] = False
+    for i in np.flatnonzero(rest):
+        out[i] = _series_mp(p.alpha, p.delta, complex(z[i]), order)
+    return out
+
+
+def _ml(p: MLParams, z, order: int, z_switch: float):
+    z = _finite_array(z)
+    flat = z.ravel()
+    out = np.empty_like(flat)
+    for lo in range(0, flat.size, _CHUNK):
+        out[lo : lo + _CHUNK] = _ml_chunk(p, flat[lo : lo + _CHUNK], order, z_switch)
+    return complex(out[0]) if z.ndim == 0 else out.reshape(z.shape)
 
 
 def ml_eval(p: MLParams, z, z_switch: float = Z_SWITCH_DEFAULT):
     """Evaluate ``E_{alpha,delta}(z)`` at a scalar, or elementwise over an
     array (same shape out)."""
-    return _elementwise(_ml_scalar, p, z, 0, z_switch)
+    return _ml(p, z, 0, z_switch)
 
 
 def ml_derivative(p: MLParams, z, order: int, z_switch: float = Z_SWITCH_DEFAULT):
@@ -341,22 +428,7 @@ def ml_derivative(p: MLParams, z, order: int, z_switch: float = Z_SWITCH_DEFAULT
     or elementwise over an array (same shape out)."""
     if order < 0 or order > 4:
         raise ValueError(f"derivative order must be in 0..4, got {order}")
-    return _elementwise(_ml_scalar, p, z, order, z_switch)
-
-
-def _ml_scalar(p: MLParams, z: complex, order: int, z_switch: float) -> complex:
-    """The regime dispatch, one scalar ``z``, any order 0..4."""
-    z = _check_finite(z)
-    if abs(z) <= _effective_switch(p.alpha, z_switch):
-        value, max_term = _series_float(p.alpha, p.delta, z, order)
-        # per-term coefficient roundoff times the cancellation ratio
-        if 3e-16 * max_term <= (1e-11 if order else 1e-13) * (abs(value) + 1e-300):
-            return value
-    elif order <= 1:
-        value, dval, err = _asymptotic(p.alpha, p.delta, z, want_derivative=order == 1)
-        if err <= (10.0 * _ASYMPTOTIC_RTOL if order else _ASYMPTOTIC_RTOL):
-            return dval if order else value
-    return _series_mp(p.alpha, p.delta, z, order)
+    return _ml(p, z, order, z_switch)
 
 
 def ml_sector_bound_check(p: MLParams, mu: float, samples) -> BoundReport:
@@ -372,16 +444,15 @@ def ml_sector_bound_check(p: MLParams, mu: float, samples) -> BoundReport:
     hi = min(math.pi, math.pi * p.alpha)
     if not (lo < mu < hi):
         raise ValueError(f"mu={mu} outside (pi*alpha/2, min(pi, pi*alpha))")
-    samples = [_check_finite(z) for z in samples]
-    if not samples:
+    samples = _finite_array(samples).ravel()
+    if not samples.size:
         raise ValueError("empty sample list")
-    for z in samples:
-        if z == 0:
-            raise ValueError("z=0 is not in the sector")
-        a = abs(math.atan2(z.imag, z.real))
-        if not (mu - 1e-12 <= a <= math.pi + 1e-12):
-            raise ValueError(f"sample {z} violates mu <= |arg z| <= pi")
-    samples = np.array(samples)
+    if np.any(samples == 0):
+        raise ValueError("z=0 is not in the sector")
+    a = np.abs(np.arctan2(samples.imag, samples.real))
+    outside = ~((mu - 1e-12 <= a) & (a <= math.pi + 1e-12))
+    if outside.any():
+        raise ValueError(f"sample {complex(samples[outside][0])} violates mu <= |arg z| <= pi")
     values = ml_eval(p, samples)
     # np.hypot, not np.abs: its bits are those of the scalar abs(complex)
     mags = np.hypot(samples.real, samples.imag)
@@ -391,4 +462,4 @@ def ml_sector_bound_check(p: MLParams, mu: float, samples) -> BoundReport:
     if np.count_nonzero(pos) < 2:
         raise ValueError("not enough nonzero values for a slope fit")
     slope = float(np.polyfit(np.log(mags[pos]), np.log(vals[pos]), 1)[0])
-    return BoundReport(constant=constant, slope=slope, n_samples=len(samples))
+    return BoundReport(constant=constant, slope=slope, n_samples=samples.size)

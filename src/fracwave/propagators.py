@@ -292,11 +292,13 @@ def laplace_check(p: PropagatorHandle, lam: float, x, nodes_per_decade: int = 48
     t_min = 1e-14 / lam
     n = max(16, int(nodes_per_decade * math.log10(t_max / t_min)))
     ts = np.geomspace(t_min, t_max, n)
-    # the t integral is the symbol sum_j q_j E_alpha(-t_j^alpha z), per eigenvalue
+    # the t integral is the symbol sum_j q_j E_alpha(-t_j^alpha z), one row
+    # of t nodes per eigenvalue
     q = _trapezoid_weights(np.log(ts)) * ts * np.exp(-lam * ts)
     f, fp = _symbol(MLParams(p.alpha, 1.0), ts, p.alpha)
-    fv = np.array([np.sum(q * f(z)) for z in p.model.lam])
-    dv = np.array([np.sum(q * fp(z)) for z in p.model.lam])
+    lam_col = p.model.lam[:, None]
+    fv = np.sum(q * f(lam_col), axis=1)
+    dv = np.sum(q * fp(lam_col), axis=1)
     integral = spectral_apply(p.model, lambda _: fv, lambda _: dv, x)
     rhs = lam ** (p.alpha - 1.0) * (-resolvent_apply(p.model, -(lam**p.alpha), x))
     return float(np.linalg.norm(integral - rhs) / nx)

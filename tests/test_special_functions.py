@@ -15,6 +15,7 @@ from fracwave.mittag_leffler import (
     ml_sector_bound_check,
     reciprocal_gamma,
 )
+from fracwave.operator_model import build_ladder_model
 
 RNG = np.random.default_rng(20240817)
 
@@ -156,6 +157,20 @@ class TestRecurrencesAndDerivatives:
                         ref = reference_series_mp(a, d, complex(z), order)
                         assert abs(v - ref) <= 1e-13 * abs(ref)
 
+    def test_ladder_series_derivatives_match_reference(self):
+        # alpha = 1.2 at -t^1.5 lambda on the README ladder, |z| in [8, 12]:
+        # inside the series disc, where the double sum cancels enough digits
+        # that a derivative must be sent to the fallback
+        lam = build_ladder_model(-0.75, math.pi / 6, 1e-2, 1e4, 4).lam
+        z = -np.outer(np.geomspace(1e-3, 1e3, 121) ** 1.5, lam).ravel()
+        z = z[(np.abs(z) >= 8.0) & (np.abs(z) <= 12.0)]
+        assert z.size >= 100
+        p = MLParams(1.2, 1.0)
+        for order in range(1, 5):
+            for v, zi in zip(ml_derivative(p, z, order), z):
+                ref = reference_series_mp(1.2, 1.0, complex(zi), order)
+                assert abs(v - ref) <= 1e-11 * abs(ref)
+
     def test_derivative_large_modulus(self):
         # d/dz e^z = e^z
         p = MLParams(1.0, 1.0)
@@ -198,6 +213,20 @@ class TestArrayInput:
     def test_scalar_in_scalar_out(self):
         assert isinstance(ml_eval(MLParams(1.5, 1.0), -1.0), complex)
         assert isinstance(ml_derivative(MLParams(1.5, 1.0), -1.0, 1), complex)
+
+    def test_chunks_match_scalar_calls(self):
+        # more points than one chunk, every regime: each point's bits do not
+        # depend on the chunk or on the other points it is evaluated with
+        rng = np.random.default_rng(20261021)
+        n = 10_000
+        assert n > mittag_leffler._CHUNK
+        r = np.exp(rng.uniform(math.log(1e-2), math.log(40.0), n))
+        z = r * np.exp(1j * rng.uniform(-math.pi, math.pi, n))
+        p = MLParams(1.5, 1.2)
+        for order in (0, 1, 3):
+            got = ml_derivative(p, z, order)
+            want = np.array([ml_derivative(p, zi, order) for zi in z])
+            assert np.array_equal(got, want)
 
 
 @functools.lru_cache(maxsize=64)
@@ -261,8 +290,8 @@ class TestSeriesFallback:
         assert np.array_equal(got, want)
 
     def test_small_modulus_cancellation_fallback(self, monkeypatch):
-        # below the series switch, _ml_scalar hands a call to the
-        # fallback when the float series cancels too many digits
+        # below the series switch, the kernel hands a point to the
+        # fallback when the double series cancels too many digits
         calls = []
         kernel = mittag_leffler._series_mp
 
@@ -296,6 +325,24 @@ class TestSeriesFallback:
     def test_far_decay_sector_second_derivative(self, r, want):
         z = r * cmath.exp(0.95j * math.pi)
         assert ml_derivative(MLParams(1.5, 1.0), z, 2) == want
+
+
+class TestAccuracyMap:
+    """``ml_eval`` and the first derivative against the high-precision sum on
+    seeded decay-sector points over all three regimes."""
+
+    def test_decay_sector_map(self):
+        rng = np.random.default_rng(20261022)
+        for _ in range(200):
+            a = rng.uniform(1.01, 1.99)
+            d = (1.0, 2.0, a)[rng.integers(3)]
+            mu = a * math.pi / 2 + 0.1 * (math.pi - a * math.pi / 2)
+            ang = rng.uniform(mu, math.pi) * rng.choice((-1.0, 1.0))
+            r = math.exp(rng.uniform(math.log(1e-2), math.log(50.0)))
+            z = complex(r * cmath.exp(1j * ang))
+            for order, tol in ((0, 1e-13), (1, 1e-11)):
+                ref = reference_series_mp(a, d, z, order)
+                assert abs(ml_derivative(MLParams(a, d), z, order) - ref) <= tol * abs(ref)
 
 
 class TestReciprocalGamma:
