@@ -353,6 +353,7 @@ def cmd_solve(args) -> int:
             )
         else:
             raise DomainError(f"unknown problem {problem!r}")
+        rep = verify_classical(prob, w)
     except PicardError as e:
         print(f"error: {e}", file=sys.stderr)
         for k, inc in enumerate(e.history, start=1):
@@ -362,7 +363,6 @@ def cmd_solve(args) -> int:
         raise DomainError(str(e)) from None
     header = _header_lines(cfg, args.seed)
     _emit("solution.csv", trajectory_to_csv(w, header), args.out, args.stdout)
-    rep = verify_classical(prob, w)
     _emit(
         "residual.csv", residual_report_to_csv(rep, header), args.out, args.stdout
     )

@@ -187,9 +187,11 @@ class HankelSpec:
             raise ValueError(f"theta0 must lie in (pi/2, pi), got {self.theta0}")
 
 
-# the Hankel trapezoid rule aims at an error e^{-L}; its hyperbola has mu t = mu_t
+# the Hankel trapezoid rule aims at an error e^{-L}; its hyperbola has mu t = mu_t;
+# a path may hold at most _HANKEL_MAX_NODES nodes
 _HANKEL_L = 36.0
 _HANKEL_MU_T = 4.0
+_HANKEL_MAX_NODES = 1 << 16
 
 
 def hankel_propagator(
@@ -209,7 +211,9 @@ def hankel_propagator(
     the asymptotes stay within [pi/2, (pi - theta)/alpha], clear of the poles
     of (lambda^alpha + A)^{-1}.  The step balances the discretization error
     e^{mu_t - 2 pi d / step} against e^{-L}, and the path is cut where
-    e^{lambda t} has fallen to e^{-L}.
+    e^{lambda t} has fallen to e^{-L}.  The node count grows like
+    log(1/phi)/d as theta0 nears either end of its range; a path that would
+    need more than ``_HANKEL_MAX_NODES`` nodes raises ``ValueError``.
     """
     if t <= 0:
         raise ValueError(f"t must be positive, got {t}")
@@ -225,6 +229,11 @@ def hankel_propagator(
     d = min(phi, (math.pi - theta_model) / alpha - h.theta0)
     step = 2.0 * math.pi * d / (_HANKEL_L + _HANKEL_MU_T)
     n = math.ceil(math.acosh((1.0 + _HANKEL_L / _HANKEL_MU_T) / math.sin(phi)) / step)
+    if 2 * n + 1 > _HANKEL_MAX_NODES:
+        raise ValueError(
+            f"theta0={h.theta0} needs {2 * n + 1} Hankel nodes, more than "
+            f"{_HANKEL_MAX_NODES}; move it away from the ends of its range"
+        )
     iu = 1j * step * np.arange(-n, n + 1)
     mu = _HANKEL_MU_T / t
     lam = mu * (1.0 + np.sin(iu - phi))

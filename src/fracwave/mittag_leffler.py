@@ -60,6 +60,9 @@ _ASYMPTOTIC_RTOL = 1e-13
 
 _MAX_SERIES_TERMS = 400
 
+#: an asymptotic lane stops once its envelope term is this far below its sum
+_NEGLIGIBLE = 2.0**-60
+
 #: the double series is accepted if _SERIES_BOUND * S <= tol * |value|
 _SERIES_BOUND = 8.0 * 2.0**-53
 
@@ -209,6 +212,12 @@ def _exponential_branch_terms(alpha: float, delta: float, z, r, order: int):
     return val, dval
 
 
+def _smaller_part(v: np.ndarray, real_axis: np.ndarray) -> np.ndarray:
+    """min(|Re v|, |Im v|), or |Re v| where the imaginary part stays 0."""
+    re = np.abs(v.real)
+    return np.where(real_axis, re, np.minimum(re, np.abs(v.imag)))
+
+
 def _asymptotic(alpha: float, delta: float, z: np.ndarray, r: np.ndarray, order: int):
     """Algebraic expansion + exponential branches; returns (values, accepted).
 
@@ -217,6 +226,7 @@ def _asymptotic(alpha: float, delta: float, z: np.ndarray, r: np.ndarray, order:
     truncation logic.
     """
     coefs, log_envelope = _asymptotic_table(alpha, delta)
+    real_axis = z.imag == 0.0  # every term is real there
     inv = 1.0 / z
     log_absz = np.log(r)
     total = np.zeros_like(z)
@@ -224,6 +234,7 @@ def _asymptotic(alpha: float, delta: float, z: np.ndarray, r: np.ndarray, order:
     zk = inv
     prev_env = np.inf
     smallest_env = np.full(r.shape, np.inf)
+    env_sum = 0.0
     all_poles = np.ones(r.shape, dtype=bool)
     active = np.ones(r.shape, dtype=bool)
     # lanes past their last term keep running in the arithmetic below; their
@@ -250,6 +261,19 @@ def _asymptotic(alpha: float, delta: float, z: np.ndarray, r: np.ndarray, order:
             zk = zk * inv
             if k > 2:
                 active &= zk != 0.0
+            env_sum = env_sum + env  # bounds |total|
+            if k > 1 and k & (k - 1) == 0 and np.any(env < _NEGLIGIBLE * env_sum):
+                # every later term is below its envelope, which does not rise
+                # before the lane stops (its j-th derivative term below
+                # j env/|z|); once those bounds are under a quarter ulp of
+                # both parts of the sum, no later term changes a bit of it.
+                # A lane that qualifies stays qualified, so checking at powers
+                # of two is enough.
+                negligible = env < _NEGLIGIBLE * _smaller_part(total, real_axis)
+                if order:
+                    bound = len(coefs) * env / r
+                    negligible &= bound < _NEGLIGIBLE * _smaller_part(dtotal, real_axis)
+                active &= ~negligible
         exp_val, exp_dval = _exponential_branch_terms(alpha, delta, z, r, order)
         value = total + exp_val
         # every algebraic coefficient on a Gamma pole (e.g. alpha = 1): the

@@ -2,9 +2,10 @@
 
     d^alpha_t w(t) + A w(t) = f(t, w(t)),   w(0) = w0,  w'(0) = w1,
 
-with 1 < alpha < 2, assembled from propagator snapshots on a graded grid:
-homogeneous, linear forced (Duhamel), and semilinear (Picard) variants,
-plus regime validation and classical-solution residual verification.
+with 1 < alpha < 2, on a graded grid: the homogeneous part from propagator
+snapshots, the Duhamel term from ``fractional.duhamel_convolve``; linear
+forced and semilinear (Picard) variants, plus regime validation and
+classical-solution residual verification.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fractional import Kernel, TimeGrid, Trajectory, caputo_derivative, duhamel_convolve
+from .fractional import TimeGrid, Trajectory, caputo_derivative, duhamel_convolve, propagator_sum
 from .operator_model import AlmostSectorialModel, apply as op_apply
 from .propagators import _apply_snapshots, propagator_snapshots
 
@@ -145,15 +146,16 @@ def solve_homogeneous(p: WaveProblem) -> Trajectory:
     """w(t_i) = E_alpha(-t_i^alpha A) w0 + t_i E_{alpha,2}(-t_i^alpha A) w1."""
     if p.forcing.kind != "none":
         raise ValueError("homogeneous solver requires absent forcing")
-    e1 = propagator_snapshots(p.model, p.alpha, 1.0, p.grid) if np.any(p.w0 != 0) else None
-    return Trajectory(p.grid, _homogeneous_values(p, e1))
+    return Trajectory(p.grid, _homogeneous_values(p))
 
 
-def _homogeneous_values(p: WaveProblem, e1) -> np.ndarray:
-    """Homogeneous solution on the grid; ``e1`` (E_alpha snapshots) is read only if w0 != 0."""
+def _homogeneous_values(p: WaveProblem) -> np.ndarray:
+    """Homogeneous solution on the grid, from one set of snapshots per
+    nonzero initial datum."""
     t = p.grid.nodes()
     vals = np.zeros((t.size, p.model.dimension), dtype=complex)
     if np.any(p.w0 != 0):
+        e1 = propagator_snapshots(p.model, p.alpha, 1.0, p.grid)
         vals += _apply_snapshots(e1, p.w0)
     if np.any(p.w1 != 0):
         e2 = propagator_snapshots(p.model, p.alpha, 2.0, p.grid)
@@ -182,12 +184,9 @@ def solve_linear(p: WaveProblem) -> Trajectory:
     """Homogeneous part plus the Duhamel term (g_{alpha-1} * E_alpha * f)(t)."""
     if p.forcing.kind != "time":
         raise ValueError("linear solver requires a time-only forcing")
-    snaps = propagator_snapshots(p.model, p.alpha, 1.0, p.grid)
-    vals = _homogeneous_values(p, snaps)
+    vals = _homogeneous_values(p)
     fvals = _sample_forcing(p)
-    duh = duhamel_convolve(
-        Kernel(p.alpha - 1.0), snaps, Trajectory(p.grid, fvals)
-    )
+    duh = duhamel_convolve(p.model, p.alpha, Trajectory(p.grid, fvals))
     return Trajectory(p.grid, vals + duh.values)
 
 
@@ -218,15 +217,14 @@ def solve_semilinear(
 
     Returns (Trajectory, iterations, contraction_history); the history is
     the sup-node graph-norm increment per sweep and should become geometric
-    once the horizon T keeps the one-step contraction factor below one.
+    once the horizon T keeps the one-step contraction factor below one.  The
+    exponential sums of the Duhamel term are built once, for all sweeps.
     """
     if p.forcing.kind != "semilinear":
         raise ValueError("semilinear solver requires a semilinear forcing")
     if tol <= 0 or max_iter < 1:
         raise ValueError("need tol > 0 and max_iter >= 1")
-    snaps = propagator_snapshots(p.model, p.alpha, 1.0, p.grid)
-    homog = _homogeneous_values(p, snaps)
-    kernel = Kernel(p.alpha - 1.0)
+    homog = _homogeneous_values(p)
     if initial == "w0":
         w = np.repeat(p.w0[None, :], p.grid.n_steps + 1, axis=0)
     elif initial == "zero":
@@ -234,9 +232,10 @@ def solve_semilinear(
     else:
         raise ValueError(f"unknown initialization {initial!r}")
     history: list[float] = []
+    sums = propagator_sum(p.model, p.alpha, p.grid)
     for k in range(1, max_iter + 1):
         fvals = _sample_forcing(p, w)
-        duh = duhamel_convolve(kernel, snaps, Trajectory(p.grid, fvals))
+        duh = duhamel_convolve(p.model, p.alpha, Trajectory(p.grid, fvals), sums)
         w_next = homog + duh.values
         inc = _graph_sup_norm(p.model, w_next - w)
         history.append(inc)

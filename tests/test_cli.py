@@ -152,6 +152,21 @@ class TestSolve:
         path = write_config(tmp_path, SCALAR_CFG + "problem = elliptic\n")
         assert main(["solve", "--config", path, "--out", str(tmp_path)]) == 3
 
+    def test_root_on_branch_cut_solves(self, tmp_path):
+        # at alpha = 1.2 and arg a = 0.2 pi a root of sigma^alpha = -a sits on
+        # the branch cut; w = E + (1 - E)/a with E = E_alpha(-t^alpha a)
+        a = 2.0 * complex(math.cos(0.2 * math.pi), math.sin(0.2 * math.pi))
+        cfg = SCALAR_CFG.replace("a = 2", f"a = {a.real!r},{a.imag!r}").replace("alpha = 1.5", "alpha = 1.2")
+        cfg += "problem = linear\nforcing = constant\nforcing_value = 1\n"
+        path = write_config(tmp_path, cfg)
+        assert main(["solve", "--config", path, "--out", str(tmp_path)]) == 0
+        rows = (tmp_path / "solution.csv").read_text().strip().splitlines()
+        data = np.array(
+            [[float(v) for v in r.split(",")] for r in rows if not r.startswith("#") and not r.startswith("t,")]
+        )
+        e = ml_eval(MLParams(1.2, 1.0), -(data[:, 0] ** 1.2) * a)
+        assert np.max(np.abs(data[:, 1] + 1j * data[:, 2] - (e + (1.0 - e) / a))) <= 1e-5
+
     def test_residual_csv_written(self, tmp_path):
         path = write_config(tmp_path, SCALAR_CFG)
         assert main(["solve", "--config", path, "--out", str(tmp_path)]) == 0

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from fracwave import contour
 from fracwave.contour import (
     ContourSpec,
     HankelSpec,
@@ -222,6 +223,22 @@ class TestResolventOfPowerSum:
 
 
 class TestHankelPropagator:
+    def test_node_cap(self, monkeypatch):
+        # theta0 = pi/2 + 1e-4 would need ~1.55 million nodes: refused before
+        # any is built; the default theta0 (2319 nodes) is unaffected
+        m = ladder()
+        x = rand_vec(m)
+        built = []
+        path_apply = contour._path_apply
+        monkeypatch.setattr(
+            contour, "_path_apply", lambda m, z, c, x: built.append(z.size) or path_apply(m, z, c, x)
+        )
+        with pytest.raises(ValueError):
+            hankel_propagator(m, ALPHA, 1.0, HankelSpec(theta0=math.pi / 2.0 + 1e-4), x)
+        assert built == []
+        hankel_propagator(m, ALPHA, 1.0, HankelSpec(theta0=mid_theta0(m)), x)
+        assert built == [2319]
+
     def test_scalar_oracle(self):
         m = build_scalar_model(2.0)
         x = np.array([1.0, 0.0], dtype=complex)

@@ -1,9 +1,12 @@
+import cmath
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from scipy.special import gamma
 
+from fracwave import fractional
 from fracwave.fractional import (
     Kernel,
     TimeGrid,
@@ -15,6 +18,8 @@ from fracwave.fractional import (
     trajectory_to_csv,
 )
 from fracwave.mittag_leffler import MLParams, ml_eval
+from fracwave.operator_model import build_ladder_model, build_scalar_model, spectral_matrices
+from fracwave.solvers import ForcingSpec, WaveProblem, solve_linear
 
 
 def make_traj(grid, fn):
@@ -142,20 +147,11 @@ class TestCaputo:
             caputo_derivative(1.5, make_traj(small, lambda t: t), np.array([0.0]))
 
 
-def scalar_opvals(grid, alpha, a):
-    # E_alpha(-t^alpha a) times the 2x2 identity: one block, the scalar
-    # problem on each of its two components
-    t = grid.nodes()
-    e = np.array([ml_eval(MLParams(alpha, 1.0), -(ti**alpha) * a) for ti in t])
-    return e[:, None, None, None] * np.eye(2)[None, None]
-
-
 class TestDuhamel:
     def test_zero_forcing(self):
         grid = TimeGrid(1.0, 64)
         f = make_traj(grid, lambda t: [0.0, 0.0])
-        ops = scalar_opvals(grid, 1.5, 1.0)
-        out = duhamel_convolve(Kernel(0.5), ops, f)
+        out = duhamel_convolve(build_scalar_model(1.0), 1.5, f)
         assert np.all(out.values == 0.0)
 
     def test_scalar_constant_forcing(self):
@@ -165,8 +161,7 @@ class TestDuhamel:
         for n in [128, 256]:
             grid = TimeGrid(1.0, n, grading=2.0)
             f = make_traj(grid, lambda t: [1.0, 1.0])
-            ops = scalar_opvals(grid, alpha, a)
-            out = duhamel_convolve(Kernel(alpha - 1.0), ops, f)
+            out = duhamel_convolve(build_scalar_model(a), alpha, f)
             t = grid.nodes()
             ref = np.array(
                 [
@@ -180,23 +175,158 @@ class TestDuhamel:
 
     def test_linearity(self):
         grid = TimeGrid(1.0, 48, grading=2.0)
-        ops = scalar_opvals(grid, 1.5, 1.0)
+        m = build_scalar_model(1.0)
         f1 = make_traj(grid, lambda t: [math.sin(t), t])
         f2 = make_traj(grid, lambda t: [t * t, 1.0])
         both = Trajectory(grid, f1.values + f2.values)
-        k = Kernel(0.5)
-        out = duhamel_convolve(k, ops, both)
-        sep = duhamel_convolve(k, ops, f1).values + duhamel_convolve(k, ops, f2).values
+        out = duhamel_convolve(m, 1.5, both)
+        sep = duhamel_convolve(m, 1.5, f1).values + duhamel_convolve(m, 1.5, f2).values
         assert np.max(np.abs(out.values - sep)) < 1e-13
 
-    def test_rejects_dense_snapshots(self):
-        # snapshots come as (n+1, nb, 2, 2) blocks; a dense (n+1, d, d)
-        # array is refused, not read as blocks
+    def test_rejects_wrong_dimension(self):
+        # the forcing must have one column per model component
         grid = TimeGrid(1.0, 8)
-        f = make_traj(grid, lambda t: [t, 1.0])
-        dense = np.zeros((grid.n_steps + 1, 2, 2), dtype=complex)
+        f = make_traj(grid, lambda t: [t, 1.0, 0.0])
         with pytest.raises(ValueError):
-            duhamel_convolve(Kernel(0.5), dense, f)
+            duhamel_convolve(build_scalar_model(1.0), 1.5, f)
+
+
+def direct_rl(beta, u):
+    """(g_beta * u)(t_i) by the O(n^2) exact sum over every panel."""
+    t = u.grid.nodes()
+    h = np.diff(t)
+    out = np.zeros_like(u.values)
+    for i in range(1, u.grid.n_steps + 1):
+        lag = t[i] - t[: i + 1]
+        p = lag**beta
+        m0, m1 = fractional._panel_moments(beta, lag[1:], lag[:-1], p[1:], p[:-1])
+        out[i] = (m0 - m1 / h[:i]) @ u.values[:i] + (m1 / h[:i]) @ u.values[1 : i + 1]
+    return out
+
+
+def psi_blocks(m, alpha, delta, tau):
+    """Blockwise tau^(delta-1) E_{alpha,delta}(-tau^alpha A) for tau >= 0 (any
+    shape), its lambda-derivative through values only:
+    E'_{alpha,delta} = (E_{alpha,alpha+delta-1} - (delta-1) E_{alpha,alpha+delta})/alpha."""
+    ta = tau[..., None] ** alpha
+    pre = tau[..., None] ** (delta - 1.0)
+    e = lambda d, z: ml_eval(MLParams(alpha, d), -ta * z)
+    return spectral_matrices(
+        m,
+        lambda z: pre * e(delta, z),
+        lambda z: -pre * ta * (e(alpha + delta - 1.0, z) - (delta - 1.0) * e(alpha + delta, z)) / alpha,
+    )
+
+
+def dense_duhamel(m, alpha, f):
+    """The two-stage Duhamel term in O(n^2): stage 1 integrates E_alpha against
+    the piecewise-linear f panel by panel through Psi1 = tau E_{alpha,2} and
+    Psi2 = tau^2 E_{alpha,3}, stage 2 is the direct RL sum."""
+    t = f.grid.nodes()
+    h = np.diff(t)[None, :, None, None, None]
+    lag = np.maximum(t[:, None] - t[None, :], 0.0)  # Psi vanishes at lag 0
+    p1, p2 = psi_blocks(m, alpha, 2.0, lag), psi_blocks(m, alpha, 3.0, lag)
+    m0 = p1[:, :-1] - p1[:, 1:]
+    m1 = p2[:, :-1] - p2[:, 1:] - h * p1[:, 1:]
+    fb = f.values.reshape(t.size, -1, 2)
+    q = np.einsum("ijkab,jkb->ika", m0 - m1 / h, fb[:-1])
+    q += np.einsum("ijkab,jkb->ika", m1 / h, fb[1:])
+    return direct_rl(alpha - 1.0, Trajectory(f.grid, q.reshape(t.size, -1)))
+
+
+def smooth_forcing(grid, d):
+    t = grid.nodes()
+    rng = np.random.default_rng(7)
+    c = rng.standard_normal((3, d)) + 1j * rng.standard_normal((3, d))
+    return Trajectory(grid, c[0] + np.outer(np.sin(3.0 * t), c[1]) + np.outer(t**0.7, c[2]))
+
+
+def small_ladder():
+    # six coupled blocks, |lambda| in [0.1, 10] on two rays
+    return build_ladder_model(-0.75, 0.3, 0.1, 10.0, 1)
+
+
+def readme_ladder():
+    # 50 coupled blocks, |lambda| in [1e-2, 1e4]
+    return build_ladder_model(-0.75, math.pi / 6, 1e-2, 1e4, 4)
+
+
+class TestExponentialHistory:
+    @pytest.mark.parametrize(
+        "model,alpha,n,T",
+        [
+            (lambda: build_scalar_model(2.0, gamma=-0.75), 1.5, 256, 1.0),
+            (lambda: build_scalar_model(2.0, gamma=-0.75), 1.2, 128, 1.0),
+            (lambda: build_scalar_model(2.0, gamma=-0.75), 1.9, 128, 1.0),
+            (small_ladder, 1.2, 128, 1.0),
+            (small_ladder, 1.5, 128, 1.0),
+            (small_ladder, 1.9, 128, 1.0),
+            (readme_ladder, 1.5, 32, 1.0),
+            # stiff block over a long horizon: the sum must stay accurate
+            # relative to the small algebraic tail of E_alpha
+            (lambda: build_scalar_model(782.16 - 175.29j, gamma=-0.5), 1.275, 40, 8.14),
+            # a root of sigma^alpha = -lambda on the branch cut: arg lambda = (alpha - 1) pi
+            (lambda: build_scalar_model(2.0 * cmath.exp(0.2j * math.pi)), 1.2, 64, 1.0),
+            # ... and its pole on a node of the first lattice offset tried
+            (lambda: build_scalar_model(1.7885565961789676 + 1.29946243086853j), 1.2, 64, 1.0),
+            (readme_ladder, 7.0 / 6.0, 32, 1.0),
+            # strongly coupled blocks with |lambda| T^alpha << 1
+            (lambda: build_ladder_model(-0.75, 0.3, 1e-3, 1e-2, 1, coupling_scale=5e3), 1.2, 64, 1.0),
+        ],
+    )
+    def test_duhamel_matches_dense_reference(self, model, alpha, n, T):
+        m = model()
+        f = smooth_forcing(TimeGrid(T, n), m.dimension)
+        ref = dense_duhamel(m, alpha, f)
+        out = duhamel_convolve(m, alpha, f).values
+        assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
+        assert np.all(out[0] == 0.0)
+
+    def test_stiff_constant_forcing(self):
+        # w = (1 - E_alpha(-t^alpha a)) / a; a trapezoid rule over E at the
+        # lags t_i - t_j under-resolves this block (2.8e-3 at a = 1e4)
+        a, alpha = 1e4, 1.5
+        p = WaveProblem(
+            model=build_scalar_model(a, gamma=-0.75),
+            alpha=alpha,
+            w0=np.zeros(2),
+            w1=np.zeros(2),
+            grid=TimeGrid(1.0, 1024),
+            forcing=ForcingSpec.time_dependent(lambda t: 1.0),
+        )
+        w = solve_linear(p).values[:, 0]
+        t = p.grid.nodes()
+        ref = (1.0 - ml_eval(MLParams(alpha, 1.0), -(t**alpha) * a)) / a
+        assert np.max(np.abs(w - ref)) <= 3e-4 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("beta", [0.1, 0.5, 0.9])
+    @pytest.mark.parametrize("grading", [1.0, 2.0])
+    def test_rl_integral_matches_direct_sum(self, beta, grading):
+        grid = TimeGrid(1.0, 2048, grading=grading)
+        u = smooth_forcing(grid, 2)
+        ref = direct_rl(beta, u)
+        out = rl_integral(Kernel(beta), u).values
+        assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("factor", [1.0 + 1e-9, math.nan])
+    def test_corrupted_propagator_weight_fails_check(self, factor):
+        m, alpha = small_ladder(), 1.5
+        lags = np.geomspace(1e-4, 1.0, 32)
+        es = fractional._propagator_sum(m, alpha, 1e-4, 1.0)
+        fractional._check_propagator_sum(es, m, alpha, lags)
+        weights = es.weights.copy()
+        k = int(np.argmax(np.abs(weights[:, 0])))
+        weights[k, 0] *= factor
+        with pytest.raises(ValueError):
+            fractional._check_propagator_sum(dataclasses.replace(es, weights=weights), m, alpha, lags)
+
+    def test_corrupted_power_weight_fails_check(self):
+        beta, lags = 0.5, np.geomspace(1e-4, 1.0, 32)
+        rates, weights = fractional._power_sum(beta, 1e-4, 1.0)
+        bad = weights.copy()
+        bad[int(np.argmax(weights * np.exp(-rates)))] *= 1.0 + 1e-9
+        with pytest.raises(ValueError):
+            fractional._check_power_sum(beta, rates, bad, lags)
 
 
 class TestSerialization:
