@@ -107,6 +107,14 @@ def _getf(cfg, key, default=None):
     return _get(cfg, key, default=default, cast=float)
 
 
+def _geti(cfg, key, default):
+    """An integer key; integral spellings such as ``1e3`` are accepted."""
+    v = _getf(cfg, key, default)
+    if not float(v).is_integer():
+        raise DomainError(f"config key {key}: expected an integer, got {cfg[key]!r}")
+    return int(v)
+
+
 def build_model_from_config(cfg: dict):
     if "model_file" in cfg:
         p = Path(cfg["model_file"])
@@ -131,7 +139,7 @@ def build_model_from_config(cfg: dict):
                 _getf(cfg, "omega", math.pi / 6.0),
                 _getf(cfg, "rho_min", 1e-2),
                 _getf(cfg, "rho_max", 1e4),
-                int(_getf(cfg, "blocks_per_decade", 4)),
+                _geti(cfg, "blocks_per_decade", 4),
                 **kw,
             )
     except ValueError as e:
@@ -326,7 +334,7 @@ def cmd_solve(args) -> int:
     try:
         grid = TimeGrid(
             _getf(cfg, "T", 1.0),
-            int(_getf(cfg, "n_steps", 512)),
+            _geti(cfg, "n_steps", 512),
             grading=_getf(cfg, "grading", 2.0),
         )
         prob = WaveProblem(
@@ -345,7 +353,7 @@ def cmd_solve(args) -> int:
         elif problem == "semilinear":
             tol = args.tol if args.tol is not None else _getf(cfg, "tol", 1e-10)
             w, iters, history = solve_semilinear(
-                prob, tol=tol, max_iter=int(_getf(cfg, "max_iter", 60))
+                prob, tol=tol, max_iter=_geti(cfg, "max_iter", 60)
             )
             print(
                 f"picard converged in {iters} sweeps; last increment {history[-1]:.3e}",
@@ -377,7 +385,7 @@ def cmd_regions(args) -> int:
     cfg = load_config(args.config) if args.config else {}
     theorem = cfg.get("theorem", "homogeneous")
     axis = cfg.get("axis", "gamma")
-    n = int(_getf(cfg, "n", 200))
+    n = _geti(cfg, "n", 200)
     if n < 2:
         raise DomainError("raster needs n >= 2")
     alphas = np.linspace(_getf(cfg, "alpha_min", 1.005), _getf(cfg, "alpha_max", 1.995), n)
@@ -454,11 +462,12 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--version", action="version", version=f"fracwave {__version__}")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, tol=False):
         p.add_argument("--config", help="flat key=value config file")
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--seed", type=int, default=0, help="RNG seed")
-        p.add_argument("--tol", type=float, default=None, help="tolerance override")
+        if tol:  # only the subcommands that read it
+            p.add_argument("--tol", type=float, default=None, help="tolerance override")
         p.add_argument(
             "--stdout", action="store_true", help="write CSV data to stdout"
         )
@@ -476,14 +485,14 @@ def build_parser() -> argparse.ArgumentParser:
         ("regions", cmd_regions),
     ]:
         p = sub.add_parser(name)
-        common(p)
+        common(p, tol=name == "solve")
         p.set_defaults(func=fn)
 
     p_model = sub.add_parser("model")
     msub = p_model.add_subparsers(dest="subcommand", required=True)
     for name, fn in [("build", cmd_model_build), ("check", cmd_model_check)]:
         p = msub.add_parser(name)
-        common(p)
+        common(p, tol=name == "check")
         p.set_defaults(func=fn)
     return ap
 

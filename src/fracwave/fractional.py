@@ -26,9 +26,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import rgamma
 
-from .mittag_leffler import MLParams, ml_eval
+from .mittag_leffler import MLParams, ml_eval, reciprocal_gamma
 from .operator_model import AlmostSectorialModel, spectral_matrices
 
 __all__ = [
@@ -78,7 +77,7 @@ class Kernel:
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
         with np.errstate(divide="ignore"):
-            return np.where(t > 0, t ** (self.beta - 1.0), 0.0) * rgamma(self.beta)
+            return np.where(t > 0, t ** (self.beta - 1.0), 0.0) * reciprocal_gamma(self.beta)
 
 
 @dataclass(frozen=True)
@@ -118,7 +117,7 @@ def _panel_moments(
 
     so the panel contributes u_j*M0 + (u_{j+1}-u_j)*M1/h.
     """
-    rg = rgamma(beta)
+    rg = reciprocal_gamma(beta)
     m0 = (pb - pa) / beta * rg
     m1 = (b * (pb - pa) / beta - (b * pb - a * pa) / (beta + 1.0)) * rg
     return m0, m1
@@ -286,7 +285,7 @@ def _power_sum(beta: float, tau_min: float, T: float):
 
 
 def _check_power_sum(beta, rates, weights, lags) -> None:
-    exact = lags ** (beta - 1.0) * rgamma(beta)
+    exact = lags ** (beta - 1.0) * reciprocal_gamma(beta)
     err = float(np.max(np.abs(np.exp(-np.outer(lags, rates)) @ weights / exact - 1.0)))
     if not err <= _SUM_TOL:
         raise ValueError(

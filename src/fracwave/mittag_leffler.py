@@ -40,7 +40,6 @@ from dataclasses import dataclass
 
 import mpmath
 import numpy as np
-from scipy.special import gammaln, rgamma
 
 __all__ = [
     "MLParams",
@@ -98,12 +97,17 @@ class BoundReport:
     n_samples: int
 
 
-def reciprocal_gamma(x):
-    """1/Gamma(x), total on the reals: exactly 0 at the poles 0, -1, -2, ...
-
-    Accepts scalars or arrays, real or complex.
-    """
-    return rgamma(x)
+def reciprocal_gamma(x: float) -> float:
+    """1/Gamma(x) for real scalar x: 0 at the poles 0, -1, -2, ... and where
+    Gamma overflows, +-inf where it underflows."""
+    try:
+        return 1.0 / math.gamma(x)
+    except ValueError:  # a pole
+        return 0.0
+    except OverflowError:  # x > 171.6, or x so small that 1/Gamma(x) = x
+        return 0.0 if x > 1.0 else x
+    except ZeroDivisionError:  # far below 0, Gamma(x) rounds to a signed 0
+        return math.copysign(math.inf, math.gamma(x))
 
 
 def _finite_array(z) -> np.ndarray:
@@ -130,7 +134,7 @@ def _series_table(alpha: float, delta: float, order: int):
     """
     k = np.arange(order, _MAX_SERIES_TERMS)
     falling = np.array([math.perm(j, order) for j in k], dtype=float)
-    c = falling * rgamma(alpha * k + delta)
+    c = falling * np.array([reciprocal_gamma(alpha * j + delta) for j in k.tolist()])
     # coefficients that underflow to 0 count as 1e-300
     logc = np.log(np.maximum(np.abs(c), 1e-300))
     log_radii = np.full(c.size, -np.inf)
@@ -175,10 +179,11 @@ def _series(alpha: float, delta: float, z: np.ndarray, r: np.ndarray, order: int
 
 @functools.lru_cache(maxsize=64)
 def _asymptotic_table(alpha: float, delta: float):
-    """``1/Gamma(delta - alpha k)`` and ``log Gamma(1 - delta + alpha k) - log pi``
-    for ``1 <= k < 200``."""
-    x = delta - alpha * np.arange(1, 200)
-    return rgamma(x).tolist(), (gammaln(1.0 - x) - math.log(math.pi)).tolist()
+    """``1/Gamma(delta - alpha k)`` and ``log|Gamma(1 - delta + alpha k)| - log pi``
+    for ``1 <= k < 200``, the log +inf at the poles of Gamma."""
+    x = [delta - alpha * k for k in range(1, 200)]
+    log_gamma = [math.lgamma(1.0 - v) if 1.0 - v > 0.0 or v % 1.0 else math.inf for v in x]
+    return [reciprocal_gamma(v) for v in x], [h - math.log(math.pi) for h in log_gamma]
 
 
 def _exponential_branch_terms(alpha: float, delta: float, z, r, order: int):
@@ -257,7 +262,9 @@ def _asymptotic(alpha: float, delta: float, z: np.ndarray, r: np.ndarray, order:
                 if order:
                     dtotal = np.where(live, dtotal + k * zk * inv * coef, dtotal)
             prev_env = env
-            smallest_env = np.where(active, np.minimum(smallest_env, env), smallest_env)
+            # an order-1 lane is judged on its derivative's envelope (k + 1) env / |z|
+            env_k = env * (k + 1) / r if order else env
+            smallest_env = np.where(active, np.minimum(smallest_env, env_k), smallest_env)
             zk = zk * inv
             if k > 2:
                 active &= zk != 0.0
@@ -275,12 +282,12 @@ def _asymptotic(alpha: float, delta: float, z: np.ndarray, r: np.ndarray, order:
                     negligible &= bound < _NEGLIGIBLE * _smaller_part(dtotal, real_axis)
                 active &= ~negligible
         exp_val, exp_dval = _exponential_branch_terms(alpha, delta, z, r, order)
-        value = total + exp_val
+        value, part = (dtotal + exp_dval, dtotal) if order else (total + exp_val, total)
         # every algebraic coefficient on a Gamma pole (e.g. alpha = 1): the
         # branch terms are then the exact value
-        err = np.where(all_poles, 0.0, smallest_env / (np.abs(value) + np.abs(total)))
+        err = np.where(all_poles, 0.0, smallest_env / (np.abs(value) + np.abs(part)))
     ok = err <= (10.0 * _ASYMPTOTIC_RTOL if order else _ASYMPTOTIC_RTOL)
-    return (dtotal + exp_dval if order else value), ok
+    return value, ok
 
 
 def _mp_series_params(alpha: float, r: float):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from fracwave.cli import config_hash, main, parse_config_text
+from fracwave.cli import build_parser, config_hash, main, parse_config_text
 from fracwave.mittag_leffler import MLParams, ml_eval
 from fracwave.operator_model import model_from_text
 from fracwave.solvers import regime_report
@@ -78,6 +78,32 @@ class TestConfig:
 
     def test_no_config_flag(self):
         assert main(["verify"]) == 2
+
+    def test_tol_only_where_read(self, tmp_path):
+        path = write_config(tmp_path, "n = 3\n")
+        for argv in (["verify"], ["regions"], ["model", "build"]):
+            assert main([*argv, "--config", path, "--tol", "1"]) == 2
+        assert build_parser().parse_args(["solve", "--tol", "1"]).tol == 1.0
+        assert build_parser().parse_args(["model", "check", "--tol", "1"]).tol == 1.0
+
+    @pytest.mark.parametrize(
+        "command, cfg",
+        [
+            ("solve", SCALAR_CFG.replace("n_steps = 256", "n_steps = 256.5")),
+            ("solve", SCALAR_CFG + "problem = semilinear\nforcing = sin-w\nmax_iter = 10.5\n"),
+            ("verify", LADDER_CFG.replace("blocks_per_decade = 4", "blocks_per_decade = 4.5")),
+            ("regions", "n = 3.5\n"),
+        ],
+        ids=["n_steps", "max_iter", "blocks_per_decade", "n"],
+    )
+    def test_non_integral_count_domain_error(self, tmp_path, command, cfg):
+        path = write_config(tmp_path, cfg)
+        assert main([command, "--config", path, "--out", str(tmp_path)]) == 3
+
+    def test_integral_float_spelling_accepted(self, tmp_path, capsys):
+        path = write_config(tmp_path, "n = 3e0\n")
+        assert main(["regions", "--config", path, "--stdout"]) == 0
+        assert capsys.readouterr().out.count("\n") == 3 + 1 + 3 * 3
 
 
 class TestVerify:

@@ -1,6 +1,7 @@
 import cmath
 import functools
 import math
+import sys
 
 import mpmath
 import numpy as np
@@ -345,10 +346,52 @@ class TestAccuracyMap:
                 assert abs(ml_derivative(MLParams(a, d), z, order) - ref) <= tol * abs(ref)
 
 
+    def test_asymptotic_first_derivative_judged_on_its_envelope(self):
+        # a point of the seeded map (rng seed 9, |z| on [12, 150]) whose first
+        # derivative the asymptotic regime accepted 1.15e-11 off
+        p = MLParams(1.4444795448851226, 2.0)
+        z = -120.06426450835598 + 25.053575839129977j
+        ref = reference_series_mp(p.alpha, p.delta, z, 1)
+        assert abs(ml_derivative(p, z, 1) - ref) <= 1e-11 * abs(ref)
+
+
 class TestReciprocalGamma:
     def test_poles(self):
         for n in range(0, 6):
             assert reciprocal_gamma(-float(n)) == 0.0
+
+    def test_matches_mpmath_on_table_arguments(self):
+        # the arguments of the series and asymptotic coefficient tables:
+        # alpha k + delta for k < 400 and delta - alpha k for 1 <= k < 200
+        args = set()
+        for a in (0.5, 0.7, 1.0, 1.2, 1.3, 1.4445, 1.5, 1.8, 1.95, 1.99):
+            for d in (0.0, 0.5, 1.0, a, 1.5, 2.0, 2.5, 3.0, a - 1.0, 2.0 * a):
+                args.update(a * k + d for k in range(400))
+                args.update(d - a * k for k in range(1, 200))
+        checked = 0
+        with mpmath.workdps(40):
+            # 1/Gamma is 0 or +-inf in doubles outside (-190, 172)
+            for x in sorted(v for v in args if -190.0 < v < 172.0):
+                ref = mpmath.rgamma(x)
+                if ref == 0 or not sys.float_info.min <= abs(float(ref)) <= sys.float_info.max:
+                    continue
+                checked += 1
+                assert abs(reciprocal_gamma(x) - ref) <= 1e-15 * abs(ref), x
+        assert checked > 9000
+
+    def test_edge_values(self):
+        for x in (0.0, -1.0, -7.0, -170.0, -300.0):
+            assert reciprocal_gamma(x) == 0.0
+        for x in (171.7, 200.0, 1e6, math.inf):
+            assert reciprocal_gamma(x) == 0.0
+        assert reciprocal_gamma(-180.5) == -math.inf
+        assert reciprocal_gamma(-181.5) == math.inf
+        assert reciprocal_gamma(1e-310) == 1e-310
+        # finite here, while Gamma(-170.8) = -1.2e-308 is subnormal
+        with mpmath.workdps(40):
+            ref = mpmath.rgamma(-170.8)
+        assert float(ref) == pytest.approx(-8.2994e307, rel=1e-4)
+        assert abs(reciprocal_gamma(-170.8) - ref) <= 1e-15 * abs(ref)
 
     def test_values(self):
         assert abs(reciprocal_gamma(1.0) - 1.0) < 1e-15
