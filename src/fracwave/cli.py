@@ -1,17 +1,17 @@
 """Command-line front end: model building, invariant verification sweeps,
 solver runs, and admissibility-region rasters.
 
-Exit codes: 0 success, 1 verification failure, 2 usage/config parse error,
-3 domain/parameter error, 4 solver non-convergence.  All CSV outputs carry
-``# fracwave-version/config-hash/seed`` comment headers; identical config
-and seed reproduce outputs bitwise.
+Exit codes: 0 success, 1 verification failure, 2 usage/config error (an
+unknown config key included), 3 domain/parameter error (any ``ValueError``
+or ``OverflowError`` of the library, mapped once in :func:`main`), 4 solver
+non-convergence.  All CSV outputs carry ``# fracwave-version/config-hash/seed``
+comment headers; identical config and seed reproduce outputs bitwise.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
-import io
 import math
 import sys
 from pathlib import Path
@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .fractional import TimeGrid, trajectory_to_csv
+from .fractional import TimeGrid, _csv, trajectory_to_csv
 from .mittag_leffler import MLParams, ml_derivative, ml_eval
 from .operator_model import (
     build_ladder_model,
@@ -57,10 +57,6 @@ class UsageError(Exception):
     pass
 
 
-class DomainError(Exception):
-    pass
-
-
 # ---------------------------------------------------------------- config
 
 
@@ -80,73 +76,6 @@ def parse_config_text(text: str) -> dict:
     return cfg
 
 
-def load_config(path: str | None) -> dict:
-    if path is None:
-        return {}
-    p = Path(path)
-    if not p.is_file():
-        raise UsageError(f"config file not found: {path}")
-    return parse_config_text(p.read_text())
-
-
-def config_hash(cfg: dict) -> str:
-    canon = "\n".join(f"{k}={cfg[k]}" for k in sorted(cfg))
-    return hashlib.sha256(canon.encode()).hexdigest()[:12]
-
-
-def _get(cfg, key, default=None, cast=str):
-    if key not in cfg:
-        return default
-    try:
-        return cast(cfg[key])
-    except ValueError as e:
-        raise DomainError(f"config key {key}: {e}") from None
-
-
-def _getf(cfg, key, default=None):
-    return _get(cfg, key, default=default, cast=float)
-
-
-def _geti(cfg, key, default):
-    """An integer key; integral spellings such as ``1e3`` are accepted."""
-    v = _getf(cfg, key, default)
-    if not float(v).is_integer():
-        raise DomainError(f"config key {key}: expected an integer, got {cfg[key]!r}")
-    return int(v)
-
-
-def build_model_from_config(cfg: dict):
-    if "model_file" in cfg:
-        p = Path(cfg["model_file"])
-        if not p.is_file():
-            raise UsageError(f"model file not found: {cfg['model_file']}")
-        try:
-            return model_from_text(p.read_text())
-        except ValueError as e:
-            raise DomainError(f"model file {cfg['model_file']}: {e}") from None
-    kind = cfg.get("model", "ladder")
-    try:
-        if kind == "scalar":
-            a = _parse_complex(cfg.get("a", "1"))
-            return build_scalar_model(a, gamma=_getf(cfg, "gamma", -0.5))
-        if kind == "ladder":
-            kw = {}
-            for opt in ("coupling_scale", "theta", "mu"):
-                if opt in cfg:
-                    kw[opt] = float(cfg[opt])
-            return build_ladder_model(
-                _getf(cfg, "gamma", -0.75),
-                _getf(cfg, "omega", math.pi / 6.0),
-                _getf(cfg, "rho_min", 1e-2),
-                _getf(cfg, "rho_max", 1e4),
-                _geti(cfg, "blocks_per_decade", 4),
-                **kw,
-            )
-    except ValueError as e:
-        raise DomainError(str(e)) from None
-    raise DomainError(f"unknown model kind {kind!r}")
-
-
 def _parse_complex(s: str) -> complex:
     parts = s.split(",")
     try:
@@ -157,6 +86,86 @@ def _parse_complex(s: str) -> complex:
     except ValueError:
         pass
     raise UsageError(f"expected a complex number as 're' or 're,im', got {s!r}")
+
+
+def _count(s: str) -> int:
+    """An integral count; spellings such as ``1e3`` are accepted."""
+    v = float(s)
+    if not v.is_integer():
+        raise ValueError(f"expected an integer, got {s!r}")
+    return int(v)
+
+
+# every key some subcommand reads, and its reader
+_KEYS = {
+    "a": _parse_complex,
+    **dict.fromkeys(("blocks_per_decade", "n_steps", "max_iter", "n"), _count),
+    **dict.fromkeys(
+        ("model_file", "model", "w0", "w1", "problem", "forcing", "theorem", "axis"), str
+    ),
+    **dict.fromkeys(
+        (
+            "gamma", "omega", "rho_min", "rho_max", "coupling_scale", "theta", "mu",
+            "alpha", "T", "grading", "tol", "forcing_value", "alpha_min", "alpha_max",
+            "gamma_min", "gamma_max", "nu", "nu_min", "nu_max",
+        ),
+        float,
+    ),
+}
+
+
+def load_config(path: str | None) -> dict:
+    if path is None:
+        return {}
+    p = Path(path)
+    if not p.is_file():
+        raise UsageError(f"config file not found: {path}")
+    cfg = parse_config_text(p.read_text())
+    for key in cfg:
+        if key not in _KEYS:
+            raise UsageError(f"unknown config key {key!r}")
+    return cfg
+
+
+def config_hash(cfg: dict) -> str:
+    canon = "\n".join(f"{k}={cfg[k]}" for k in sorted(cfg))
+    return hashlib.sha256(canon.encode()).hexdigest()[:12]
+
+
+def _get(cfg: dict, key: str, default=None):
+    """``cfg[key]`` through its ``_KEYS`` reader, or ``default`` when absent."""
+    read = _KEYS[key]  # before the presence test, so an unlisted key fails even when unset
+    if key not in cfg:
+        return default
+    try:
+        return read(cfg[key])
+    except ValueError as e:
+        raise ValueError(f"config key {key}: {e}") from None
+
+
+def build_model_from_config(cfg: dict):
+    path = _get(cfg, "model_file")
+    if path is not None:
+        if not Path(path).is_file():
+            raise UsageError(f"model file not found: {path}")
+        try:
+            return model_from_text(Path(path).read_text())
+        except ValueError as e:
+            raise ValueError(f"model file {path}: {e}") from None
+    kind = _get(cfg, "model", "ladder")
+    if kind == "scalar":
+        return build_scalar_model(_get(cfg, "a", 1 + 0j), gamma=_get(cfg, "gamma", -0.5))
+    if kind == "ladder":
+        kw = {opt: _get(cfg, opt) for opt in ("coupling_scale", "theta", "mu") if opt in cfg}
+        return build_ladder_model(
+            _get(cfg, "gamma", -0.75),
+            _get(cfg, "omega", math.pi / 6.0),
+            _get(cfg, "rho_min", 1e-2),
+            _get(cfg, "rho_max", 1e4),
+            _get(cfg, "blocks_per_decade", 4),
+            **kw,
+        )
+    raise ValueError(f"unknown model kind {kind!r}")
 
 
 def _header_lines(cfg: dict, seed: int) -> list:
@@ -182,11 +191,8 @@ def _emit(name: str, text: str, out_dir: str, to_stdout: bool) -> None:
 
 def cmd_ml(args) -> int:
     z = _parse_complex(args.z)
-    try:
-        p = MLParams(args.alpha, args.delta)
-        v = ml_eval(p, z) if args.derivative == 0 else ml_derivative(p, z, args.derivative)
-    except (ValueError, OverflowError) as e:
-        raise DomainError(str(e)) from None
+    p = MLParams(args.alpha, args.delta)
+    v = ml_eval(p, z) if args.derivative == 0 else ml_derivative(p, z, args.derivative)
     if v.imag == 0.0:
         print(repr(v.real))
     else:
@@ -199,13 +205,13 @@ def cmd_ml(args) -> int:
 
 
 def _verify_checks(m, alpha: float, rng) -> list:
-    """Battery rows (name, value, target, tol, ok)."""
+    """Battery rows (name, value, target, tol, status)."""
     gamma = m.profile.gamma
     lo, hi = m.spectral_radius_range()
     rows = []
 
     def add(name, value, target, tol):
-        rows.append((name, value, target, tol, abs(value - target) <= tol))
+        rows.append((name, value, target, tol, "pass" if abs(value - target) <= tol else "FAIL"))
 
     rep = verify_resolvent_bound(m, moduli=np.geomspace(lo, hi, 25))
     add("resolvent-slope", rep.slope, gamma, 0.1)
@@ -268,24 +274,15 @@ def cmd_verify(args) -> int:
         raise UsageError("verify requires --config")
     cfg = load_config(args.config)
     m = build_model_from_config(cfg)
-    alpha = _getf(cfg, "alpha", 1.5)
+    alpha = _get(cfg, "alpha", 1.5)
     if not m.profile.admissible_for_alpha(alpha):
-        raise DomainError(
-            f"model sector mu={m.profile.mu} violates mu < pi - alpha*pi/2"
-        )
-    rng = np.random.default_rng(args.seed)
-    rows = _verify_checks(m, alpha, rng)
-    buf = io.StringIO()
-    for line in _header_lines(cfg, args.seed):
-        buf.write(f"# {line}\n")
-    buf.write("check,value,target,tol,status\n")
-    ok_all = True
-    for name, value, target, tol, ok in rows:
-        ok_all &= ok
-        buf.write(f"{name},{value:.17g},{target:.17g},{tol:.17g},{'pass' if ok else 'FAIL'}\n")
-        print(f"{'pass' if ok else 'FAIL'}  {name}: {value:.3e} (target {target:.3e} +- {tol:.1e})", file=sys.stderr)
-    _emit("verify_summary.csv", buf.getvalue(), args.out, args.stdout)
-    return 0 if ok_all else 1
+        raise ValueError(f"model sector mu={m.profile.mu} violates mu < pi - alpha*pi/2")
+    rows = _verify_checks(m, alpha, np.random.default_rng(args.seed))
+    for name, value, target, tol, status in rows:
+        print(f"{status}  {name}: {value:.3e} (target {target:.3e} +- {tol:.1e})", file=sys.stderr)
+    text = _csv(_header_lines(cfg, args.seed), ["check", "value", "target", "tol", "status"], rows)
+    _emit("verify_summary.csv", text, args.out, args.stdout)
+    return 0 if all(row[-1] == "pass" for row in rows) else 1
 
 
 # ---------------------------------------------------------------- solve
@@ -302,13 +299,13 @@ def _parse_vector(spec: str, dim: int, rng) -> np.ndarray:
         out[0] = vals[0]
         return out
     if len(vals) != dim:
-        raise DomainError(f"vector has {len(vals)} entries, model dimension is {dim}")
+        raise ValueError(f"vector has {len(vals)} entries, model dimension is {dim}")
     return np.asarray(vals, dtype=complex)
 
 
 def _forcing_from_config(cfg: dict) -> ForcingSpec:
-    kind = cfg.get("forcing", "none")
-    value = _getf(cfg, "forcing_value", 1.0)
+    kind = _get(cfg, "forcing", "none")
+    value = _get(cfg, "forcing_value", 1.0)
     if kind == "none":
         return ForcingSpec.none()
     if kind == "constant":
@@ -321,7 +318,7 @@ def _forcing_from_config(cfg: dict) -> ForcingSpec:
         return ForcingSpec.semilinear(
             lambda t, w: value * np.sin(w), lipschitz=abs(value)
         )
-    raise DomainError(f"unknown forcing {kind!r}")
+    raise ValueError(f"unknown forcing {kind!r}")
 
 
 def cmd_solve(args) -> int:
@@ -330,45 +327,30 @@ def cmd_solve(args) -> int:
     cfg = load_config(args.config)
     m = build_model_from_config(cfg)
     rng = np.random.default_rng(args.seed)
-    alpha = _getf(cfg, "alpha", 1.5)
-    try:
-        grid = TimeGrid(
-            _getf(cfg, "T", 1.0),
-            _geti(cfg, "n_steps", 512),
-            grading=_getf(cfg, "grading", 2.0),
+    grid = TimeGrid(_get(cfg, "T", 1.0), _get(cfg, "n_steps", 512), grading=_get(cfg, "grading", 2.0))
+    prob = WaveProblem(
+        model=m,
+        alpha=_get(cfg, "alpha", 1.5),
+        w0=_parse_vector(_get(cfg, "w0", "zero"), m.dimension, rng),
+        w1=_parse_vector(_get(cfg, "w1", "zero"), m.dimension, rng),
+        grid=grid,
+        forcing=_forcing_from_config(cfg),
+    )
+    problem = _get(cfg, "problem", "homogeneous")
+    if problem == "homogeneous":
+        w = solve_homogeneous(prob)
+    elif problem == "linear":
+        w = solve_linear(prob)
+    elif problem == "semilinear":
+        tol = args.tol if args.tol is not None else _get(cfg, "tol", 1e-10)
+        w, iters, history = solve_semilinear(prob, tol=tol, max_iter=_get(cfg, "max_iter", 60))
+        print(
+            f"picard converged in {iters} sweeps; last increment {history[-1]:.3e}",
+            file=sys.stderr,
         )
-        prob = WaveProblem(
-            model=m,
-            alpha=alpha,
-            w0=_parse_vector(cfg.get("w0", "zero"), m.dimension, rng),
-            w1=_parse_vector(cfg.get("w1", "zero"), m.dimension, rng),
-            grid=grid,
-            forcing=_forcing_from_config(cfg),
-        )
-        problem = cfg.get("problem", "homogeneous")
-        if problem == "homogeneous":
-            w = solve_homogeneous(prob)
-        elif problem == "linear":
-            w = solve_linear(prob)
-        elif problem == "semilinear":
-            tol = args.tol if args.tol is not None else _getf(cfg, "tol", 1e-10)
-            w, iters, history = solve_semilinear(
-                prob, tol=tol, max_iter=_geti(cfg, "max_iter", 60)
-            )
-            print(
-                f"picard converged in {iters} sweeps; last increment {history[-1]:.3e}",
-                file=sys.stderr,
-            )
-        else:
-            raise DomainError(f"unknown problem {problem!r}")
-        rep = verify_classical(prob, w)
-    except PicardError as e:
-        print(f"error: {e}", file=sys.stderr)
-        for k, inc in enumerate(e.history, start=1):
-            print(f"  sweep {k}: increment {inc:.6e}", file=sys.stderr)
-        return 4
-    except ValueError as e:
-        raise DomainError(str(e)) from None
+    else:
+        raise ValueError(f"unknown problem {problem!r}")
+    rep = verify_classical(prob, w)
     header = _header_lines(cfg, args.seed)
     _emit("solution.csv", trajectory_to_csv(w, header), args.out, args.stdout)
     _emit(
@@ -382,36 +364,29 @@ def cmd_solve(args) -> int:
 
 
 def cmd_regions(args) -> int:
-    cfg = load_config(args.config) if args.config else {}
-    theorem = cfg.get("theorem", "homogeneous")
-    axis = cfg.get("axis", "gamma")
-    n = _geti(cfg, "n", 200)
+    cfg = load_config(args.config)
+    theorem = _get(cfg, "theorem", "homogeneous")
+    axis = _get(cfg, "axis", "gamma")
+    n = _get(cfg, "n", 200)
     if n < 2:
-        raise DomainError("raster needs n >= 2")
-    alphas = np.linspace(_getf(cfg, "alpha_min", 1.005), _getf(cfg, "alpha_max", 1.995), n)
+        raise ValueError("raster needs n >= 2")
+    alphas = np.linspace(_get(cfg, "alpha_min", 1.005), _get(cfg, "alpha_max", 1.995), n)
     if axis == "gamma":
-        gammas = np.linspace(
-            _getf(cfg, "gamma_min", -0.995), _getf(cfg, "gamma_max", -0.005), n
-        )
-        nus = np.full(n, _getf(cfg, "nu", 0.5))
-        pairs = [(a, nus[j], g) for a in alphas for j, g in enumerate(gammas)]
+        nus = [_get(cfg, "nu", 0.5)]
+        gammas = np.linspace(_get(cfg, "gamma_min", -0.995), _get(cfg, "gamma_max", -0.005), n)
     elif axis == "nu":
-        nus = np.linspace(_getf(cfg, "nu_min", 0.005), _getf(cfg, "nu_max", 0.995), n)
-        gamma = _getf(cfg, "gamma", -0.75)
-        pairs = [(a, v, gamma) for a in alphas for v in nus]
+        nus = np.linspace(_get(cfg, "nu_min", 0.005), _get(cfg, "nu_max", 0.995), n)
+        gammas = [_get(cfg, "gamma", -0.75)]
     else:
-        raise DomainError(f"unknown axis {axis!r}")
-    buf = io.StringIO()
-    for line in _header_lines(cfg, args.seed):
-        buf.write(f"# {line}\n")
-    buf.write("alpha,nu,gamma,flag\n")
-    try:
-        for a, v, g in pairs:
-            flag = int(regime_report(theorem, a, g, v).classical_ok)
-            buf.write(f"{a:.17g},{v:.17g},{g:.17g},{flag}\n")
-    except ValueError as e:
-        raise DomainError(str(e)) from None
-    _emit("regions.csv", buf.getvalue(), args.out, args.stdout)
+        raise ValueError(f"unknown axis {axis!r}")
+    rows = (
+        (a, v, g, int(regime_report(theorem, a, g, v).classical_ok))
+        for a in alphas
+        for v in nus
+        for g in gammas
+    )
+    text = _csv(_header_lines(cfg, args.seed), ["alpha", "nu", "gamma", "flag"], rows)
+    _emit("regions.csv", text, args.out, args.stdout)
     return 0
 
 
@@ -475,7 +450,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_ml = sub.add_parser("ml", help="evaluate E_{alpha,delta}(z)")
     p_ml.add_argument("--alpha", type=float, required=True)
     p_ml.add_argument("--delta", type=float, default=1.0)
-    p_ml.add_argument("--z", required=True, help="complex argument 're' or 're,im'")
+    p_ml.add_argument(
+        "--z", required=True, help="complex argument 're' or 're,im', e.g. --z=-2,0.5"
+    )
     p_ml.add_argument("--derivative", type=int, default=0)
     p_ml.set_defaults(func=cmd_ml)
 
@@ -507,12 +484,14 @@ def main(argv=None) -> int:
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 2
-    except DomainError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 3
     except PicardError as e:
         print(f"error: {e}", file=sys.stderr)
+        for k, inc in enumerate(e.history, start=1):
+            print(f"  sweep {k}: increment {inc:.6e}", file=sys.stderr)
         return 4
+    except (ValueError, OverflowError) as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 3
 
 
 def run() -> None:

@@ -285,7 +285,7 @@ def _power_sum(beta: float, tau_min: float, T: float):
 
 
 def _check_power_sum(beta, rates, weights, lags) -> None:
-    exact = lags ** (beta - 1.0) * reciprocal_gamma(beta)
+    exact = Kernel(beta)(lags)
     err = float(np.max(np.abs(np.exp(-np.outer(lags, rates)) @ weights / exact - 1.0)))
     if not err <= _SUM_TOL:
         raise ValueError(
@@ -581,22 +581,23 @@ def duhamel_convolve(
     return rl_integral(Kernel(alpha - 1.0), Trajectory(f.grid, q))
 
 
-def trajectory_to_csv(w: Trajectory, header_lines=()) -> str:
-    """Serialize to CSV with header ``t,re_0,im_0,...`` at full precision."""
+def _csv(header_lines, columns, rows) -> str:
+    """``# `` header lines, the column row, then one line per row: numbers
+    as ``.17g``, strings verbatim.  ``rows`` is consumed lazily."""
     buf = io.StringIO()
     for line in header_lines:
         buf.write(f"# {line}\n")
-    cols = ["t"]
-    for j in range(w.dimension):
-        cols += [f"re_{j}", f"im_{j}"]
-    buf.write(",".join(cols) + "\n")
-    t = w.grid.nodes()
-    for i in range(w.grid.n_steps + 1):
-        row = [f"{t[i]:.17g}"]
-        for j in range(w.dimension):
-            row += [f"{w.values[i, j].real:.17g}", f"{w.values[i, j].imag:.17g}"]
-        buf.write(",".join(row) + "\n")
+    buf.write(",".join(columns) + "\n")
+    for row in rows:
+        buf.write(",".join(v if isinstance(v, str) else f"{v:.17g}" for v in row) + "\n")
     return buf.getvalue()
+
+
+def trajectory_to_csv(w: Trajectory, header_lines=()) -> str:
+    """Serialize to CSV with header ``t,re_0,im_0,...`` at full precision."""
+    cols = ["t"] + [f"{part}_{j}" for j in range(w.dimension) for part in ("re", "im")]
+    reim = np.ascontiguousarray(w.values).view(float)  # re_0, im_0, re_1, ...
+    return _csv(header_lines, cols, ((t, *r) for t, r in zip(w.grid.nodes(), reim)))
 
 
 def trajectory_from_csv(text: str) -> Trajectory:

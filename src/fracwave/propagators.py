@@ -13,14 +13,13 @@ measurements are independent of quadrature resolution.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .contour import ContourSpec, HankelSpec, calculus_apply, default_contour, hankel_propagator
-from .fractional import Kernel, TimeGrid, Trajectory, _trapezoid_weights, rl_integral
+from .fractional import Kernel, TimeGrid, Trajectory, _csv, _trapezoid_weights, rl_integral
 from .mittag_leffler import BoundReport, MLParams, ml_derivative, ml_eval, reciprocal_gamma
 from .operator_model import (
     AlmostSectorialModel,
@@ -216,7 +215,12 @@ def conv_norm_decay(p: PropagatorHandle, t_values) -> DecayReport:
 
 def prop_time_derivative(p: PropagatorHandle, t: float, n: int, x) -> np.ndarray:
     """d^n/dt^n of t^{delta-1} E_{alpha,delta}(-t^alpha A) x, evaluated by
-    the shift rule as t^{delta-n-1} E_{alpha,delta-n}(-t^alpha A) x."""
+    the shift rule as t^{delta-n-1} E_{alpha,delta-n}(-t^alpha A) x.
+
+    A gamma-path handle integrates the shifted symbol on its contour; every
+    other representation, hankel-path included, goes through the oracle,
+    because the shifted delta - n has no Hankel form here, so a hankel-path
+    handle returns exactly the oracle's values."""
     if n < 0:
         raise ValueError("derivative order must be nonnegative")
     if t <= 0:
@@ -381,12 +385,5 @@ def strong_continuity_check(p: PropagatorHandle, t_values) -> BoundReport:
 
 
 def decay_report_to_csv(rep: DecayReport, header_lines=()) -> str:
-    buf = io.StringIO()
-    for line in header_lines:
-        buf.write(f"# {line}\n")
-    buf.write("t,norm,fitted_slope,C_empirical\n")
-    for t, n in zip(rep.t_values, rep.norms):
-        buf.write(
-            f"{t:.17g},{n:.17g},{rep.fitted_slope:.17g},{rep.c_empirical:.17g}\n"
-        )
-    return buf.getvalue()
+    rows = ((t, n, rep.fitted_slope, rep.c_empirical) for t, n in zip(rep.t_values, rep.norms))
+    return _csv(header_lines, ["t", "norm", "fitted_slope", "C_empirical"], rows)

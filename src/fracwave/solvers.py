@@ -10,13 +10,12 @@ classical-solution residual verification.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fractional import TimeGrid, Trajectory, caputo_derivative, duhamel_convolve, propagator_sum
+from .fractional import TimeGrid, Trajectory, _csv, caputo_derivative, duhamel_convolve, propagator_sum
 from .operator_model import AlmostSectorialModel, apply as op_apply
 from .propagators import _apply_snapshots, propagator_snapshots
 
@@ -336,10 +335,4 @@ def hoelder_modulus(f: Trajectory, n_bins: int = 24) -> HoelderEstimate:
 
 
 def residual_report_to_csv(rep: ResidualReport, header_lines=()) -> str:
-    buf = io.StringIO()
-    for line in header_lines:
-        buf.write(f"# {line}\n")
-    buf.write("t,residual\n")
-    for t, r in zip(rep.t_values, rep.residuals):
-        buf.write(f"{t:.17g},{r:.17g}\n")
-    return buf.getvalue()
+    return _csv(header_lines, ["t", "residual"], zip(rep.t_values, rep.residuals))

@@ -58,6 +58,11 @@ class TestMl:
     def test_missing_args_usage(self):
         assert main(["ml", "--alpha", "1"]) == 2
 
+    def test_negative_real_part_readme_example(self, capsys):
+        # ``--z -2,0.5`` would be read by argparse as an option
+        assert main(["ml", "--alpha", "1.5", "--delta", "1", "--z=-2,0.5"]) == 0
+        assert complex(capsys.readouterr().out.strip()) == ml_eval(MLParams(1.5, 1), -2 + 0.5j)
+
     @pytest.mark.parametrize("extra", [[], ["--derivative", "1"]])
     def test_overflow_domain_error(self, extra):
         assert main(["ml", "--alpha", "1.5", "--z", "1e5", *extra]) == 3
@@ -104,6 +109,57 @@ class TestConfig:
         path = write_config(tmp_path, "n = 3e0\n")
         assert main(["regions", "--config", path, "--stdout"]) == 0
         assert capsys.readouterr().out.count("\n") == 3 + 1 + 3 * 3
+
+
+BAD_KEY_CFG = LADDER_CFG + "alpah = 1.5\n"
+
+
+class TestExitCodes:
+    """One row per failure path: exit code and the single stderr line."""
+
+    @pytest.mark.parametrize(
+        "command, cfg, code, message",
+        [
+            *(
+                (command, BAD_KEY_CFG, 2, "usage error: unknown config key 'alpah'")
+                for command in ("verify", "solve", "regions", "model build", "model check")
+            ),
+            (
+                "verify",
+                LADDER_CFG.replace("alpha = 1.5", "alpha = 1.0"),
+                3,
+                "error: alpha must lie in (1, 2)",
+            ),
+            (
+                "verify",
+                LADDER_CFG.replace("gamma = -0.75", "gamma = -0.25"),
+                3,
+                "error: uno identity requires alpha * (1 + gamma) < 1",
+            ),
+            ("solve", SCALAR_CFG.replace("w0 = 1", "w0 = 1,2,3"), 3, "error: vector has 3 entries"),
+            ("solve", SCALAR_CFG.replace("= scalar", "= cubic"), 3, "error: unknown model kind"),
+            ("solve", SCALAR_CFG + "problem = linear\nforcing = cubic\n", 3, "error: unknown forcing"),
+            ("regions", "n = 3\naxis = mu\n", 3, "error: unknown axis"),
+            ("regions", "n = 1\n", 3, "error: raster needs n >= 2"),
+            ("model check", "model_file = /nonexistent/model.txt\n", 2, "usage error: model file not found"),
+        ],
+        ids=[
+            *(f"unknown-key-{c}" for c in ("verify", "solve", "regions", "model-build", "model-check")),
+            "verify-alpha-1",
+            "verify-uno-inadmissible",
+            "vector-length",
+            "unknown-model",
+            "unknown-forcing",
+            "unknown-axis",
+            "regions-n-1",
+            "missing-model-file",
+        ],
+    )
+    def test_exit_code(self, tmp_path, capsys, command, cfg, code, message):
+        path = write_config(tmp_path, cfg)
+        assert main([*command.split(), "--config", path, "--out", str(tmp_path)]) == code
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(message)
 
 
 class TestVerify:

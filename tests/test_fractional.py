@@ -69,6 +69,13 @@ class TestRLIntegral:
         out = rl_integral(Kernel(2.0), u)
         assert np.all(out.values == 0.0)
 
+    @pytest.mark.parametrize("beta", [0.5, 1.5])
+    def test_kernel_values(self, beta):
+        t = np.array([0.0, 0.25, 1.0, 4.0])
+        got = Kernel(beta)(t)
+        assert got[0] == 0.0
+        assert np.allclose(got[1:], t[1:] ** (beta - 1.0) / gamma(beta), rtol=1e-15, atol=0.0)
+
     def test_rejects_nonpositive_beta(self):
         with pytest.raises(ValueError):
             Kernel(0.0)

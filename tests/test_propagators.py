@@ -177,6 +177,21 @@ class TestTimeDerivative:
         want = 2.0 * prop_apply(p, 2.0, x)
         assert np.allclose(prop_time_derivative(p, 2.0, 0, x), want)
 
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_paths_against_oracle(self, n):
+        # gamma-path applies the shifted symbol on its contour; hankel-path
+        # falls back to the oracle and so returns its values exactly
+        m = ladder()
+        x = rand_vec(m)
+        oracle = make_propagator(m, ALPHA, representation="oracle")
+        pg = make_propagator(m, ALPHA, representation="gamma-path")
+        ph = make_propagator(m, ALPHA, representation="hankel-path")
+        for t in (0.1, 1.0, 5.0):
+            want = prop_time_derivative(oracle, t, n, x)
+            gap = np.linalg.norm(prop_time_derivative(pg, t, n, x) - want) / np.linalg.norm(want)
+            assert gap <= 1e-8
+            assert np.array_equal(prop_time_derivative(ph, t, n, x), want)
+
     def test_rejects_bad_args(self):
         p = make_propagator(ladder(), ALPHA, representation="oracle")
         x = rand_vec(p.model)
