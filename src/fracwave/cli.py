@@ -85,7 +85,7 @@ def _parse_complex(s: str) -> complex:
             return complex(float(parts[0]), float(parts[1]))
     except ValueError:
         pass
-    raise UsageError(f"expected a complex number as 're' or 're,im', got {s!r}")
+    raise ValueError(f"expected a complex number as 're' or 're,im', got {s!r}")
 
 
 def _count(s: str) -> int:
@@ -190,7 +190,10 @@ def _emit(name: str, text: str, out_dir: str, to_stdout: bool) -> None:
 
 
 def cmd_ml(args) -> int:
-    z = _parse_complex(args.z)
+    try:
+        z = _parse_complex(args.z)
+    except ValueError as e:
+        raise UsageError(e) from None
     p = MLParams(args.alpha, args.delta)
     v = ml_eval(p, z) if args.derivative == 0 else ml_derivative(p, z, args.derivative)
     if v.imag == 0.0:

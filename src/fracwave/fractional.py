@@ -12,7 +12,8 @@ Schaedle, SIAM J. Sci. Comput. 24 (2002)).  g_beta, 0 < beta < 1, is such a
 sum on [min h, T] (Jiang, Zhang, Zhang and Zhang, Commun. Comput. Phys. 21
 (2017)); E_alpha(-tau^alpha A) is one on [0, T] through its residues and
 its real-axis integral, whose quadrature error from the roots near the
-branch cut is added back exactly as modes of their own.  Each sum is built
+branch cut is added back exactly as modes of their own (``mittag_leffler._Cut``,
+also the third of ``ml_eval``'s four regimes, at tau = 1).  Each sum is built
 to a fixed accuracy and checked against the exact kernel at log-spaced
 lags; a sum that misses ``_SUM_TOL`` raises ``ValueError`` instead of
 returning degraded numbers.
@@ -27,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .mittag_leffler import MLParams, ml_eval, reciprocal_gamma
+from .mittag_leffler import _CUT_STEP, MLParams, _Cut, ml_eval, reciprocal_gamma
 from .operator_model import AlmostSectorialModel, spectral_matrices
 
 __all__ = [
@@ -126,7 +127,9 @@ def _panel_moments(
 # an exponential sum is built for a relative error _SUM_EPS and must pass
 # _SUM_TOL at _SUM_CHECK_LAGS log-spaced lags; it may hold _SUM_MAX_MODES
 # modes.  The check allows for its oracle: ml_eval is accepted at 1e-13 and
-# has been seen 2.2e-13 off (E_{1.2,1.2} at z = -75.7 - 7.6i)
+# has been seen 2.2e-13 off (E_{1.2,1.2} at z = -75.7 - 7.6i).  In the
+# mid-band the check compares two quadratures of one cut representation; the
+# dense-reference tests in tests/test_fractional.py are its independent guard
 _SUM_EPS = 1e-15
 _SUM_TOL = 1e-12
 _SUM_CHECK_LAGS = 32
@@ -382,22 +385,13 @@ def _trapezoid_weights(t: np.ndarray) -> np.ndarray:
 class _PropagatorSum:
     """E_alpha(-tau^alpha A) as blockwise exponential sums in tau >= 0.
 
-    On a block [[lambda, s], [0, lambda]], with rho(r) the density below,
-
-        E_alpha(-tau^alpha lambda) = (1/alpha) sum_sigma e^{sigma tau}
-                                     + int_0^inf e^{-r tau} rho(r; lambda) dr
-
-    over the roots sigma^alpha = -lambda with |arg sigma| < pi.  The integral
-    is the trapezoid rule in x = log r on rates shared by all blocks.  A
-    root with |arg sigma| near pi, on either side of the cut, is a pole of
-    the integrand near the real x-axis; the rule's exact error from that
-    pole is a multiple of e^{sigma tau}, so every root with
-    |arg sigma| < 3 pi/2 is one mode whose weight W, the residue 1/alpha or
-    0 plus that error, stays finite as sigma crosses the cut.  The
-    off-diagonal entry is s d/dlambda E = (s tau/(alpha lambda)) d/dtau E,
-    so a mode w e^{z tau} adds s z w/(alpha lambda) tau e^{z tau} to it;
-    unlike d rho/d lambda, whose terms cancel to O(lambda) of their size when
-    |lambda| T^alpha << 1, this keeps the coupling's relative accuracy.
+    On a block [[lambda, s], [0, lambda]] the diagonal is the residue and
+    cut modes of ``mittag_leffler._Cut`` at delta = 1, on rates shared by
+    all blocks.  The off-diagonal entry is s d/dlambda E =
+    (s tau/(alpha lambda)) d/dtau E, so a mode w e^{z tau} adds
+    s z w/(alpha lambda) tau e^{z tau} to it; unlike d rho/d lambda, whose
+    terms cancel to O(lambda) of their size when |lambda| T^alpha << 1, this
+    keeps the coupling's relative accuracy.
     """
 
     rates: np.ndarray  # (K,) rates r_j of the modes e^{-r_j tau}
@@ -420,94 +414,40 @@ class _PropagatorSum:
         return out
 
 
-# lattice offsets, in steps, tried to keep the corrected poles off the nodes
-_OFFSETS = 16
-
-
 def _propagator_sum(m: AlmostSectorialModel, alpha: float, tau_min: float, T: float):
     """The exponential sums of E_alpha(-tau^alpha A), checked on [tau_min, T].
 
-    The density is
-
-        rho(r; lambda) = lambda r^(alpha-1) sin(pi alpha)
-                         / (pi (r^alpha + lambda e^{i pi alpha}) (r^alpha + lambda e^{-i pi alpha})).
-
-    In x = log r it has a simple pole at x_p = log sigma -+ i pi for every
-    root sigma = |lambda|^(1/alpha) e^{i theta} of sigma^alpha = -lambda, on
-    any sheet, with residue -+1/(2 pi i alpha) in r (upper signs for
-    theta > 0).  Beyond |Im x| = pi/2 e^{-r tau} stops decaying, so the
-    trapezoid step is set for that strip, whatever lambda, and the poles
-    inside it, the roots with pi/2 < |theta| < 3 pi/2, are corrected
-    exactly: for nodes x0 + j h, a pole adds W e^{sigma tau} with
-
-        W = (1/alpha) / (1 - e^{+-2 pi i (x0 - x_p)/h}),
-
-    which is 1/alpha for a residue far from the cut and 0 for a far
-    non-residue, and the offset x0 is chosen to keep every pole away from a
-    node.  The range is set by the tails: |lambda| r^-alpha at large r, so
-    the sum holds down to tau = 0; at small r both r^alpha/|lambda| against
-    E(0) = 1 and (r T)^alpha/Gamma(alpha + 1) against the algebraic tail
-    |E(T)| ~ 1/(T^alpha |lambda| |Gamma(1 - alpha)|) of a stiff block, whose
-    small values the Duhamel integral accumulates over [0, T].
+    The modes are those of ``mittag_leffler._Cut`` at delta = 1, on one
+    lattice shared by all blocks, its offset chosen to keep every block's
+    poles off the nodes.  The range is set by the tails: |lambda| r^-alpha
+    at large r, so the sum holds down to tau = 0; at small r both
+    r^alpha/|lambda| against E(0) = 1 and (r T)^alpha/Gamma(alpha + 1)
+    against the algebraic tail |E(T)| ~ 1/(T^alpha |lambda| |Gamma(1 - alpha)|)
+    of a stiff block, whose small values the Duhamel integral accumulates
+    over [0, T].
     """
     if not (1.0 < alpha < 2.0):
         raise ValueError(f"alpha must lie in (1, 2), got {alpha}")
     lam = m.lam
-    sin_pa = -math.sin(math.pi * min(alpha - 1.0, 2.0 - alpha))
     log_eps = math.log(_SUM_EPS)
-    gap = math.pi / 2.0
-    strip = 0.85 * gap
-    step = 2.0 * math.pi * strip / (math.log(1.0 + 4.0 / (gap - strip)) - log_eps)
     log_lam = np.log(np.abs(lam))
-    log_sigma = log_lam / alpha
-    spread = math.log(math.pi * alpha / abs(sin_pa))
+    spread = math.log(math.pi * alpha / math.sin(math.pi * min(alpha - 1.0, 2.0 - alpha)))
     x_lo = min(float(np.min(log_lam)) + spread, math.lgamma(alpha + 1.0) - alpha * math.log(T))
     x_lo = (x_lo + log_eps) / alpha
     x_hi = float(np.max(log_lam - spread - log_eps)) / alpha
-    # the roots on the sheets -2..1 and Im x_p of their poles
-    theta = (np.angle(lam) + math.pi + 2.0 * math.pi * np.arange(-2, 2)[:, None]) / alpha
-    sign = np.array([-1.0, -1.0, 1.0, 1.0])[:, None]
-    im_p = theta - sign * math.pi
-    # the two factors of the density's denominator, each through its pole
-    # nearest the axis: r^alpha + lambda e^{-+i pi alpha}
-    # = |lambda| e^{i phi} expm1(alpha (x - log|sigma|) - i phi), phi = alpha Im x_p
-    cols = np.arange(lam.size)
-    phi = [alpha * v[np.argmin(np.abs(v), axis=0), cols] for v in (im_p[:2], im_p[2:])]
-    # the poles in the strip and the residues
-    keep = np.abs(theta) < 1.5 * math.pi
-    rows = np.any(keep, axis=1)
-    theta, sign, keep = theta[rows], sign[rows], keep[rows]
-    # e = e^{+-2 pi i (x0 - x_p)/h} or its inverse, whichever is at most 1
-    depth = 2.0 * math.pi * (np.abs(theta) - math.pi) / step
-    turn = np.where(depth > 0.0, -sign, sign)
-
-    def near(d):
-        return np.exp(-np.abs(depth) + 2j * math.pi * turn * d / step)
-
-    shifts = x_lo - step * np.arange(_OFFSETS) / _OFFSETS
-    gaps = [np.min(np.abs(1.0 - near(x0 - log_sigma))[keep], initial=np.inf) for x0 in shifts]
-    x0 = float(shifts[int(np.argmax(gaps))])
-    j = np.arange(_mode_count(x0, x_hi, step, f"E_{alpha}"))
-    r = np.exp(x0 + step * j)[:, None]
-    # the nodes less log|sigma|, taken from x0 - log|sigma| rather than from
-    # r, so that a node next to a pole and the pole's weight see the same
-    # distance where they nearly cancel
-    d = (x0 - log_sigma) + step * j[:, None]
-    e = near(d[np.argmin(np.abs(d), axis=0), cols])
-    w = np.where(depth > 0.0, -e, 1.0) / (alpha * (1.0 - e))
-    sigma = np.exp(log_sigma + 1j * theta)
-    # step * r * rho(r), the trapezoid weight in log r
-    u = alpha * d
-    weights = step * sin_pa / math.pi * np.exp(u - 1j * np.angle(lam))
-    weights /= np.expm1(u - 1j * phi[0]) * np.expm1(u - 1j * phi[1])
+    cut = _Cut(alpha, lam)
+    shifts, gaps = cut.gaps(x_lo)
+    x0 = float(shifts[int(np.argmax(np.min(gaps, axis=1))), 0])
+    j = np.arange(_mode_count(x0, x_hi, _CUT_STEP, f"E_{alpha}"))[:, None]
+    r, weights, poles, pole_weights = cut.modes(1.0, x0, j)
     ds = m.coupling / (alpha * lam)
     es = _PropagatorSum(
         rates=r[:, 0],
         weights=weights,
         couplings=-r * weights * ds,
-        poles=np.where(keep, sigma, -np.abs(sigma)),
-        pole_weights=np.where(keep, w, 0.0),
-        pole_couplings=np.where(keep, sigma * w * ds, 0.0),
+        poles=poles,
+        pole_weights=pole_weights,
+        pole_couplings=poles * pole_weights * ds,
     )
     _check_propagator_sum(es, m, alpha, np.geomspace(tau_min, T, _SUM_CHECK_LAGS))
     return es
@@ -521,7 +461,10 @@ def _check_propagator_sum(es: _PropagatorSum, m: AlmostSectorialModel, alpha: fl
     sum cancels to far below its scale 1/|lambda|, is measured against the
     diagonal.  The lambda-derivative is
     -tau^alpha E_{alpha,alpha}(-tau^alpha lambda)/alpha, through values only:
-    ``ml_derivative`` is accepted at a looser tolerance than ``_SUM_TOL``."""
+    ``ml_derivative`` is accepted at a looser tolerance than ``_SUM_TOL``.
+    In the mid-band ``ml_eval`` uses the same cut representation, so there
+    this compares two quadratures of one representation; its independent
+    guard is the dense-reference tests in ``tests/test_fractional.py``."""
     ta = lags[:, None] ** alpha
     oracle = spectral_matrices(
         m,

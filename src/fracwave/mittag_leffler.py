@@ -3,31 +3,33 @@
 Values and derivatives of every order 0..4 share one array kernel.  A
 scalar argument is a 0-d array; an array is cut into chunks of at most
 ``_CHUNK`` points, so the working memory does not grow with the call.  Each
-point of a chunk lands in one of three regimes, split by modulus and
-argument, and its result does not depend on the other points of the chunk:
+point of a chunk lands in one of four regimes, tried in turn, and its
+result does not depend on the other points of the chunk:
 
-* ``|z| <= z_switch``: the termwise differentiated Taylor series in doubles,
-  by one numpy Horner loop over every point of the disc.  Each point sums
-  only the terms its modulus needs (``_series_table``).  The same loop
-  accumulates ``S = sum |c_k| |z|^k``, and a point is accepted only if
-  ``8 * 2**-53 * S <= tol * |value|``, the Horner error bound in the
+* ``|z| <= min(12, 8**alpha)``: the termwise differentiated Taylor series
+  in doubles, by one numpy Horner loop over every point of the disc.  Each
+  point sums only the terms its modulus needs (``_series_table``).  The
+  same loop accumulates ``S = sum |c_k| |z|^k``, and a point is accepted
+  only if ``8 * 2**-53 * S <= tol * |value|``, the Horner error bound in the
   running form of Higham, *Accuracy and Stability of Numerical
   Algorithms*, section 5.1; the factor 8 also covers the rounding of the
   coefficients.
-* large ``|z|``, orders 0 and 1: algebraic asymptotic series truncated at
-  its smallest term, plus the exponential branch contributions
+* outside the disc, orders 0 and 1: algebraic asymptotic series truncated
+  at its smallest term, plus the exponential branch contributions
   ``(1/alpha) s^(1-delta) exp(s)`` for every branch
   ``s = z^(1/alpha) * exp(2*pi*i*m/alpha)`` lying in the principal sector.
   The branch terms decay in the sector ``mu <= |arg z| <= pi`` but are kept
   because they dominate the truncation error of the algebraic tail at
   moderate modulus.  The coefficients and envelope terms are cached per
   ``(alpha, delta)``; each point stops at its own smallest term.
-* the points both regimes reject, and orders 2..4 outside the series disc,
-  fall back one at a time to an arbitrary-precision Taylor sum with working
-  precision chosen from the largest series term.  Its coefficients
-  ``1/Gamma(alpha k + delta)`` come from mpmath; the sum itself is binary
-  fixed point on Python ints (Horner's rule in ``z / 2**E``), correctly
-  rounded to a double at the end.
+* the points of orders 0 and 1 that both reject, for 1 < alpha < 2: the
+  residues plus the real-axis integral along the branch cut (``_Cut``) at
+  tau = 1, the representation the Duhamel term's exponential sums are built
+  from, accepted on the running bound of the series.
+* everything else, in practice orders 2..4 outside the disc and alpha
+  outside (1, 2), falls back one point at a time to an arbitrary-precision
+  Taylor sum in mpmath, with the working precision chosen from the largest
+  series term.
 
 All branch powers use the principal argument in ``(-pi, pi]``.
 """
@@ -50,9 +52,6 @@ __all__ = [
     "ml_sector_bound_check",
 ]
 
-#: modulus below which the plain Taylor series is used
-Z_SWITCH_DEFAULT = 12.0
-
 #: relative accuracy demanded of the asymptotic expansion before the
 #: arbitrary-precision fallback kicks in
 _ASYMPTOTIC_RTOL = 1e-13
@@ -71,7 +70,22 @@ _TAIL_NATS = 64.0 * math.log(2.0)
 #: points per chunk of an array call
 _CHUNK = 4096
 
-_LOG2_10 = math.log2(10.0)
+#: relative accuracy the branch-cut sums are built for
+_CUT_EPS = 1e-15
+
+# e^{-r tau} decays in the strip |Im log r| < pi/2 of the cut integral; the
+# trapezoid step in log r is set for a strip of 0.85 of that half-width
+_CUT_GAP = math.pi / 2.0
+_CUT_STRIP = 0.85 * _CUT_GAP
+_CUT_STEP = 2.0 * math.pi * _CUT_STRIP / (
+    math.log(1.0 + 4.0 / (_CUT_GAP - _CUT_STRIP)) - math.log(_CUT_EPS)
+)
+
+#: lattice offsets, in steps, tried to keep the corrected poles off the nodes
+_OFFSETS = 16
+
+#: a tile of the cut sums, nodes times points, holds about this many bytes
+_CUT_TILE_BYTES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -290,12 +304,6 @@ def _asymptotic(alpha: float, delta: float, z: np.ndarray, r: np.ndarray, order:
     return value, ok
 
 
-def _mp_series_params(alpha: float, r: float):
-    peak_digits = int(0.4343 * r ** (1.0 / alpha)) + 10
-    n_terms = int(3.0 * r ** (1.0 / alpha) / alpha) + 80
-    return peak_digits, n_terms
-
-
 @functools.lru_cache(maxsize=64)
 def _coefficient_prefix(alpha: float, delta: float, dps: int) -> list:
     # one list per working precision, extended in place by _mp_coefficients:
@@ -304,107 +312,43 @@ def _coefficient_prefix(alpha: float, delta: float, dps: int) -> list:
 
 
 def _mp_coefficients(alpha: float, delta: float, n: int, dps: int) -> list:
-    """The first ``n`` values ``1/Gamma(alpha k + delta)`` rounded at ``dps``
-    digits, each as an exact pair ``(signed mantissa, binary exponent)``."""
+    """The first ``n`` values ``1/Gamma(alpha k + delta)`` at ``dps`` digits."""
     coef = _coefficient_prefix(alpha, delta, dps)
     if len(coef) < n:
         with mpmath.workdps(dps):
             a = mpmath.mpf(alpha)
-            for k in range(len(coef), n):
-                sign, man, exp, _ = mpmath.rgamma(a * k + delta)._mpf_
-                coef.append((-man if sign else man, exp))
+            coef.extend(mpmath.rgamma(a * k + delta) for k in range(len(coef), n))
     return coef
-
-
-def _fixed_point_unit(z: complex):
-    """``z = u 2**E`` with ``u = (ur + i ui) / 2**s`` in exact integers.
-
-    ``E = floor(log2|z|) + 1``, so ``|u| <= 1`` and Horner's rule cannot amplify
-    its rounding errors.  Both parts of the double ``z`` are dyadic
-    rationals, so the split is exact at any precision.
-    """
-    big_e = math.frexp(abs(z))[1] if z else 0
-    (nr, dr), (ni, di) = z.real.as_integer_ratio(), z.imag.as_integer_ratio()
-    tr, ti = dr.bit_length() - 1 + big_e, di.bit_length() - 1 + big_e
-    s = max(tr, ti, 0)
-    return nr << (s - tr), ni << (s - ti), s, big_e
-
-
-@functools.lru_cache(maxsize=64)
-def _scaled_coefficients(
-    alpha: float, delta: float, dps: int, order: int, n_terms: int, big_e: int, p: int
-) -> tuple:
-    """The Horner coefficients of ``_horner_fixed``, highest degree first:
-    ``k!/(k-order)! c_k 2**((k-order) E + p)`` for ``order <= k < n_terms``,
-    each a shift of the mantissa of ``c_k``."""
-    coef = _mp_coefficients(alpha, delta, n_terms, dps)
-    scaled = []
-    for j in range(n_terms - 1 - order, -1, -1):
-        man, exp = coef[j + order]
-        b = man * math.perm(j + order, order)
-        shift = exp + j * big_e + p
-        scaled.append(b << shift if shift >= 0 else b >> -shift)
-    return tuple(scaled)
-
-
-def _horner_fixed(scaled, unit):
-    """sum_j b_j u^j as two ints (real, imaginary) for the scaled
-    coefficients ``b_j`` (``_scaled_coefficients``): Horner's rule in
-    ``u = z / 2**E``."""
-    ur, ui, s, _ = unit
-    ar = ai = 0
-    for b in scaled:
-        ar, ai = ((ar * ur - ai * ui) >> s) + b, (ar * ui + ai * ur) >> s
-    return ar, ai
-
-
-def _fixed_to_float(a: int, p: int) -> float:
-    # int / int is correctly rounded, as is mpmath's float conversion; it
-    # raises where mpmath overflows to infinity
-    try:
-        return a / (1 << p)
-    except OverflowError:
-        return math.inf if a > 0 else -math.inf
 
 
 def _series_mp(alpha: float, delta: float, z: complex, order: int = 0) -> complex:
     """Arbitrary-precision Taylor sum; ``order`` differentiates termwise.
 
     Working precision starts a safe margin above the largest-term magnitude
-    and is doubled while cancellation still swamps the result.  mpmath only
-    computes the coefficients; the sum is exact-integer fixed point with
-    ``P = ceil(dps log2 10) + 16`` fractional bits (``_horner_fixed``).  Its
-    roundings are absolute, below ``2**-P`` each, and ``|u| <= 1`` keeps them
-    from growing, so the sum is closer to the exact one than a power sum in
-    mpmath arithmetic at ``dps`` digits, whose roundings scale with the
-    largest term; both round to the same double.
+    and is doubled while cancellation still swamps the result; the term
+    count is grown while the last term is not negligible.
     """
     z = complex(z)
     r = abs(z)
-    peak_digits, n_terms = _mp_series_params(alpha, r)
-    unit = _fixed_point_unit(z)
-    log2_r = math.log2(r) if r else -math.inf
+    peak_digits = int(0.4343 * r ** (1.0 / alpha)) + 10
+    n_terms = int(3.0 * r ** (1.0 / alpha) / alpha) + 80
     dps = peak_digits + 30
     while True:
         coef = _mp_coefficients(alpha, delta, n_terms, dps)
-        p = math.ceil(dps * _LOG2_10) + 16
-        scaled = _scaled_coefficients(alpha, delta, dps, order, n_terms, unit[3], p)
-        ar, ai = _horner_fixed(scaled, unit)
-        norm2 = ar * ar + ai * ai
-        # the tail must be negligible at the working precision:
-        # |last term| < 10**(peak_digits - dps + 15) (1 + |total|), in log2
-        last = n_terms - 1
-        man, exp = coef[last]
-        man *= math.perm(last, order)
-        log2_term = math.log2(abs(man)) + exp + (last - order) * log2_r if man else -math.inf
-        log2_total = 0.5 * math.log2(norm2) - p if norm2 else -math.inf
-        # log2(1 + |total|) without |total| as a float, which may overflow
-        log2_one_plus = max(log2_total, 0.0) + math.log2(1.0 + 2.0 ** -abs(log2_total))
-        tail_ok = log2_term < (peak_digits - dps + 15) * _LOG2_10 + log2_one_plus
-        # detect catastrophic cancellation relative to the working precision
-        # and retry harder: |total| > 10**(peak_digits - dps + 20), exactly
-        ok = norm2 * 10 ** (2 * (dps - peak_digits - 20)) > 1 << (2 * p)
-        result = complex(_fixed_to_float(ar, p), _fixed_to_float(ai, p))
+        with mpmath.workdps(dps):
+            zz = mpmath.mpc(z)
+            total = mpmath.mpc(0)
+            zk = mpmath.mpc(1)
+            term = mpmath.mpc(0)
+            for k in range(order, n_terms):
+                term = math.perm(k, order) * zk * coef[k]
+                total += term
+                zk *= zz
+            # the tail must be negligible at the working precision
+            tail_ok = abs(term) < mpmath.mpf(10) ** (peak_digits - dps + 15) * (1 + abs(total))
+            # catastrophic cancellation relative to the working precision
+            ok = abs(total) > mpmath.mpf(10) ** (peak_digits - dps + 20)
+            result = complex(total)
         if not tail_ok and n_terms < 200_000:
             n_terms = n_terms * 2 + 100
             continue
@@ -413,23 +357,194 @@ def _series_mp(alpha: float, delta: float, z: complex, order: int = 0) -> comple
         dps *= 2
 
 
-def _effective_switch(alpha: float, z_switch: float) -> float:
-    # the float series loses ~log10(e) * r**(1/alpha) digits to cancellation
-    # in the algebraic sector; cap the switch so at most ~4 digits are lost
-    return min(z_switch, 8.0**alpha)
+def _sin_pi(x: float) -> float:
+    """sin(pi x) from the reduced argument, so exactly 0 at the integers."""
+    n = round(x)
+    s = math.sin(math.pi * (x - n))
+    return -s if n % 2 else s
 
 
-def _ml_chunk(p: MLParams, z: np.ndarray, order: int, z_switch: float) -> np.ndarray:
+class _Cut:
+    """``E_{alpha,delta}`` by its residues and the integral along its branch cut.
+
+    For 1 < alpha < 2, delta < alpha + 1 and each entry lambda of ``lam`` (a
+    column), tau^(delta-1) E_{alpha,delta}(-tau^alpha lambda) is
+
+        (1/alpha) sum_sigma sigma^(1-delta) e^{sigma tau} + int_0^inf e^{-r tau} rho(r) dr,
+        rho(r) = r^(alpha-delta) [r^alpha sin(pi delta) - lambda sin(pi (alpha-delta))]
+                 / (pi (r^alpha + lambda e^{i pi alpha}) (r^alpha + lambda e^{-i pi alpha})),
+
+    over the roots sigma^alpha = -lambda with |arg sigma| < pi (Gorenflo,
+    Loutchko and Luchko, Fract. Calc. Appl. Anal. 5 (2002)), the integral by
+    the trapezoid rule in x = log r.  In x, rho(r) r has a simple pole at
+    x_p = log sigma -+ i pi for every root sigma = |lambda|^(1/alpha) e^{i theta}
+    on any sheet, with residue -+sigma^(1-delta)/(2 pi i alpha) (upper signs
+    for theta > 0).  Beyond |Im x| = pi/2 e^{-r tau} stops decaying, so the
+    step is set for that strip, whatever lambda, and the poles inside it,
+    the roots with pi/2 < |theta| < 3 pi/2, are corrected exactly (Trefethen
+    and Weideman, SIAM Rev. 56 (2014)): for nodes x0 + j h a pole adds
+    W sigma^(1-delta) e^{sigma tau}, W = (1/alpha) / (1 - e^{+-2 pi i (x0 - x_p)/h}),
+    1/alpha for a residue far from the cut and 0 for a far non-residue, so
+    each such root is one mode whose weight stays finite as sigma crosses
+    the cut.  ``gaps`` measures how far the poles stay from the nodes.
+    """
+
+    def __init__(self, alpha: float, lam: np.ndarray):
+        self.alpha, self.lam = alpha, lam
+        self.log_sigma = np.log(np.abs(lam)) / alpha
+        # the roots on the sheets -2..1 and Im x_p of their poles
+        theta = (np.angle(lam) + math.pi + 2.0 * math.pi * np.arange(-2, 2)[:, None]) / alpha
+        sign = np.array([-1.0, -1.0, 1.0, 1.0])[:, None]
+        im_p = theta - sign * math.pi
+        # the two factors of the density's denominator, each through its pole
+        # nearest the axis: r^alpha + lambda e^{-+i pi alpha}
+        # = |lambda| e^{i phi} expm1(alpha (x - log|sigma|) - i phi), phi = alpha Im x_p
+        self.cols = np.arange(lam.size)
+        self.phi = [
+            alpha * v[np.argmin(np.abs(v), axis=0), self.cols] for v in (im_p[:2], im_p[2:])
+        ]
+        # the poles in the strip and the residues
+        keep = np.abs(theta) < 1.5 * math.pi
+        rows = np.any(keep, axis=1)
+        self.theta, sign, self.keep = theta[rows], sign[rows], keep[rows]
+        # e = e^{+-2 pi i (x0 - x_p)/h} or its inverse, whichever is at most 1
+        self.depth = 2.0 * math.pi * (np.abs(self.theta) - math.pi) / _CUT_STEP
+        self.turn = np.where(self.depth > 0.0, -sign, sign)
+
+    def _near(self, d):
+        return np.exp(-np.abs(self.depth) + 2j * math.pi * self.turn * d / _CUT_STEP)
+
+    def gaps(self, x_ref):
+        """Lattice origins, ``_OFFSETS`` fractions of a step below ``x_ref``
+        (a scalar, or one per column), shape (offsets, 1) or (offsets, nb),
+        and for each origin and column the least |1 - e| over the column's
+        poles in the strip (+inf without one): how far they stay from a node."""
+        shifts = x_ref - (_CUT_STEP * np.arange(_OFFSETS) / _OFFSETS)[:, None]
+        dist = np.abs(1.0 - self._near(shifts[:, None] - self.log_sigma))
+        return shifts, np.min(np.where(self.keep, dist, np.inf), axis=1)
+
+    def modes(self, delta: float, x0, j: np.ndarray):
+        """The modes of the nodes ``x0 + j h`` for the integers ``j`` (n, 1) or
+        (n, nb), ``x0`` a scalar or one origin per column: rates r (n, 1) or
+        (n, nb), the trapezoid weights h r rho(r) (n, nb), the pole exponents
+        sigma (P, nb) and their weights W sigma^(1-delta) (P, nb), 0 where a
+        root is left out."""
+        alpha, step = self.alpha, _CUT_STEP
+        r = np.exp(x0 + step * j)
+        # the nodes less log|sigma|, taken from x0 - log|sigma| rather than from
+        # r, so that a node next to a pole and the pole's weight see the same
+        # distance where they nearly cancel
+        d = (x0 - self.log_sigma) + step * j
+        e = self._near(d[np.argmin(np.abs(d), axis=0), self.cols])
+        w = np.where(self.depth > 0.0, -e, 1.0) / (alpha * (1.0 - e))
+        log_sigma = self.log_sigma + 1j * self.theta
+        sigma = np.exp(log_sigma)
+        if delta != 1.0:
+            w = w * np.exp((1.0 - delta) * log_sigma)
+        # h r rho(r) with r^alpha / lambda = e^{u - i arg lambda}; the sines
+        # from reduced arguments, so that at delta = 1 the r^alpha term is 0
+        u = alpha * d
+        ratio = np.exp(u - 1j * np.angle(self.lam))
+        weights = step * -_sin_pi(alpha - delta) / math.pi * ratio
+        sin_pd = -_sin_pi(delta - 1.0)
+        if sin_pd:
+            weights += step * sin_pd / math.pi * ratio * ratio
+        if delta != 1.0:
+            weights *= r ** (1.0 - delta)
+        weights /= np.expm1(u - 1j * self.phi[0]) * np.expm1(u - 1j * self.phi[1])
+        sigma_kept = np.where(self.keep, sigma, -np.abs(sigma))
+        return r, weights, sigma_kept, np.where(self.keep, w, 0.0)
+
+
+def _cut_sums(alpha: float, delta: float, z: np.ndarray, order: int):
+    """The tau = 1 slice of the cut sums at lambda = -z: row k of the two
+    results is the k-th derivative, k <= order, and the sum of the moduli of
+    its terms.  With F(tau) = tau^(delta-1) E(-tau^alpha lambda),
+    F'(1) = (delta-1) E(z) + alpha z E'(z), so the derivative reweights each
+    mode w e^{zeta} by (1 - delta + zeta) / (alpha z).  For delta >= alpha,
+    where the cut decays slowly at r = 0, E_{alpha,delta}(z) =
+    (E_{alpha,delta-alpha}(z) - 1/Gamma(delta-alpha)) / z, without
+    cancellation in the decay sector, where E_{alpha,delta-alpha} tends to 0.
+    Each point has its own lattice offset and a fixed number of terms per
+    sum, so its bits do not depend on the other points.  At r -> 0 the
+    density grows like r^(alpha-delta), so the integral over (0, r0) is
+    below r0^a / Gamma(a + 1), a = alpha - delta + 1, relative to the value,
+    whatever |z| >= 1; at the top e^{-r} is below eps^2.
+    """
+    ladder = []  # the deltas above alpha, reached from delta - k alpha
+    while delta >= alpha:
+        ladder.append(delta)
+        delta -= alpha
+    a = alpha - delta + 1.0
+    log_eps = math.log(_CUT_EPS)
+    x_lo = (math.lgamma(a + 1.0) + log_eps) / a
+    # the first node lies within a step below x_lo
+    n = int(math.ceil((math.log(-2.0 * log_eps) - x_lo) / _CUT_STEP)) + 2
+    steps = np.arange(n)[:, None]
+    values = np.empty((order + 1, z.size), dtype=complex)
+    bounds = np.empty((order + 1, z.size))
+    tile = max(1, _CUT_TILE_BYTES // (16 * n))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo in range(0, z.size, tile):
+            zt = z[lo : lo + tile]
+            cut = _Cut(alpha, -zt)
+            # each point's lattice has its origin next to log|sigma|, so that
+            # the nodes by its poles carry the rounding of a few steps, not of
+            # |x_lo| steps, which the poles' nearly singular terms amplify
+            shifts, gaps = cut.gaps(cut.log_sigma)
+            x0 = shifts[np.argmax(gaps, axis=0), cut.cols]
+            j = np.floor((x_lo - x0) / _CUT_STEP).astype(int) + steps
+            rates, w, sigma, pw = cut.modes(delta, x0, j)
+            nodes, poles = w * np.exp(-rates), pw * np.exp(sigma)
+            for k in range(order + 1):
+                if k:
+                    nodes *= (1.0 - delta - rates) / (alpha * zt)
+                    poles *= (1.0 - delta + sigma) / (alpha * zt)
+                # points by rows, each summed over its own contiguous row
+                terms = np.ascontiguousarray(nodes.T)
+                v, b = terms.sum(axis=1), np.abs(terms).sum(axis=1)
+                # one root at a time, in sheet order; e^{sigma} inherits the
+                # rounding of sigma, a few ulps of |sigma|
+                for row, root in zip(poles, sigma):
+                    v += row
+                    b += np.abs(row) * (1.0 + np.abs(root))
+                values[k, lo : lo + tile], bounds[k, lo : lo + tile] = v, b
+    r = np.abs(z)
+    for d in reversed(ladder):
+        c = reciprocal_gamma(d - alpha)
+        values[0] = (values[0] - c) / z
+        bounds[0] = (bounds[0] + abs(c)) / r
+        if order:
+            values[1] = (values[1] - values[0]) / z
+            bounds[1] = (bounds[1] + bounds[0]) / r
+    return values, bounds
+
+
+def _cut(alpha: float, delta: float, z: np.ndarray, r: np.ndarray, order: int):
+    """The branch-cut representation at tau = 1, orders 0 and 1; returns
+    (values, accepted) on the running bound of ``_series``."""
+    values, bounds = _cut_sums(alpha, delta, z, order)
+    value = values[order]
+    tol = 1e-11 if order else 1e-13
+    ok = np.isfinite(value) & (_SERIES_BOUND * bounds[order] <= tol * np.abs(value))
+    return value, ok
+
+
+def _ml_chunk(p: MLParams, z: np.ndarray, order: int) -> np.ndarray:
     """The regime dispatch over one chunk of points, any order 0..4."""
     r = np.abs(z)
     out = np.empty_like(z)
     rest = np.ones(z.shape, dtype=bool)  # points no regime has accepted yet
-    disc = r <= _effective_switch(p.alpha, z_switch)
+    # the float series loses ~log10(e) * r**(1/alpha) digits to cancellation
+    # in the algebraic sector; the disc radius keeps that to ~4 digits
+    disc = r <= min(12.0, 8.0**p.alpha)
     regimes = [(disc, _series)]
     if order <= 1:
         regimes.append((~disc, _asymptotic))
+        if 1.0 < p.alpha < 2.0:
+            regimes.append((r >= 1.0, _cut))  # what both rejected, where its lattice holds
     for mask, regime in regimes:
-        idx = np.flatnonzero(mask)
+        idx = np.flatnonzero(mask & rest)
         if idx.size:
             value, ok = regime(p.alpha, p.delta, z[idx], r[idx], order)
             out[idx[ok]] = value[ok]
@@ -439,27 +554,27 @@ def _ml_chunk(p: MLParams, z: np.ndarray, order: int, z_switch: float) -> np.nda
     return out
 
 
-def _ml(p: MLParams, z, order: int, z_switch: float):
+def _ml(p: MLParams, z, order: int):
     z = _finite_array(z)
     flat = z.ravel()
     out = np.empty_like(flat)
     for lo in range(0, flat.size, _CHUNK):
-        out[lo : lo + _CHUNK] = _ml_chunk(p, flat[lo : lo + _CHUNK], order, z_switch)
+        out[lo : lo + _CHUNK] = _ml_chunk(p, flat[lo : lo + _CHUNK], order)
     return complex(out[0]) if z.ndim == 0 else out.reshape(z.shape)
 
 
-def ml_eval(p: MLParams, z, z_switch: float = Z_SWITCH_DEFAULT):
+def ml_eval(p: MLParams, z):
     """Evaluate ``E_{alpha,delta}(z)`` at a scalar, or elementwise over an
     array (same shape out)."""
-    return _ml(p, z, 0, z_switch)
+    return _ml(p, z, 0)
 
 
-def ml_derivative(p: MLParams, z, order: int, z_switch: float = Z_SWITCH_DEFAULT):
+def ml_derivative(p: MLParams, z, order: int):
     """d^order/dz^order of ``E_{alpha,delta}(z)``, order <= 4, at a scalar
     or elementwise over an array (same shape out)."""
     if order < 0 or order > 4:
         raise ValueError(f"derivative order must be in 0..4, got {order}")
-    return _ml(p, z, order, z_switch)
+    return _ml(p, z, order)
 
 
 def ml_sector_bound_check(p: MLParams, mu: float, samples) -> BoundReport:

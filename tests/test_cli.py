@@ -142,6 +142,14 @@ class TestExitCodes:
             ("regions", "n = 3\naxis = mu\n", 3, "error: unknown axis"),
             ("regions", "n = 1\n", 3, "error: raster needs n >= 2"),
             ("model check", "model_file = /nonexistent/model.txt\n", 2, "usage error: model file not found"),
+            (
+                "model build",
+                "model = scalar\na = x\n",
+                3,
+                "error: config key a: expected a complex number",
+            ),
+            # a command-line argument, not a config value: a usage error
+            ("ml --alpha 1.5 --z x", None, 2, "usage error: expected a complex number"),
         ],
         ids=[
             *(f"unknown-key-{c}" for c in ("verify", "solve", "regions", "model-build", "model-check")),
@@ -153,11 +161,15 @@ class TestExitCodes:
             "unknown-axis",
             "regions-n-1",
             "missing-model-file",
+            "malformed-complex-config",
+            "malformed-complex-argument",
         ],
     )
     def test_exit_code(self, tmp_path, capsys, command, cfg, code, message):
-        path = write_config(tmp_path, cfg)
-        assert main([*command.split(), "--config", path, "--out", str(tmp_path)]) == code
+        argv = command.split()
+        if cfg is not None:
+            argv += ["--config", write_config(tmp_path, cfg), "--out", str(tmp_path)]
+        assert main(argv) == code
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(message)
 

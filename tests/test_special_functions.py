@@ -17,6 +17,7 @@ from fracwave.mittag_leffler import (
     reciprocal_gamma,
 )
 from fracwave.operator_model import build_ladder_model
+from fracwave.propagators import laplace_check, make_propagator, prop_norm_decay
 
 RNG = np.random.default_rng(20240817)
 
@@ -101,13 +102,14 @@ class TestLargeModulus:
                 assert abs(v - ref) <= 1e-10 * abs(ref)
 
     def test_midband_consistency(self):
-        # values on the two sides of the series/asymptotic switch agree
+        # values on the two sides of the series disc radius (8**1.5 > 12)
+        # agree with the high-precision sum
         p = MLParams(1.5, 1.0)
         for r in [7.9, 8.1, 11.9, 12.1, 14.0, 30.0]:
             for frac in [1.0, 0.85, -0.9]:
                 z = r * cmath.exp(1j * frac * math.pi)
                 a = ml_eval(p, z)
-                b = ml_eval(p, z, z_switch=40.0)
+                b = reference_series_mp(p.alpha, p.delta, z)
                 assert abs(a - b) <= 1e-10 * (abs(a) + 1e-30)
 
 
@@ -237,9 +239,9 @@ def _reference_coefficients(alpha, delta, n, dps):
 
 
 def reference_series_mp(alpha, delta, z, order=0):
-    """The mid-band fallback summed in mpmath arithmetic: the power sum that
-    ``_series_mp`` replaced by its fixed-point form, kept here unchanged
-    (same terms, precision schedule, tail and cancellation tests)."""
+    """The arbitrary-precision fallback summed in mpmath arithmetic, kept
+    here apart from ``_series_mp`` (same terms, precision schedule, tail and
+    cancellation tests)."""
     r = abs(z)
     peak_digits = int(0.4343 * r ** (1.0 / alpha)) + 10
     n_terms = int(3.0 * r ** (1.0 / alpha) / alpha) + 80
@@ -271,7 +273,7 @@ def reference_series_mp(alpha, delta, z, order=0):
 
 
 class TestSeriesFallback:
-    """The fixed-point mid-band sum gives the mpmath power sum's doubles."""
+    """The arbitrary-precision fallback gives the mpmath power sum's doubles."""
 
     ALPHAS = (1.2, 1.5, 1.8)
 
@@ -291,23 +293,24 @@ class TestSeriesFallback:
         assert np.array_equal(got, want)
 
     def test_small_modulus_cancellation_fallback(self, monkeypatch):
-        # below the series switch, the kernel hands a point to the
-        # fallback when the double series cancels too many digits
+        # below the disc radius, the double series hands a point on when it
+        # cancels too many digits; the branch-cut regime serves it
         calls = []
-        kernel = mittag_leffler._series_mp
+        regime = mittag_leffler._cut
 
-        def recorded(alpha, delta, z, order=0):
-            value = kernel(alpha, delta, z, order)
-            calls.append(((alpha, delta, z, order), value))
-            return value
+        def recorded(alpha, delta, z, r, order):
+            value, ok = regime(alpha, delta, z, r, order)
+            calls.extend((alpha, delta, zi, order, vi) for zi, vi in zip(z[ok], value[ok]))
+            return value, ok
 
-        monkeypatch.setattr(mittag_leffler, "_series_mp", recorded)
+        monkeypatch.setattr(mittag_leffler, "_cut", recorded)
         for d in (0.0, 1.0, 1.2, 2.0, 2.5):
             for r in (7.0, 9.0, 11.0):
                 ml_eval(MLParams(1.2, d), r * cmath.exp(0.9j * math.pi))
         assert len(calls) >= 5
-        for args, value in calls:
-            assert value == reference_series_mp(*args)
+        for alpha, delta, z, order, value in calls:
+            ref = reference_series_mp(alpha, delta, complex(z), order)
+            assert abs(value - ref) <= 1e-13 * abs(ref)
 
     def test_overflow_to_infinity(self):
         # E''_{2,1}(z) = d^2/dz^2 cosh(sqrt z) exceeds the double range
@@ -353,6 +356,76 @@ class TestAccuracyMap:
         z = -120.06426450835598 + 25.053575839129977j
         ref = reference_series_mp(p.alpha, p.delta, z, 1)
         assert abs(ml_derivative(p, z, 1) - ref) <= 1e-11 * abs(ref)
+
+
+class TestCutRegime:
+    """The branch-cut regime (residues plus the corrected trapezoid rule on
+    the cut) against the high-precision sum, and the points it takes from
+    the arbitrary-precision fallback."""
+
+    ALPHAS = (1.2, 1.5, 1.8, 1.95)
+
+    @staticmethod
+    def sample(rng, alpha, n):
+        """n points in each of the decay sector, the growth sector and the
+        band where a root sigma of sigma^alpha = z sits near the cut, |z|
+        log-uniform on [2, 200]."""
+        edge = 2.0 * math.pi - alpha * math.pi  # |arg z| of a root on the cut
+        sectors = (
+            (alpha * math.pi / 2, math.pi),
+            (0.0, alpha * math.pi / 2),
+            (edge - 0.05, edge + 0.05),
+        )
+        z = []
+        for lo, hi in sectors:
+            r = np.exp(rng.uniform(math.log(2.0), math.log(200.0), n))
+            z.extend(r * np.exp(1j * rng.uniform(lo, hi, n) * rng.choice((-1.0, 1.0), n)))
+        return np.array(z)
+
+    @staticmethod
+    def record_fallback(monkeypatch) -> list:
+        """Record the arguments of every ``_series_mp`` call in the list returned."""
+        calls = []
+        kernel = mittag_leffler._series_mp
+
+        def recorded(*args):
+            calls.append(args)
+            return kernel(*args)
+
+        monkeypatch.setattr(mittag_leffler, "_series_mp", recorded)
+        return calls
+
+    def test_accuracy_map(self, monkeypatch):
+        rng = np.random.default_rng(20261101)
+        fallback = self.record_fallback(monkeypatch)
+        accepted = total = 0
+        for a in self.ALPHAS:
+            for d in (0.0, 1.0, a, 2.0, a + 1.0):
+                z = self.sample(rng, a, 3)
+                for order, tol in ((0, 1e-13), (1, 1e-11)):
+                    value, ok = mittag_leffler._cut(a, d, z, np.abs(z), order)
+                    for zi, v in zip(z[ok], value[ok]):
+                        ref = reference_series_mp(a, d, complex(zi), order)
+                        assert abs(v - ref) <= tol * abs(ref), (a, d, zi, order)
+                    accepted += int(np.count_nonzero(ok))
+                    total += z.size
+                    # the public route: every point the series disc and the
+                    # asymptotic regime reject is served without the fallback
+                    ml_derivative(MLParams(a, d), z, order)
+        assert accepted >= 0.95 * total
+        assert fallback == []
+
+    def test_readme_ladder_needs_no_fallback(self, monkeypatch):
+        # the oracle sweeps and the Laplace check of ``fracwave verify`` on the
+        # README ladder: all their mid-band points are served by the cut
+        calls = self.record_fallback(monkeypatch)
+        m = build_ladder_model(-0.75, math.pi / 6, 1e-2, 1e4, 4)
+        ts = np.geomspace(0.01, 10.0, 12)
+        for d in (1.0, 2.0, 1.5):
+            prop_norm_decay(make_propagator(m, 1.5, delta=d, representation="oracle"), ts)
+        x = np.random.default_rng(1).standard_normal(m.dimension) + 0j
+        laplace_check(make_propagator(m, 1.5, representation="oracle"), 2.0, x)
+        assert calls == []
 
 
 class TestReciprocalGamma:
