@@ -8,15 +8,17 @@ Both convolutions with a long memory run through one exponential-mode
 engine (``_histories``): a kernel written as a sum of exponentials
 e^{z tau} is convolved with piecewise-linear data by a recurrence that is
 exact on every panel of the grid, in O(n K) work for K modes (Lubich and
-Schaedle, SIAM J. Sci. Comput. 24 (2002)).  g_beta, 0 < beta < 1, is such a
-sum on [min h, T] (Jiang, Zhang, Zhang and Zhang, Commun. Comput. Phys. 21
-(2017)); E_alpha(-tau^alpha A) is one on [0, T] through its residues and
-its real-axis integral, whose quadrature error from the roots near the
-branch cut is added back exactly as modes of their own (``mittag_leffler._Cut``,
-also the third of ``ml_eval``'s four regimes, at tau = 1).  Each sum is built
-to a fixed accuracy and checked against the exact kernel at log-spaced
-lags; a sum that misses ``_SUM_TOL`` raises ``ValueError`` instead of
-returning degraded numbers.
+Schaedle, SIAM J. Sci. Comput. 24 (2002)).  Both sums are trapezoid rules
+in log r on the step ``mittag_leffler._CUT_STEP``.  g_beta, 0 < beta < 1,
+is one on [min h, T] (Jiang, Zhang, Zhang and Zhang, Commun. Comput. Phys.
+21 (2017)), its small-rate end closed by one exact tail mode;
+E_alpha(-tau^alpha A) is one on [0, T] through its residues and its
+real-axis integral, whose quadrature error from the roots near the branch
+cut is added back exactly as modes of their own (``mittag_leffler._Cut``,
+also the third of ``ml_eval``'s four regimes, at tau = 1).  Each sum is
+built to a fixed accuracy and checked against the exact kernel at
+log-spaced lags; a sum that misses ``_SUM_TOL`` raises ``ValueError``
+instead of returning degraded numbers.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .mittag_leffler import _CUT_STEP, MLParams, _Cut, ml_eval, reciprocal_gamma
+from .mittag_leffler import _CUT_EPS, _CUT_STEP, MLParams, _Cut, ml_eval, reciprocal_gamma
 from .operator_model import AlmostSectorialModel, spectral_matrices
 
 __all__ = [
@@ -124,19 +126,15 @@ def _panel_moments(
     return m0, m1
 
 
-# an exponential sum is built for a relative error _SUM_EPS and must pass
+# an exponential sum is built for the relative error _CUT_EPS and must pass
 # _SUM_TOL at _SUM_CHECK_LAGS log-spaced lags; it may hold _SUM_MAX_MODES
-# modes.  The check allows for its oracle: ml_eval is accepted at 1e-13 and
-# has been seen 2.2e-13 off (E_{1.2,1.2} at z = -75.7 - 7.6i).  In the
-# mid-band the check compares two quadratures of one cut representation; the
-# dense-reference tests in tests/test_fractional.py are its independent guard
-_SUM_EPS = 1e-15
+# modes.  The check allows for its oracle, ml_eval, seen 1.9e-13 off (E_{1.97}
+# at z = -3e4 2.63^1.97).  In the mid-band it compares two quadratures of one
+# cut representation; the dense-reference tests in tests/test_fractional.py
+# are its independent guard
 _SUM_TOL = 1e-12
 _SUM_CHECK_LAGS = 32
 _SUM_MAX_MODES = 1 << 14
-
-# Gauss-Laguerre nodes of the small-rate end of the g_beta sum
-_LAGUERRE_NODES = 20
 
 # a tile of the mode engine, some nodes times some modes, holds at most this
 # many bytes of history, or half the size of its data when that is more (its
@@ -248,42 +246,28 @@ def _mode_count(x_lo: float, x_hi: float, step: float, what: str) -> int:
     return k
 
 
-def _gauss_laguerre(n: int, a: float):
-    """Nodes and weights of the n-point Gauss rule for the weight x^a e^-x on
-    (0, inf), from the eigenvectors of its Jacobi matrix (Golub and Welsch)."""
-    k = np.arange(1.0, n)
-    off = np.sqrt(k * (k + a))
-    jac = np.diag(2.0 * np.arange(n) + a + 1.0) + np.diag(off, 1) + np.diag(off, -1)
-    nodes, vecs = np.linalg.eigh(jac)
-    return nodes, math.gamma(a + 1.0) * vecs[0] ** 2
-
-
 @functools.lru_cache(maxsize=16)
 def _power_sum(beta: float, tau_min: float, T: float):
     """Rates r_k and weights c_k with g_beta(tau) = sum_k c_k e^{-r_k tau} to
     ``_SUM_TOL`` relative on [tau_min, T], for 0 < beta < 1.
 
-    g_beta(tau) = (sin(pi beta)/pi) int_0^inf e^{-r tau} r^{-beta} dr, split
-    smoothly at r ~ 1/T by the factor e^{-r T}.  The part with e^{-r T} is a
-    generalized Gauss-Laguerre rule for the weight r^{-beta} e^{-r T}, so the
-    small-r end costs a fixed number of nodes whatever beta; the rest,
-    e^{-r tau} (1 - e^{-r T}) r^{-beta}, is analytic in the strip
-    |Im log r| < pi/2 and decays at both ends, so the trapezoid rule in
-    log r converges geometrically (strip half-width 1 used).
+    g_beta(tau) = (sin(pi beta)/pi) int e^{-e^x tau} e^{(1-beta) x} dx by the
+    trapezoid rule on x_lo + j h, h = ``_CUT_STEP``, weights h r_j^(1-beta).
+    One mode A_0 e^{-rho tau}, rho = A_1/A_0, matches the moments A_k =
+    h r_lo^(k+1-beta) / expm1((k+1-beta) h) of the nodes below x_lo in tau^0
+    and tau^1 and is O((r_lo T)^(3-beta)) off them relative: it closes the
+    trapezoid sum, not the integral, so the rule converges geometrically.
     """
-    xi, wl = _gauss_laguerre(_LAGUERRE_NODES, -beta)
-    strip = 1.0
-    step = 2.0 * math.pi * strip / math.log(2.0 * math.cos(strip) ** (beta - 1.0) / _SUM_EPS)
-    lg = math.lgamma(1.0 - beta)
-    x_lo = math.log(_SUM_EPS * (2.0 - beta)) / (2.0 - beta) + lg / (2.0 - beta) - math.log(T)
-    x_hi = math.log(-math.log(_SUM_EPS) / tau_min)
-    x = x_lo + step * np.arange(_mode_count(x_lo, x_hi, step, f"g_{beta}"))
-    r = np.exp(x)
-    rates = np.concatenate([xi / T, r])
-    weights = np.concatenate([wl * T ** (beta - 1.0), step * r ** (1.0 - beta) * -np.expm1(-r * T)])
+    h = _CUT_STEP
+    log_eps = math.log(_CUT_EPS)
+    x_lo = log_eps / (3.0 - beta) - math.log(T)
+    x_hi = math.log(-log_eps / tau_min)
+    r = np.exp(x_lo + h * np.arange(_mode_count(x_lo, x_hi, h, f"g_{beta}")))
+    a0, a1 = (h * r[0] ** (k + 1.0 - beta) / math.expm1((k + 1.0 - beta) * h) for k in (0, 1))
+    rates = np.append(a1 / a0, r)
+    weights = np.append(a0, h * r ** (1.0 - beta))
     weights *= math.sin(math.pi * min(beta, 1.0 - beta)) / math.pi
-    lags = np.geomspace(tau_min, T, _SUM_CHECK_LAGS)
-    _check_power_sum(beta, rates, weights, lags)
+    _check_power_sum(beta, rates, weights, np.geomspace(tau_min, T, _SUM_CHECK_LAGS))
     return rates, weights
 
 
@@ -429,7 +413,7 @@ def _propagator_sum(m: AlmostSectorialModel, alpha: float, tau_min: float, T: fl
     if not (1.0 < alpha < 2.0):
         raise ValueError(f"alpha must lie in (1, 2), got {alpha}")
     lam = m.lam
-    log_eps = math.log(_SUM_EPS)
+    log_eps = math.log(_CUT_EPS)
     log_lam = np.log(np.abs(lam))
     spread = math.log(math.pi * alpha / math.sin(math.pi * min(alpha - 1.0, 2.0 - alpha)))
     x_lo = min(float(np.min(log_lam)) + spread, math.lgamma(alpha + 1.0) - alpha * math.log(T))

@@ -70,11 +70,13 @@ _TAIL_NATS = 64.0 * math.log(2.0)
 #: points per chunk of an array call
 _CHUNK = 4096
 
-#: relative accuracy the branch-cut sums are built for
+#: relative accuracy of the branch-cut sums and of the g_beta sums of ``fractional``
 _CUT_EPS = 1e-15
 
 # e^{-r tau} decays in the strip |Im log r| < pi/2 of the cut integral; the
-# trapezoid step in log r is set for a strip of 0.85 of that half-width
+# trapezoid step in log r is set for a strip of 0.85 of that half-width.  It
+# serves the g_beta sums too, whose L1 norm on |Im log r| = d is cos(d)^(beta-1)
+# of the value: at this d, their step 2 pi d / log(2 cos(d)^(beta-1) / eps) > 0.228
 _CUT_GAP = math.pi / 2.0
 _CUT_STRIP = 0.85 * _CUT_GAP
 _CUT_STEP = 2.0 * math.pi * _CUT_STRIP / (
@@ -202,14 +204,26 @@ def _asymptotic_table(alpha: float, delta: float):
 
 def _exponential_branch_terms(alpha: float, delta: float, z, r, order: int):
     """Sum of residue contributions (1/alpha) s^(1-delta) e^s over admissible
-    branches, and for ``order`` 1 the same sum differentiated in z."""
+    branches, for ``order`` 1 the same sum differentiated in z, and a bound on
+    the Stokes-line error of the ``order``-th sum: a branch switches on across
+    |arg s| = pi by (1/2) erfc(sqrt(|s|/2) (pi - |arg s|)) (Berry smoothing),
+    not by a step, so each branch with |arg s| < 3 pi/2 adds its term times
+    (1/2) e^{-|s| u^2 / 2}, u = |arg s| - pi, a bound of that erfc."""
     phi = np.arctan2(z.imag, z.real)
     root = r ** (1.0 / alpha)
     val = np.zeros_like(z)
     dval = np.zeros_like(z)
-    m_max = int(math.ceil(alpha / 2.0)) + 1
-    for m in range(-m_max, m_max + 1):
-        ang = (phi + 2.0 * math.pi * m) / alpha
+    # sheets |m| <= 3 alpha/4 + 1/2 reach |arg s| < 3 pi/2 (e^s grows past it) and
+    # hold every live branch; Re s = -|s| cos u joins one exponent, e^{Re s} may overflow
+    k = int(0.75 * alpha + 0.5)
+    angs = (phi + 2.0 * math.pi * np.arange(-k, k + 1)[:, None]) / alpha
+    u = np.abs(angs) - math.pi
+    cu = np.cos(u)
+    log_term = (1.0 - delta) * np.log(root) - math.log(2.0 * alpha)
+    bound = np.exp(np.where(u < 0.5 * math.pi, log_term - root * (cu + 0.5 * u * u), -np.inf))
+    if order:
+        bound *= np.hypot(1.0 - delta - root * cu, root * np.sin(u)) / (alpha * r)
+    for ang in angs:
         live = np.abs(ang) <= math.pi * (1.0 + 1e-14)
         if not live.any():
             continue
@@ -228,7 +242,7 @@ def _exponential_branch_terms(alpha: float, delta: float, z, r, order: int):
         if order:
             # d/dz of (1/alpha) s^(1-delta) e^s with ds/dz = s/(alpha z)
             dval += base * (1.0 - delta + (re + 1j * im)) / (alpha * z)
-    return val, dval
+    return val, dval, bound.sum(axis=0)
 
 
 def _smaller_part(v: np.ndarray, real_axis: np.ndarray) -> np.ndarray:
@@ -295,11 +309,12 @@ def _asymptotic(alpha: float, delta: float, z: np.ndarray, r: np.ndarray, order:
                     bound = len(coefs) * env / r
                     negligible &= bound < _NEGLIGIBLE * _smaller_part(dtotal, real_axis)
                 active &= ~negligible
-        exp_val, exp_dval = _exponential_branch_terms(alpha, delta, z, r, order)
+        exp_val, exp_dval, stokes = _exponential_branch_terms(alpha, delta, z, r, order)
         value, part = (dtotal + exp_dval, dtotal) if order else (total + exp_val, total)
         # every algebraic coefficient on a Gamma pole (e.g. alpha = 1): the
-        # branch terms are then the exact value
-        err = np.where(all_poles, 0.0, smallest_env / (np.abs(value) + np.abs(part)))
+        # branch terms are then the exact value, with no Stokes line
+        err = smallest_env / (np.abs(value) + np.abs(part)) + stokes / np.abs(value)
+        err = np.where(all_poles, 0.0, err)
     ok = err <= (10.0 * _ASYMPTOTIC_RTOL if order else _ASYMPTOTIC_RTOL)
     return value, ok
 

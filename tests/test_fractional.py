@@ -306,7 +306,7 @@ class TestExponentialHistory:
         ref = (1.0 - ml_eval(MLParams(alpha, 1.0), -(t**alpha) * a)) / a
         assert np.max(np.abs(w - ref)) <= 3e-4 * np.max(np.abs(ref))
 
-    @pytest.mark.parametrize("beta", [0.1, 0.5, 0.9])
+    @pytest.mark.parametrize("beta", [0.02, 0.1, 0.5, 0.9, 0.98])
     @pytest.mark.parametrize("grading", [1.0, 2.0])
     def test_rl_integral_matches_direct_sum(self, beta, grading):
         grid = TimeGrid(1.0, 2048, grading=grading)
@@ -326,6 +326,18 @@ class TestExponentialHistory:
         weights[k, 0] *= factor
         with pytest.raises(ValueError):
             fractional._check_propagator_sum(dataclasses.replace(es, weights=weights), m, alpha, lags)
+
+    def test_power_sum_matches_kernel(self):
+        # the trapezoid nodes and the tail mode over beta, the horizon and the
+        # shortest lag, at many more lags than the sum's own check
+        for beta in (0.001, 0.03, 0.3, 0.5, 0.7, 0.97, 0.999):
+            for T in (1e-3, 1.0, 100.0):
+                for ratio in (1e-12, 1e-8, 1e-3, 0.5):
+                    rates, weights = fractional._power_sum(beta, ratio * T, T)
+                    lags = np.geomspace(ratio * T, T, 400)
+                    got = np.exp(-np.outer(lags, rates)) @ weights
+                    err = np.max(np.abs(got / Kernel(beta)(lags) - 1.0))
+                    assert err <= 1e-14, (beta, T, ratio, err)
 
     def test_corrupted_power_weight_fails_check(self):
         beta, lags = 0.5, np.geomspace(1e-4, 1.0, 32)

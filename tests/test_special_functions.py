@@ -357,6 +357,23 @@ class TestAccuracyMap:
         ref = reference_series_mp(p.alpha, p.delta, z, 1)
         assert abs(ml_derivative(p, z, 1) - ref) <= 1e-11 * abs(ref)
 
+    @pytest.mark.parametrize(
+        "alpha, delta, z",
+        [
+            # a branch 0.012 rad inside the Stokes line |arg s| = pi, |s| = 19.3
+            (1.5, 2.5, -1.5840940342803624 - 84.85671009541169j),
+            # a branch 0.015 rad past it, |s| = 15.0
+            (1.8, 1.8, 107.43760482618582 - 73.81237794616334j),
+            # two branches 0.44 and 0.61 rad from it, |s| = 37
+            (1.2, 1.2, -75.711 - 7.596j),
+        ],
+    )
+    def test_asymptotic_judged_on_its_stokes_error(self, alpha, delta, z):
+        # points the asymptotic regime accepted 1.2e-13 to 2.2e-13 off, when
+        # its branches switched on at the Stokes line with full weight
+        ref = reference_series_mp(alpha, delta, z)
+        assert abs(ml_eval(MLParams(alpha, delta), z) - ref) <= 1e-13 * abs(ref)
+
 
 class TestCutRegime:
     """The branch-cut regime (residues plus the corrected trapezoid rule on
