@@ -255,20 +255,9 @@ def _verify_checks(m, alpha: float, rng) -> list:
 
     oracle = prop_apply(p1, 1.0, x)
     scale = np.linalg.norm(oracle)
-    pg = make_propagator(m, alpha, representation="gamma-path")
-    add(
-        "repr-gamma-vs-oracle",
-        float(np.linalg.norm(prop_apply(pg, 1.0, x) - oracle) / scale),
-        0.0,
-        1e-8,
-    )
-    ph = make_propagator(m, alpha, representation="hankel-path")
-    add(
-        "repr-hankel-vs-oracle",
-        float(np.linalg.norm(prop_apply(ph, 1.0, x) - oracle) / scale),
-        0.0,
-        1e-8,
-    )
+    for name in ("gamma", "hankel"):
+        y = prop_apply(make_propagator(m, alpha, representation=f"{name}-path"), 1.0, x)
+        add(f"repr-{name}-vs-oracle", float(np.linalg.norm(y - oracle) / scale), 0.0, 1e-8)
     return rows
 
 

@@ -384,6 +384,12 @@ class _PropagatorSum:
     poles: np.ndarray  # (P, nb) root exponents sigma
     pole_weights: np.ndarray  # (P, nb) W, or 0 where the root is left out
     pole_couplings: np.ndarray  # (P, nb) s sigma W/(alpha lambda), of tau e^{sigma tau}
+    # what the sums were built and checked for: alpha, lambda, s, lags [tau_min, T]
+    alpha: float
+    lam: np.ndarray
+    coupling: np.ndarray
+    tau_min: float
+    T: float
 
     def at(self, tau: np.ndarray) -> np.ndarray:
         """The summed blocks at lags ``tau``, shape (len(tau), nb, 2, 2)."""
@@ -421,7 +427,7 @@ def _propagator_sum(m: AlmostSectorialModel, alpha: float, tau_min: float, T: fl
     x_hi = float(np.max(log_lam - spread - log_eps)) / alpha
     cut = _Cut(alpha, lam)
     shifts, gaps = cut.gaps(x_lo)
-    x0 = float(shifts[int(np.argmax(np.min(gaps, axis=1))), 0])
+    x0 = float(shifts[int(np.argmax(np.min(gaps, axis=1)))])
     j = np.arange(_mode_count(x0, x_hi, _CUT_STEP, f"E_{alpha}"))[:, None]
     r, weights, poles, pole_weights = cut.modes(1.0, x0, j)
     ds = m.coupling / (alpha * lam)
@@ -432,6 +438,7 @@ def _propagator_sum(m: AlmostSectorialModel, alpha: float, tau_min: float, T: fl
         poles=poles,
         pole_weights=pole_weights,
         pole_couplings=poles * pole_weights * ds,
+        alpha=alpha, lam=lam, coupling=m.coupling, tau_min=tau_min, T=T,
     )
     _check_propagator_sum(es, m, alpha, np.geomspace(tau_min, T, _SUM_CHECK_LAGS))
     return es
@@ -485,13 +492,17 @@ def duhamel_convolve(
     (built here when omitted); stage 2 is ``rl_integral`` of the
     piecewise-linear q.  Both cost O(n K) for K modes.  The value at t = 0 is
     exactly 0.  Raises ``ValueError`` if f does not have the model's
-    dimension or an exponential sum misses its accuracy target.
+    dimension, if ``sums`` were built for another model, alpha or lag range
+    than f's grid needs, or if an exponential sum misses its accuracy target.
     """
     d = m.dimension
     if f.dimension != d:
         raise ValueError(f"forcing dimension {f.dimension} != model dimension {d}")
     es = propagator_sum(m, alpha, f.grid) if sums is None else sums
     t = f.grid.nodes()
+    built = np.array_equal(es.lam, m.lam) and np.array_equal(es.coupling, m.coupling)
+    if not built or es.alpha != alpha or np.diff(t).min() < es.tau_min or t[-1] > es.T:
+        raise ValueError("the exponential sums were built for another model, alpha or grid")
     q = np.zeros_like(f.values)
     coupled = bool(np.any(m.coupling))
     modes = (

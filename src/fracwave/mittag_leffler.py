@@ -83,7 +83,8 @@ _CUT_STEP = 2.0 * math.pi * _CUT_STRIP / (
     math.log(1.0 + 4.0 / (_CUT_GAP - _CUT_STRIP)) - math.log(_CUT_EPS)
 )
 
-#: lattice offsets, in steps, tried to keep the corrected poles off the nodes
+#: lattice offsets, in fractions of a step, tried to keep the corrected poles
+#: of the blocks sharing one lattice off its nodes
 _OFFSETS = 16
 
 #: a tile of the cut sums, nodes times points, holds about this many bytes
@@ -429,13 +430,13 @@ class _Cut:
     def _near(self, d):
         return np.exp(-np.abs(self.depth) + 2j * math.pi * self.turn * d / _CUT_STEP)
 
-    def gaps(self, x_ref):
-        """Lattice origins, ``_OFFSETS`` fractions of a step below ``x_ref``
-        (a scalar, or one per column), shape (offsets, 1) or (offsets, nb),
+    def gaps(self, x_ref: float):
+        """Lattice origins, ``_OFFSETS`` fractions of a step below ``x_ref``,
         and for each origin and column the least |1 - e| over the column's
-        poles in the strip (+inf without one): how far they stay from a node."""
-        shifts = x_ref - (_CUT_STEP * np.arange(_OFFSETS) / _OFFSETS)[:, None]
-        dist = np.abs(1.0 - self._near(shifts[:, None] - self.log_sigma))
+        poles in the strip (+inf without one), shape (offsets, nb): how far
+        they stay from a node."""
+        shifts = x_ref - _CUT_STEP * np.arange(_OFFSETS) / _OFFSETS
+        dist = np.abs(1.0 - self._near(shifts[:, None, None] - self.log_sigma))
         return shifts, np.min(np.where(self.keep, dist, np.inf), axis=1)
 
     def modes(self, delta: float, x0, j: np.ndarray):
@@ -505,9 +506,10 @@ def _cut_sums(alpha: float, delta: float, z: np.ndarray, order: int):
             cut = _Cut(alpha, -zt)
             # each point's lattice has its origin next to log|sigma|, so that
             # the nodes by its poles carry the rounding of a few steps, not of
-            # |x_lo| steps, which the poles' nearly singular terms amplify
-            shifts, gaps = cut.gaps(cut.log_sigma)
-            x0 = shifts[np.argmax(gaps, axis=0), cut.cols]
+            # |x_lo| steps, which the poles' nearly singular terms amplify; its
+            # poles all sit one fraction o of a step off the nodes, and each
+            # |1 - rho e^{-+2 pi i o}|, rho <= 1, is largest at o = 1/2
+            x0 = cut.log_sigma - 0.5 * _CUT_STEP
             j = np.floor((x_lo - x0) / _CUT_STEP).astype(int) + steps
             rates, w, sigma, pw = cut.modes(delta, x0, j)
             nodes, poles = w * np.exp(-rates), pw * np.exp(sigma)

@@ -14,11 +14,11 @@ measurements are independent of quadrature resolution.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .contour import ContourSpec, HankelSpec, calculus_apply, default_contour, hankel_propagator
+from .contour import HankelSpec, calculus_apply, default_contour, hankel_propagator
 from .fractional import Kernel, TimeGrid, Trajectory, _csv, _trapezoid_weights, rl_integral
 from .mittag_leffler import BoundReport, MLParams, ml_derivative, ml_eval, reciprocal_gamma
 from .operator_model import (
@@ -57,7 +57,6 @@ class PropagatorHandle:
     alpha: float
     delta: float = 1.0
     representation: str = "gamma-path"
-    contour: ContourSpec | None = None
     hankel: HankelSpec | None = None
 
     def __post_init__(self) -> None:
@@ -74,44 +73,38 @@ class PropagatorHandle:
         if self.representation == "hankel-path" and self.delta != 1.0:
             raise ValueError("hankel-path representation requires delta = 1")
 
-    def params(self, delta_shift: int = 0) -> MLParams:
-        return MLParams(self.alpha, self.delta - delta_shift)
 
-    def default_hankel(self) -> HankelSpec:
-        theta0 = 0.5 * (
-            math.pi / 2.0 + (math.pi - self.model.profile.theta) / self.alpha
-        )
-        return HankelSpec(theta0=theta0)
+make_propagator = PropagatorHandle
 
 
-def make_propagator(
-    model: AlmostSectorialModel,
-    alpha: float,
-    delta: float = 1.0,
-    representation: str = "gamma-path",
-    contour: ContourSpec | None = None,
-    hankel: HankelSpec | None = None,
-) -> PropagatorHandle:
-    return PropagatorHandle(
-        model=model,
-        alpha=alpha,
-        delta=delta,
-        representation=representation,
-        contour=contour,
-        hankel=hankel,
-    )
-
-
-def _symbol(p: MLParams, t, alpha: float):
+def _symbol(p: MLParams, t):
     """Symbol z -> E_{alpha,delta}(-t^alpha z) and its z-derivative.
 
     ``t`` may be an array shaped to broadcast against z (e.g. ``ts[:, None]``
     against the eigenvalues), giving one symbol value per (t, z) pair.
     """
-    ta = t**alpha
+    ta = t**p.alpha
     f = lambda z: ml_eval(p, -ta * z)
     fp = lambda z: -ta * ml_derivative(p, -ta * z, 1)
     return f, fp
+
+
+def _apply(p: PropagatorHandle, t: float, x, delta: float, representation: str) -> np.ndarray:
+    """E_{alpha,delta}(-t^alpha A) x as ``prop_apply`` gives it, through
+    ``representation``, on the default Gamma_theta contour or, without
+    ``p.hankel``, the Hankel angle in the middle of (pi/2, (pi - theta)/alpha)."""
+    x = np.asarray(x, dtype=complex).ravel()
+    if t < 0:
+        raise ValueError(f"t must be nonnegative, got {t}")
+    if t == 0.0:
+        return reciprocal_gamma(delta) * x
+    if representation == "hankel-path":
+        theta0 = 0.5 * (math.pi / 2.0 + (math.pi - p.model.profile.theta) / p.alpha)
+        return hankel_propagator(p.model, p.alpha, t, p.hankel or HankelSpec(theta0=theta0), x)
+    f, fp = _symbol(MLParams(p.alpha, delta), t)
+    if representation == "oracle":
+        return spectral_apply(p.model, f, fp, x)
+    return calculus_apply(p.model, f, default_contour(p.model, t_alpha_scale=t**p.alpha), x)
 
 
 def propagator_snapshots(
@@ -124,7 +117,7 @@ def propagator_snapshots(
     t = grid.nodes()
     out = np.zeros((t.size, m.n_blocks, 2, 2), dtype=complex)
     out[0, :, 0, 0] = out[0, :, 1, 1] = reciprocal_gamma(delta)
-    out[1:] = spectral_matrices(m, *_symbol(MLParams(alpha, delta), t[1:, None], alpha))
+    out[1:] = spectral_matrices(m, *_symbol(MLParams(alpha, delta), t[1:, None]))
     return out
 
 
@@ -139,20 +132,7 @@ def prop_apply(p: PropagatorHandle, t: float, x) -> np.ndarray:
     t = 0 returns the limit x / Gamma(delta); in finite dimension every
     vector lies in D(A), where the limit is guaranteed.
     """
-    x = np.asarray(x, dtype=complex).ravel()
-    if t < 0:
-        raise ValueError(f"t must be nonnegative, got {t}")
-    if t == 0.0:
-        return reciprocal_gamma(p.delta) * x
-    params = p.params()
-    f, fp = _symbol(params, t, p.alpha)
-    if p.representation == "oracle":
-        return spectral_apply(p.model, f, fp, x)
-    if p.representation == "gamma-path":
-        c = p.contour or default_contour(p.model, t_alpha_scale=t**p.alpha)
-        return calculus_apply(p.model, f, c, x)
-    h = p.hankel or p.default_hankel()
-    return hankel_propagator(p.model, p.alpha, t, h, x)
+    return _apply(p, t, x, p.delta, p.representation)
 
 
 @dataclass(frozen=True)
@@ -186,7 +166,7 @@ def _norm_sweep(
     if ts.size < 2 or np.any(ts <= 0):
         raise ValueError("need at least two positive t values")
     lam = p.model.lam
-    f, fp = _symbol(MLParams(p.alpha, delta), ts[:, None], p.alpha)
+    f, fp = _symbol(MLParams(p.alpha, delta), ts[:, None])
     g, gp = weight(lam, f(lam), fp(lam))
     norms = model_norm_of_function(p.model, lambda _: g, lambda _: gp)
     return _fit_decay(ts, norms * ts**power)
@@ -225,14 +205,8 @@ def prop_time_derivative(p: PropagatorHandle, t: float, n: int, x) -> np.ndarray
         raise ValueError("derivative order must be nonnegative")
     if t <= 0:
         raise ValueError(f"t must be positive, got {t}")
-    x = np.asarray(x, dtype=complex).ravel()
-    params = p.params(delta_shift=n)
-    f, fp = _symbol(params, t, p.alpha)
-    pref = t ** (p.delta - n - 1.0)
-    if p.representation == "gamma-path":
-        c = p.contour or default_contour(p.model, t_alpha_scale=t**p.alpha)
-        return pref * calculus_apply(p.model, f, c, x)
-    return pref * spectral_apply(p.model, f, fp, x)
+    rep = "gamma-path" if p.representation == "gamma-path" else "oracle"
+    return t ** (p.delta - n - 1.0) * _apply(p, t, x, p.delta - n, rep)
 
 
 def a_prop_apply(
@@ -250,31 +224,9 @@ def a_prop_apply(
         return op_apply(p.model, prop_apply(p, t, x))
     if via != "contour":
         raise ValueError(f"unknown via={via!r}")
-    f, _ = _symbol(p.params(), t, p.alpha)
+    f, _ = _symbol(MLParams(p.alpha, p.delta), t)
     g = lambda z: z * f(z)
-    c = p.contour or default_contour(p.model, t_alpha_scale=t**p.alpha)
-    return calculus_apply(p.model, g, c, x)
-
-
-def _oracle_handle(p: PropagatorHandle, delta: float | None = None) -> PropagatorHandle:
-    return PropagatorHandle(
-        model=p.model,
-        alpha=p.alpha,
-        delta=p.delta if delta is None else delta,
-        representation="oracle",
-    )
-
-
-def _conv_kernel_prop(p: PropagatorHandle, t: float, kernel_order: float, x) -> np.ndarray:
-    """(g_beta * E_alpha)(t) x, evaluated exactly through the symbol identity
-
-        (g_beta * E_{alpha,1})(t) = t^{beta} E_{alpha,1+beta}(-t^alpha A)
-
-    valid for any beta > 0 (termwise integration of the series).
-    """
-    params = MLParams(p.alpha, 1.0 + kernel_order)
-    f, fp = _symbol(params, t, p.alpha)
-    return t**kernel_order * spectral_apply(p.model, f, fp, x)
+    return calculus_apply(p.model, g, default_contour(p.model, t_alpha_scale=t**p.alpha), x)
 
 
 def laplace_check(p: PropagatorHandle, lam: float, x, nodes_per_decade: int = 48) -> float:
@@ -299,7 +251,7 @@ def laplace_check(p: PropagatorHandle, lam: float, x, nodes_per_decade: int = 48
     # the t integral is the symbol sum_j q_j E_alpha(-t_j^alpha z), one row
     # of t nodes per eigenvalue
     q = _trapezoid_weights(np.log(ts)) * ts * np.exp(-lam * ts)
-    f, fp = _symbol(MLParams(p.alpha, 1.0), ts, p.alpha)
+    f, fp = _symbol(MLParams(p.alpha, 1.0), ts)
     lam_col = p.model.lam[:, None]
     fv = np.sum(q * f(lam_col), axis=1)
     dv = np.sum(q * fp(lam_col), axis=1)
@@ -328,10 +280,10 @@ def derivative_identity_check(
     x = np.asarray(x, dtype=complex).ravel()
     if np.all(x == 0):
         return 0.0
-    oracle = _oracle_handle(p, delta=1.0)
-    lhs = prop_time_derivative(oracle, t, 1, x)
+    lhs = prop_time_derivative(replace(p, delta=1.0, representation="oracle"), t, 1, x)
     if method == "oracle":
-        conv = _conv_kernel_prop(oracle, t, p.alpha - 1.0, x)
+        # (g_beta * E_alpha)(t) = t^beta E_{alpha,1+beta}(-t^alpha A), beta = alpha - 1
+        conv = t ** (p.alpha - 1.0) * _apply(p, t, x, p.alpha, "oracle")
     elif method == "grid":
         conv = _grid_convolution(p, t, p.alpha - 1.0, x, n_grid)
     else:
@@ -358,15 +310,15 @@ def uno_identity_check(
     nx = np.linalg.norm(x)
     if nx == 0.0:
         return 0.0
-    oracle = _oracle_handle(p, delta=1.0)
     if method == "oracle":
-        conv = _conv_kernel_prop(oracle, t, p.alpha, x)
+        # (g_beta * E_alpha)(t) = t^beta E_{alpha,1+beta}(-t^alpha A), beta = alpha
+        conv = t**p.alpha * _apply(p, t, x, 1.0 + p.alpha, "oracle")
     elif method == "grid":
         conv = _grid_convolution(p, t, p.alpha, x, n_grid)
     else:
         raise ValueError(f"unknown method {method!r}")
     lhs = op_apply(p.model, conv)
-    rhs = x - prop_apply(oracle, t, x)
+    rhs = x - _apply(p, t, x, 1.0, "oracle")
     return float(np.linalg.norm(lhs - rhs) / nx)
 
 

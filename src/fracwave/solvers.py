@@ -301,35 +301,56 @@ class HoelderEstimate:
     degenerate: bool
 
 
+#: values of f per block of node pairs in ``hoelder_modulus``
+_PAIR_BLOCK = 1 << 16
+
+
+def _node_pairs(f: Trajectory, floor: float):
+    """The gaps t_j - t_i > 0 and distances ||f(t_j) - f(t_i)|| > floor of the
+    node pairs i < j, by lag offset j - i, in blocks of at most
+    ``_PAIR_BLOCK`` values."""
+    t, vals = f.grid.nodes(), f.values
+    # offset k = j - i holds the pairs starts[k - 1] <= p < starts[k]
+    starts = np.concatenate([[0], np.cumsum(np.arange(t.size - 1, 0, -1))])
+    rows = max(1, _PAIR_BLOCK // vals.shape[1])
+    for lo in range(0, starts[-1], rows):
+        p = np.arange(lo, min(lo + rows, starts[-1]))
+        k = np.searchsorted(starts, p, side="right")
+        i = p - starts[k - 1]
+        gaps, diffs = t[i + k] - t[i], np.linalg.norm(vals[i + k] - vals[i], axis=1)
+        good = (diffs > floor) & (gaps > 0)
+        yield gaps[good], diffs[good]
+
+
 def hoelder_modulus(f: Trajectory, n_bins: int = 24) -> HoelderEstimate:
     """Empirical Hoelder exponent from the worst-case modulus of continuity.
 
     Node pairs are binned by log gap; the fit runs on the per-bin maximum
     of ||f(t) - f(s)|| (the modulus is a sup, so an all-pairs fit would be
-    biased toward the smooth-interior slope 1).
+    biased toward the smooth-interior slope 1).  The pairs are streamed
+    twice, for the bin edges and then for the maxima, so memory does not
+    grow with their number.
     """
-    t = f.grid.nodes()
-    if t.size < 8:
+    n = f.grid.n_steps + 1
+    if n < 8:
         raise ValueError("need at least 8 samples")
-    vals = f.values
-    scale = float(np.max(np.abs(vals))) + 1e-300
-    idx_i, idx_j = np.triu_indices(t.size, k=1)
-    gaps = t[idx_j] - t[idx_i]
-    diffs = np.linalg.norm(vals[idx_j] - vals[idx_i], axis=1)
-    good = (diffs > 1e-13 * scale) & (gaps > 0)
-    if np.count_nonzero(good) < idx_i.size // 2:
+    floor = 1e-13 * (float(np.max(np.abs(f.values))) + 1e-300)
+    n_good, lo, hi = 0, math.inf, -math.inf
+    for gaps, _ in _node_pairs(f, floor):
+        n_good += gaps.size
+        lo, hi = min(lo, gaps.min(initial=math.inf)), max(hi, gaps.max(initial=-math.inf))
+    if n_good < n * (n - 1) // 4:
         return HoelderEstimate(nu=1.0, degenerate=True)
-    gaps, diffs = gaps[good], diffs[good]
-    edges = np.geomspace(gaps.min(), gaps.max() * (1 + 1e-12), n_bins + 1)
-    which = np.clip(np.searchsorted(edges, gaps, side="right") - 1, 0, n_bins - 1)
-    xs, ys = [], []
-    for b in range(n_bins):
-        mask = which == b
-        if np.any(mask):
-            xs.append(math.log(math.sqrt(edges[b] * edges[b + 1])))
-            ys.append(math.log(float(diffs[mask].max())))
-    if len(xs) < 4:
+    edges = np.geomspace(lo, hi * (1 + 1e-12), n_bins + 1)
+    peak = np.zeros(n_bins)  # every distance kept exceeds floor > 0
+    for gaps, diffs in _node_pairs(f, floor):
+        which = np.clip(np.searchsorted(edges, gaps, side="right") - 1, 0, n_bins - 1)
+        np.maximum.at(peak, which, diffs)
+    filled = np.flatnonzero(peak)
+    if filled.size < 4:
         return HoelderEstimate(nu=1.0, degenerate=True)
+    xs = [math.log(math.sqrt(edges[b] * edges[b + 1])) for b in filled]
+    ys = [math.log(float(peak[b])) for b in filled]
     slope = float(np.polyfit(xs, ys, 1)[0])
     return HoelderEstimate(nu=slope, degenerate=False)
 

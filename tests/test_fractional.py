@@ -13,6 +13,7 @@ from fracwave.fractional import (
     Trajectory,
     caputo_derivative,
     duhamel_convolve,
+    propagator_sum,
     rl_integral,
     trajectory_from_csv,
     trajectory_to_csv,
@@ -196,6 +197,20 @@ class TestDuhamel:
         f = make_traj(grid, lambda t: [t, 1.0, 0.0])
         with pytest.raises(ValueError):
             duhamel_convolve(build_scalar_model(1.0), 1.5, f)
+
+    @pytest.mark.parametrize("built_for", ["model", "alpha", "step", "horizon"])
+    def test_rejects_sums_built_for_another_problem(self, built_for):
+        grid, m, alpha = TimeGrid(1.0, 64), build_scalar_model(2.0), 1.5
+        sums = {
+            "model": lambda: propagator_sum(build_scalar_model(5.0), alpha, grid),
+            "alpha": lambda: propagator_sum(m, 1.2, grid),
+            # checked on lags from a coarser grid's shortest step, or up to T = 0.5
+            "step": lambda: propagator_sum(m, alpha, TimeGrid(1.0, 32)),
+            "horizon": lambda: propagator_sum(m, alpha, TimeGrid(0.5, 64)),
+        }[built_for]()
+        f = make_traj(grid, lambda t: [math.sin(3.0 * t), t])
+        with pytest.raises(ValueError):
+            duhamel_convolve(m, alpha, f, sums)
 
 
 def direct_rl(beta, u):

@@ -10,6 +10,7 @@ from fracwave.operator_model import apply as op_apply
 from fracwave.operator_model import build_ladder_model, build_scalar_model, resolvent_apply
 from fracwave.propagators import (
     DecayReport,
+    PropagatorHandle,
     a_prop_apply,
     a_prop_norm_decay,
     conv_norm_decay,
@@ -75,6 +76,12 @@ class TestHandle:
         assert np.allclose(prop_apply(p2, 0.0, x), x)  # 1/Gamma(2) = 1
         with pytest.raises(ValueError):
             prop_apply(p1, -1.0, x)
+
+    def test_make_propagator_is_the_handle(self):
+        m = ladder()
+        assert make_propagator(m, ALPHA, delta=2.0, representation="oracle") == PropagatorHandle(
+            m, ALPHA, 2.0, "oracle"
+        )
 
 
 class TestRepresentationsAgree:
@@ -263,6 +270,16 @@ class TestIdentities:
         x = rand_vec(m)
         p = make_propagator(m, ALPHA, representation="oracle")
         assert uno_identity_check(p, 1.0, x) <= 1e-5
+
+    def test_oracle_identities_ignore_the_representation(self):
+        # both identity checks evaluate through the oracle, whatever the handle
+        m = ladder()
+        x = rand_vec(m)
+        reps = ("oracle", "gamma-path", "hankel-path")
+        handles = [make_propagator(m, ALPHA, representation=r) for r in reps]
+        for check in (uno_identity_check, derivative_identity_check):
+            got = {check(p, 1.0, x, method="oracle") for p in handles}
+            assert len(got) == 1, (check.__name__, got)
 
     def test_uno_identity_grid_scalar(self):
         m = build_scalar_model(2.0)

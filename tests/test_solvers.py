@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -284,6 +285,45 @@ class TestHoelderModulus:
     def test_too_few_samples(self):
         with pytest.raises(ValueError):
             hoelder_modulus(self.grid_func(lambda t: t, n=4))
+
+    @staticmethod
+    def all_pairs_nu(f, n_bins=24):
+        """The estimate with every node pair held at once."""
+        t, vals = f.grid.nodes(), f.values
+        scale = float(np.max(np.abs(vals))) + 1e-300
+        i, j = np.triu_indices(t.size, k=1)
+        gaps, diffs = t[j] - t[i], np.linalg.norm(vals[j] - vals[i], axis=1)
+        good = (diffs > 1e-13 * scale) & (gaps > 0)
+        if np.count_nonzero(good) < i.size // 2:
+            return 1.0
+        gaps, diffs = gaps[good], diffs[good]
+        edges = np.geomspace(gaps.min(), gaps.max() * (1 + 1e-12), n_bins + 1)
+        which = np.clip(np.searchsorted(edges, gaps, side="right") - 1, 0, n_bins - 1)
+        xs, ys = [], []
+        for b in range(n_bins):
+            if np.any(which == b):
+                xs.append(math.log(math.sqrt(edges[b] * edges[b + 1])))
+                ys.append(math.log(float(diffs[which == b].max())))
+        return float(np.polyfit(xs, ys, 1)[0]) if len(xs) >= 4 else 1.0
+
+    @pytest.mark.parametrize("n,dim,grading", [(64, 1, 1.0), (150, 3, 2.0), (300, 1, 2.0)])
+    def test_matches_all_pairs(self, n, dim, grading):
+        g = TimeGrid(1.0, n, grading=grading)
+        rng = np.random.default_rng(n)
+        walk = np.cumsum(rng.standard_normal((n + 1, dim)), axis=0)
+        f = Trajectory(g, np.sqrt(g.nodes())[:, None] + 0.01 * walk)
+        assert hoelder_modulus(f).nu == self.all_pairs_nu(f)
+
+    def test_memory_stays_bounded(self):
+        f = self.grid_func(lambda t: t**0.5, n=2048)
+        tracemalloc.start()
+        try:
+            est = hoelder_modulus(f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert abs(est.nu - 0.5) <= 0.05
+        assert peak < 32 * 2**20
 
 
 class TestResidualCsv:

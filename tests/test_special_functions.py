@@ -432,6 +432,21 @@ class TestCutRegime:
         assert accepted >= 0.95 * total
         assert fallback == []
 
+    def test_half_step_keeps_every_pole_off_the_nodes(self):
+        # relative to an origin o/16 of a step below log|sigma|, all of a
+        # point's poles sit at the same fraction of a step from the nodes, so
+        # the origin half a step below, which ``_cut_sums`` takes without a
+        # search, is the best of the offsets for all of them at once
+        rng = np.random.default_rng(20261018)
+        half = mittag_leffler._OFFSETS // 2
+        for a in (1.05, 1.2, 1.5, 1.8, 1.95):
+            r = np.exp(rng.uniform(0.0, math.log(1e4), 200))
+            for z in r * np.exp(1j * rng.uniform(-math.pi, math.pi, 200)):
+                cut = mittag_leffler._Cut(a, np.array([-z]))
+                shifts, gaps = cut.gaps(float(cut.log_sigma[0]))
+                assert shifts[half] == cut.log_sigma[0] - 0.5 * mittag_leffler._CUT_STEP
+                assert gaps[half, 0] >= (1.0 - 1e-15) * np.max(gaps[:, 0]), (a, z)
+
     def test_readme_ladder_needs_no_fallback(self, monkeypatch):
         # the oracle sweeps and the Laplace check of ``fracwave verify`` on the
         # README ladder: all their mid-band points are served by the cut
