@@ -1,19 +1,23 @@
 """Two-parameter Mittag-Leffler function on the complex plane.
 
-Values and derivatives of every order 0..4 share one array kernel.  A
-scalar argument is a 0-d array; an array is cut into chunks of at most
-``_CHUNK`` points, so the working memory does not grow with the call.  Each
-point of a chunk lands in one of four regimes, tried in turn, and its
-result does not depend on the other points of the chunk:
+Values and derivatives of every order 0..4 share one array kernel, and one
+call serves any set of orders at the same points: ``ml_eval`` asks for order
+0, ``ml_derivative`` for one order, and the spectral symbols of
+``propagators`` for orders 0 and 1 together.  A scalar argument is a 0-d
+array; an array is cut into chunks of at most ``_CHUNK`` points, so the
+working memory does not grow with the call.  Each point of a chunk lands,
+for each order, in one of four regimes, tried in turn, and its result does
+not depend on the other points of the chunk or on the other orders asked
+for:
 
 * ``|z| <= min(12, 8**alpha)``: the termwise differentiated Taylor series
-  in doubles, by one numpy Horner loop over every point of the disc.  Each
-  point sums only the terms its modulus needs (``_series_table``).  The
-  same loop accumulates ``S = sum |c_k| |z|^k``, and a point is accepted
-  only if ``8 * 2**-53 * S <= tol * |value|``, the Horner error bound in the
-  running form of Higham, *Accuracy and Stability of Numerical
-  Algorithms*, section 5.1; the factor 8 also covers the rounding of the
-  coefficients.
+  in doubles, by one numpy Horner loop per order over every point of the
+  disc.  Each point sums only the terms its modulus needs
+  (``_series_table``).  The same loop accumulates ``S = sum |c_k| |z|^k``,
+  and a point is accepted only if ``8 * 2**-53 * S <= tol * |value|``, the
+  Horner error bound in the running form of Higham, *Accuracy and
+  Stability of Numerical Algorithms*, section 5.1; the factor 8 also covers
+  the rounding of the coefficients.
 * outside the disc, orders 0 and 1: algebraic asymptotic series truncated
   at its smallest term, plus the exponential branch contributions
   ``(1/alpha) s^(1-delta) exp(s)`` for every branch
@@ -21,15 +25,19 @@ result does not depend on the other points of the chunk:
   The branch terms decay in the sector ``mu <= |arg z| <= pi`` but are kept
   because they dominate the truncation error of the algebraic tail at
   moderate modulus.  The coefficients and envelope terms are cached per
-  ``(alpha, delta)``; each point stops at its own smallest term.
-* the points of orders 0 and 1 that both reject, for 1 < alpha < 2: the
+  ``(alpha, delta)``; each point stops at its own smallest term.  One term
+  loop serves both orders, each with its own stopping lanes.
+* the points of orders 0 and 1 that the series and the expansion both
+  reject, for 1 < alpha < 2: the
   residues plus the real-axis integral along the branch cut (``_Cut``) at
   tau = 1, the representation the Duhamel term's exponential sums are built
-  from, accepted on the running bound of the series.
+  from, accepted on the running bound of the series.  One pass over the
+  points either order left serves both, since the first derivative's sums
+  hold the value's.
 * everything else, in practice orders 2..4 outside the disc and alpha
   outside (1, 2), falls back one point at a time to an arbitrary-precision
   Taylor sum in mpmath, with the working precision chosen from the largest
-  series term.
+  series term.  mpmath is imported on the first such point.
 
 All branch powers use the principal argument in ``(-pi, pi]``.
 """
@@ -38,9 +46,9 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 
-import mpmath
 import numpy as np
 
 __all__ = [
@@ -205,11 +213,12 @@ def _asymptotic_table(alpha: float, delta: float):
 
 def _exponential_branch_terms(alpha: float, delta: float, z, r, order: int):
     """Sum of residue contributions (1/alpha) s^(1-delta) e^s over admissible
-    branches, for ``order`` 1 the same sum differentiated in z, and a bound on
-    the Stokes-line error of the ``order``-th sum: a branch switches on across
-    |arg s| = pi by (1/2) erfc(sqrt(|s|/2) (pi - |arg s|)) (Berry smoothing),
-    not by a step, so each branch with |arg s| < 3 pi/2 adds its term times
-    (1/2) e^{-|s| u^2 / 2}, u = |arg s| - pi, a bound of that erfc."""
+    branches, for ``order`` 1 the same sum differentiated in z, and, row k
+    for k <= ``order``, a bound on the Stokes-line error of the k-th sum: a
+    branch switches on across |arg s| = pi by (1/2) erfc(sqrt(|s|/2) (pi -
+    |arg s|)) (Berry smoothing), not by a step, so each branch with
+    |arg s| < 3 pi/2 adds its term times (1/2) e^{-|s| u^2 / 2},
+    u = |arg s| - pi, a bound of that erfc."""
     phi = np.arctan2(z.imag, z.real)
     root = r ** (1.0 / alpha)
     val = np.zeros_like(z)
@@ -222,8 +231,10 @@ def _exponential_branch_terms(alpha: float, delta: float, z, r, order: int):
     cu = np.cos(u)
     log_term = (1.0 - delta) * np.log(root) - math.log(2.0 * alpha)
     bound = np.exp(np.where(u < 0.5 * math.pi, log_term - root * (cu + 0.5 * u * u), -np.inf))
+    stokes = [bound.sum(axis=0)]
     if order:
-        bound *= np.hypot(1.0 - delta - root * cu, root * np.sin(u)) / (alpha * r)
+        bound = bound * (np.hypot(1.0 - delta - root * cu, root * np.sin(u)) / (alpha * r))
+        stokes.append(bound.sum(axis=0))
     for ang in angs:
         live = np.abs(ang) <= math.pi * (1.0 + 1e-14)
         if not live.any():
@@ -243,7 +254,7 @@ def _exponential_branch_terms(alpha: float, delta: float, z, r, order: int):
         if order:
             # d/dz of (1/alpha) s^(1-delta) e^s with ds/dz = s/(alpha z)
             dval += base * (1.0 - delta + (re + 1j * im)) / (alpha * z)
-    return val, dval, bound.sum(axis=0)
+    return val, dval, stokes
 
 
 def _smaller_part(v: np.ndarray, real_axis: np.ndarray) -> np.ndarray:
@@ -252,25 +263,32 @@ def _smaller_part(v: np.ndarray, real_axis: np.ndarray) -> np.ndarray:
     return np.where(real_axis, re, np.minimum(re, np.abs(v.imag)))
 
 
-def _asymptotic(alpha: float, delta: float, z: np.ndarray, r: np.ndarray, order: int):
-    """Algebraic expansion + exponential branches; returns (values, accepted).
+def _asymptotic(alpha: float, delta: float, z: np.ndarray, r: np.ndarray, orders):
+    """Algebraic expansion + exponential branches for each of ``orders``
+    (0, 1 or both); returns (values, accepted), one row per order.
 
     Each point stops at its own smallest term.  Terms whose Gamma argument
     sits exactly on a pole vanish and are excluded from the smallest-term
-    truncation logic.
+    truncation logic.  The envelopes, powers and branch terms are shared;
+    each order keeps its own lanes, sums and smallest term, so a row is the
+    one that order alone would give.
     """
     coefs, log_envelope = _asymptotic_table(alpha, delta)
     real_axis = z.imag == 0.0  # every term is real there
     inv = 1.0 / z
     log_absz = np.log(r)
-    total = np.zeros_like(z)
-    dtotal = np.zeros_like(z)
+    # per order: the lanes still summing, the algebraic sum and that of its
+    # derivative (order 1 only), the smallest envelope term so far and
+    # whether every term taken sat on a Gamma pole
+    active = [np.ones(r.shape, dtype=bool) for _ in orders]
+    total = [np.zeros_like(z) for _ in orders]
+    dtotal = [np.zeros_like(z) for _ in orders]
+    smallest_env = [np.full(r.shape, np.inf) for _ in orders]
+    all_poles = [np.ones(r.shape, dtype=bool) for _ in orders]
+    derivative = 1 in orders
     zk = inv
     prev_env = np.inf
-    smallest_env = np.full(r.shape, np.inf)
     env_sum = 0.0
-    all_poles = np.ones(r.shape, dtype=bool)
-    active = np.ones(r.shape, dtype=bool)
     # lanes past their last term keep running in the arithmetic below; their
     # overflows and NaNs are masked out
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -281,22 +299,33 @@ def _asymptotic(alpha: float, delta: float, z: np.ndarray, r: np.ndarray, order:
             log_env = h - k * log_absz
             env = np.where(log_env < 700.0, np.exp(log_env), np.inf)
             if k > 2:
-                active &= ~(env > prev_env)
-                if not active.any():
+                falling = ~(env > prev_env)
+                for lanes in active:
+                    lanes &= falling
+                if not any(lanes.any() for lanes in active):
                     break
             if coef != 0.0 and math.isfinite(coef):
-                live = active & (zk != 0.0)
-                all_poles &= ~live
-                total = np.where(live, total - zk * coef, total)
-                if order:
-                    dtotal = np.where(live, dtotal + k * zk * inv * coef, dtotal)
+                nonzero = zk != 0.0
+                term = zk * coef
+                for i, order in enumerate(orders):
+                    live = active[i] & nonzero
+                    all_poles[i] &= ~live
+                    total[i] = np.where(live, total[i] - term, total[i])
+                    if order:
+                        dtotal[i] = np.where(live, dtotal[i] + k * zk * inv * coef, dtotal[i])
             prev_env = env
             # an order-1 lane is judged on its derivative's envelope (k + 1) env / |z|
-            env_k = env * (k + 1) / r if order else env
-            smallest_env = np.where(active, np.minimum(smallest_env, env_k), smallest_env)
+            env_d = env * (k + 1) / r if derivative else None
+            for i, order in enumerate(orders):
+                env_k = env_d if order else env
+                smallest_env[i] = np.where(
+                    active[i], np.minimum(smallest_env[i], env_k), smallest_env[i]
+                )
             zk = zk * inv
             if k > 2:
-                active &= zk != 0.0
+                nonzero = zk != 0.0
+                for lanes in active:
+                    lanes &= nonzero
             env_sum = env_sum + env  # bounds |total|
             if k > 1 and k & (k - 1) == 0 and np.any(env < _NEGLIGIBLE * env_sum):
                 # every later term is below its envelope, which does not rise
@@ -305,19 +334,26 @@ def _asymptotic(alpha: float, delta: float, z: np.ndarray, r: np.ndarray, order:
                 # both parts of the sum, no later term changes a bit of it.
                 # A lane that qualifies stays qualified, so checking at powers
                 # of two is enough.
-                negligible = env < _NEGLIGIBLE * _smaller_part(total, real_axis)
-                if order:
-                    bound = len(coefs) * env / r
-                    negligible &= bound < _NEGLIGIBLE * _smaller_part(dtotal, real_axis)
-                active &= ~negligible
-        exp_val, exp_dval, stokes = _exponential_branch_terms(alpha, delta, z, r, order)
-        value, part = (dtotal + exp_dval, dtotal) if order else (total + exp_val, total)
-        # every algebraic coefficient on a Gamma pole (e.g. alpha = 1): the
-        # branch terms are then the exact value, with no Stokes line
-        err = smallest_env / (np.abs(value) + np.abs(part)) + stokes / np.abs(value)
-        err = np.where(all_poles, 0.0, err)
-    ok = err <= (10.0 * _ASYMPTOTIC_RTOL if order else _ASYMPTOTIC_RTOL)
-    return value, ok
+                for i, order in enumerate(orders):
+                    negligible = env < _NEGLIGIBLE * _smaller_part(total[i], real_axis)
+                    if order:
+                        bound = len(coefs) * env / r
+                        negligible &= bound < _NEGLIGIBLE * _smaller_part(dtotal[i], real_axis)
+                    active[i] &= ~negligible
+        exp_val, exp_dval, stokes = _exponential_branch_terms(
+            alpha, delta, z, r, int(derivative)
+        )
+        values, accepted = [], []
+        for i, order in enumerate(orders):
+            part = dtotal[i] if order else total[i]
+            value = part + (exp_dval if order else exp_val)
+            err = smallest_env[i] / (np.abs(value) + np.abs(part)) + stokes[order] / np.abs(value)
+            # every algebraic coefficient on a Gamma pole (e.g. alpha = 1): the
+            # branch terms are then the exact value, with no Stokes line
+            err = np.where(all_poles[i], 0.0, err)
+            values.append(value)
+            accepted.append(err <= (10.0 * _ASYMPTOTIC_RTOL if order else _ASYMPTOTIC_RTOL))
+    return values, accepted
 
 
 @functools.lru_cache(maxsize=64)
@@ -329,6 +365,8 @@ def _coefficient_prefix(alpha: float, delta: float, dps: int) -> list:
 
 def _mp_coefficients(alpha: float, delta: float, n: int, dps: int) -> list:
     """The first ``n`` values ``1/Gamma(alpha k + delta)`` at ``dps`` digits."""
+    import mpmath  # loaded on the first fallback point, not with the module
+
     coef = _coefficient_prefix(alpha, delta, dps)
     if len(coef) < n:
         with mpmath.workdps(dps):
@@ -344,6 +382,8 @@ def _series_mp(alpha: float, delta: float, z: complex, order: int = 0) -> comple
     and is doubled while cancellation still swamps the result; the term
     count is grown while the last term is not negligible.
     """
+    import mpmath
+
     z = complex(z)
     r = abs(z)
     peak_digits = int(0.4343 * r ** (1.0 / alpha)) + 10
@@ -538,60 +578,93 @@ def _cut_sums(alpha: float, delta: float, z: np.ndarray, order: int):
 
 
 def _cut(alpha: float, delta: float, z: np.ndarray, r: np.ndarray, order: int):
-    """The branch-cut representation at tau = 1, orders 0 and 1; returns
-    (values, accepted) on the running bound of ``_series``."""
+    """The branch-cut representation at tau = 1; returns (values, accepted),
+    row k the k-th derivative for k <= ``order`` (0 or 1), each row accepted
+    on the running bound of ``_series``."""
     values, bounds = _cut_sums(alpha, delta, z, order)
-    value = values[order]
-    tol = 1e-11 if order else 1e-13
-    ok = np.isfinite(value) & (_SERIES_BOUND * bounds[order] <= tol * np.abs(value))
-    return value, ok
+    tol = np.array([1e-13, 1e-11][: order + 1])[:, None]
+    ok = np.isfinite(values) & (_SERIES_BOUND * bounds <= tol * np.abs(values))
+    return values, ok
 
 
-def _ml_chunk(p: MLParams, z: np.ndarray, order: int) -> np.ndarray:
-    """The regime dispatch over one chunk of points, any order 0..4."""
+def _ml_chunk(p: MLParams, z: np.ndarray, orders: tuple) -> np.ndarray:
+    """The regime dispatch over one chunk of points; row i of the result is
+    the derivative of order ``orders[i]`` (0..4).  Each order keeps its own
+    set of points no regime has accepted yet.  The series runs once per
+    order; the asymptotic expansion and the cut sums run once for the orders
+    0 and 1 among them, the cut on every point one of them left."""
     r = np.abs(z)
-    out = np.empty_like(z)
-    rest = np.ones(z.shape, dtype=bool)  # points no regime has accepted yet
+    out = np.empty((len(orders),) + z.shape, dtype=complex)
+    rest = np.ones(out.shape, dtype=bool)  # points no regime has accepted yet
+
+    def accept(i, idx, value, ok):
+        out[i, idx[ok]] = value[ok]
+        rest[i, idx[ok]] = False
+
     # the float series loses ~log10(e) * r**(1/alpha) digits to cancellation
     # in the algebraic sector; the disc radius keeps that to ~4 digits
     disc = r <= min(12.0, 8.0**p.alpha)
-    regimes = [(disc, _series)]
-    if order <= 1:
-        regimes.append((~disc, _asymptotic))
-        if 1.0 < p.alpha < 2.0:
-            regimes.append((r >= 1.0, _cut))  # what both rejected, where its lattice holds
-    for mask, regime in regimes:
-        idx = np.flatnonzero(mask & rest)
+    idx = np.flatnonzero(disc)
+    if idx.size:
+        for i, order in enumerate(orders):
+            accept(i, idx, *_series(p.alpha, p.delta, z[idx], r[idx], order))
+    low = [(i, order) for i, order in enumerate(orders) if order <= 1]
+    if low:
+        idx = np.flatnonzero(~disc)
         if idx.size:
-            value, ok = regime(p.alpha, p.delta, z[idx], r[idx], order)
-            out[idx[ok]] = value[ok]
-            rest[idx[ok]] = False
-    for i in np.flatnonzero(rest):
-        out[i] = _series_mp(p.alpha, p.delta, complex(z[i]), order)
+            values, oks = _asymptotic(p.alpha, p.delta, z[idx], r[idx], [o for _, o in low])
+            for (i, _), value, ok in zip(low, values, oks):
+                accept(i, idx, value, ok)
+        if 1.0 < p.alpha < 2.0:
+            # what the series and the expansion left, where its lattice holds
+            idx = np.flatnonzero((r >= 1.0) & rest[[i for i, _ in low]].any(axis=0))
+            if idx.size:
+                top = max(order for _, order in low)
+                values, oks = _cut(p.alpha, p.delta, z[idx], r[idx], top)
+                for i, order in low:
+                    accept(i, idx, values[order], oks[order] & rest[i, idx])
+    for i, order in enumerate(orders):
+        for j in np.flatnonzero(rest[i]):
+            out[i, j] = _series_mp(p.alpha, p.delta, complex(z[j]), order)
     return out
 
 
-def _ml(p: MLParams, z, order: int):
+def _order(order) -> int:
+    try:
+        k = operator.index(order)
+    except TypeError:
+        raise ValueError(f"derivative order must be an integer, got {order}") from None
+    if not 0 <= k <= 4:
+        raise ValueError(f"derivative order must be in 0..4, got {order}")
+    return k
+
+
+def _ml(p: MLParams, z, orders) -> list:
+    """The derivatives of the given orders (each 0..4) at a scalar, or
+    elementwise over an array, from one regime dispatch: one complex or one
+    array shaped like ``z`` per order.  Each is bit-identical to the one
+    ``ml_derivative`` gives alone."""
+    orders = tuple(_order(k) for k in orders)
     z = _finite_array(z)
     flat = z.ravel()
-    out = np.empty_like(flat)
+    out = np.empty((len(orders), flat.size), dtype=complex)
     for lo in range(0, flat.size, _CHUNK):
-        out[lo : lo + _CHUNK] = _ml_chunk(p, flat[lo : lo + _CHUNK], order)
-    return complex(out[0]) if z.ndim == 0 else out.reshape(z.shape)
+        out[:, lo : lo + _CHUNK] = _ml_chunk(p, flat[lo : lo + _CHUNK], orders)
+    if z.ndim == 0:
+        return [complex(v[0]) for v in out]
+    return list(out.reshape((len(orders),) + z.shape))
 
 
 def ml_eval(p: MLParams, z):
     """Evaluate ``E_{alpha,delta}(z)`` at a scalar, or elementwise over an
     array (same shape out)."""
-    return _ml(p, z, 0)
+    return _ml(p, z, (0,))[0]
 
 
 def ml_derivative(p: MLParams, z, order: int):
-    """d^order/dz^order of ``E_{alpha,delta}(z)``, order <= 4, at a scalar
-    or elementwise over an array (same shape out)."""
-    if order < 0 or order > 4:
-        raise ValueError(f"derivative order must be in 0..4, got {order}")
-    return _ml(p, z, order)
+    """d^order/dz^order of ``E_{alpha,delta}(z)``, order an integer 0..4, at
+    a scalar or elementwise over an array (same shape out)."""
+    return _ml(p, z, (order,))[0]
 
 
 def ml_sector_bound_check(p: MLParams, mu: float, samples) -> BoundReport:

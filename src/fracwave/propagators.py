@@ -20,7 +20,7 @@ import numpy as np
 
 from .contour import HankelSpec, calculus_apply, default_contour, hankel_propagator
 from .fractional import Kernel, TimeGrid, Trajectory, _csv, _trapezoid_weights, rl_integral
-from .mittag_leffler import BoundReport, MLParams, ml_derivative, ml_eval, reciprocal_gamma
+from .mittag_leffler import BoundReport, MLParams, _ml, ml_eval, reciprocal_gamma
 from .operator_model import (
     AlmostSectorialModel,
     apply as op_apply,
@@ -77,16 +77,20 @@ class PropagatorHandle:
 make_propagator = PropagatorHandle
 
 
-def _symbol(p: MLParams, t):
-    """Symbol z -> E_{alpha,delta}(-t^alpha z) and its z-derivative.
+def _symbol_values(p: MLParams, t, lam):
+    """The symbol E_{alpha,delta}(-t^alpha z) and its z-derivative
+    -t^alpha E'_{alpha,delta}(-t^alpha z) at the eigenvalues ``lam``, as two
+    arrays from one Mittag-Leffler dispatch: the blockwise oracle needs both
+    at the same points, and the expansion and cut sums of the derivative
+    hold the value's.
 
-    ``t`` may be an array shaped to broadcast against z (e.g. ``ts[:, None]``
-    against the eigenvalues), giving one symbol value per (t, z) pair.
+    ``t`` may be an array shaped to broadcast against ``lam`` (e.g.
+    ``ts[:, None]`` against the eigenvalues), giving one value per (t, z)
+    pair.
     """
     ta = t**p.alpha
-    f = lambda z: ml_eval(p, -ta * z)
-    fp = lambda z: -ta * ml_derivative(p, -ta * z, 1)
-    return f, fp
+    e, de = _ml(p, -ta * lam, (0, 1))
+    return e, -ta * de
 
 
 def _apply(p: PropagatorHandle, t: float, x, delta: float, representation: str) -> np.ndarray:
@@ -101,10 +105,13 @@ def _apply(p: PropagatorHandle, t: float, x, delta: float, representation: str) 
     if representation == "hankel-path":
         theta0 = 0.5 * (math.pi / 2.0 + (math.pi - p.model.profile.theta) / p.alpha)
         return hankel_propagator(p.model, p.alpha, t, p.hankel or HankelSpec(theta0=theta0), x)
-    f, fp = _symbol(MLParams(p.alpha, delta), t)
+    ml = MLParams(p.alpha, delta)
     if representation == "oracle":
-        return spectral_apply(p.model, f, fp, x)
-    return calculus_apply(p.model, f, default_contour(p.model, t_alpha_scale=t**p.alpha), x)
+        fv, dv = _symbol_values(ml, t, p.model.lam)
+        return spectral_apply(p.model, lambda _: fv, lambda _: dv, x)
+    ta = t**p.alpha
+    f = lambda z: ml_eval(ml, -ta * z)
+    return calculus_apply(p.model, f, default_contour(p.model, t_alpha_scale=ta), x)
 
 
 def propagator_snapshots(
@@ -117,7 +124,8 @@ def propagator_snapshots(
     t = grid.nodes()
     out = np.zeros((t.size, m.n_blocks, 2, 2), dtype=complex)
     out[0, :, 0, 0] = out[0, :, 1, 1] = reciprocal_gamma(delta)
-    out[1:] = spectral_matrices(m, *_symbol(MLParams(alpha, delta), t[1:, None]))
+    fv, dv = _symbol_values(MLParams(alpha, delta), t[1:, None], m.lam)
+    out[1:] = spectral_matrices(m, lambda _: fv, lambda _: dv)
     return out
 
 
@@ -166,8 +174,7 @@ def _norm_sweep(
     if ts.size < 2 or np.any(ts <= 0):
         raise ValueError("need at least two positive t values")
     lam = p.model.lam
-    f, fp = _symbol(MLParams(p.alpha, delta), ts[:, None])
-    g, gp = weight(lam, f(lam), fp(lam))
+    g, gp = weight(lam, *_symbol_values(MLParams(p.alpha, delta), ts[:, None], lam))
     norms = model_norm_of_function(p.model, lambda _: g, lambda _: gp)
     return _fit_decay(ts, norms * ts**power)
 
@@ -224,9 +231,9 @@ def a_prop_apply(
         return op_apply(p.model, prop_apply(p, t, x))
     if via != "contour":
         raise ValueError(f"unknown via={via!r}")
-    f, _ = _symbol(MLParams(p.alpha, p.delta), t)
-    g = lambda z: z * f(z)
-    return calculus_apply(p.model, g, default_contour(p.model, t_alpha_scale=t**p.alpha), x)
+    ml, ta = MLParams(p.alpha, p.delta), t**p.alpha
+    g = lambda z: z * ml_eval(ml, -ta * z)
+    return calculus_apply(p.model, g, default_contour(p.model, t_alpha_scale=ta), x)
 
 
 def laplace_check(p: PropagatorHandle, lam: float, x, nodes_per_decade: int = 48) -> float:
@@ -251,10 +258,9 @@ def laplace_check(p: PropagatorHandle, lam: float, x, nodes_per_decade: int = 48
     # the t integral is the symbol sum_j q_j E_alpha(-t_j^alpha z), one row
     # of t nodes per eigenvalue
     q = _trapezoid_weights(np.log(ts)) * ts * np.exp(-lam * ts)
-    f, fp = _symbol(MLParams(p.alpha, 1.0), ts)
-    lam_col = p.model.lam[:, None]
-    fv = np.sum(q * f(lam_col), axis=1)
-    dv = np.sum(q * fp(lam_col), axis=1)
+    e, de = _symbol_values(MLParams(p.alpha, 1.0), ts, p.model.lam[:, None])
+    fv = np.sum(q * e, axis=1)
+    dv = np.sum(q * de, axis=1)
     integral = spectral_apply(p.model, lambda _: fv, lambda _: dv, x)
     rhs = lam ** (p.alpha - 1.0) * (-resolvent_apply(p.model, -(lam**p.alpha), x))
     return float(np.linalg.norm(integral - rhs) / nx)

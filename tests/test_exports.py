@@ -32,10 +32,20 @@ def test_exported_names_resolve_and_package_mirrors_modules():
     assert set(fracwave.__all__) - {"__version__"} == union - MODULE_ONLY
 
 
-def test_import_does_not_load_scipy():
-    # scipy is a test dependency only; the runtime needs numpy and mpmath
+def _loaded_by_import(module: str) -> bool:
+    """Whether a fresh ``import fracwave, fracwave.cli`` loads ``module``."""
     src = os.path.dirname(os.path.dirname(fracwave.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = "import sys, fracwave, fracwave.cli; print('scipy' in sys.modules)"
+    code = f"import sys, fracwave, fracwave.cli; print({module!r} in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    return out.stdout.strip() == "True"
+
+
+def test_import_does_not_load_scipy():
+    # scipy is a test dependency only; the runtime needs numpy and mpmath
+    assert not _loaded_by_import("scipy")
+
+
+def test_import_does_not_load_mpmath():
+    # mpmath serves only the arbitrary-precision fallback, which imports it
+    assert not _loaded_by_import("mpmath")

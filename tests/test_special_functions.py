@@ -17,7 +17,7 @@ from fracwave.mittag_leffler import (
     reciprocal_gamma,
 )
 from fracwave.operator_model import build_ladder_model
-from fracwave.propagators import laplace_check, make_propagator, prop_norm_decay
+from fracwave.propagators import laplace_check, make_propagator, prop_apply, prop_norm_decay
 
 RNG = np.random.default_rng(20240817)
 
@@ -188,6 +188,16 @@ class TestRecurrencesAndDerivatives:
         with pytest.raises(ValueError):
             ml_derivative(MLParams(1.5, 1.0), 1.0, -1)
 
+    @pytest.mark.parametrize("order", [1.5, 1.0])
+    def test_non_integer_order(self, order):
+        with pytest.raises(ValueError, match=f"got {order}"):
+            ml_derivative(MLParams(1.5, 1.0), -3.0, order)
+
+    def test_integer_like_order(self):
+        p = MLParams(1.5, 1.0)
+        want = ml_derivative(p, -3.0, 1)
+        assert ml_derivative(p, -3.0, True) == ml_derivative(p, -3.0, np.int64(1)) == want
+
 
 class TestArrayInput:
     # series, mid-band fallback and asymptotic regimes, decay and growth sectors
@@ -230,6 +240,85 @@ class TestArrayInput:
             got = ml_derivative(p, z, order)
             want = np.array([ml_derivative(p, zi, order) for zi in z])
             assert np.array_equal(got, want)
+
+
+class TestOrderPair:
+    """One dispatch for orders (0, 1), as the spectral symbols ask for them,
+    gives the bits of ``ml_eval`` and ``ml_derivative(., 1)``, runs the
+    expansion and the cut sums once per chunk, and hands the cut each point
+    at most once."""
+
+    @staticmethod
+    def count_calls(monkeypatch, names) -> dict:
+        """Count the calls of the named ``mittag_leffler`` functions."""
+        counts = dict.fromkeys(names, 0)
+        for name in names:
+
+            def counted(*args, kernel=getattr(mittag_leffler, name), name=name):
+                counts[name] += 1
+                return kernel(*args)
+
+            monkeypatch.setattr(mittag_leffler, name, counted)
+        return counts
+
+    @staticmethod
+    def check_pair(p, z):
+        e, de = mittag_leffler._ml(p, z, (0, 1))
+        assert np.array_equal(e, ml_eval(p, z))
+        assert np.array_equal(de, ml_derivative(p, z, 1))
+        assert type(e) is type(de) is type(ml_eval(p, z))
+
+    @pytest.mark.parametrize("delta", ["1", "alpha", "2", "alpha + 1"])
+    def test_pair_matches_single_orders(self, monkeypatch, delta):
+        # the series disc, the expansion and the cut at alpha = 1.5; the
+        # arbitrary-precision sum at alpha = 0.8, just outside its disc in the
+        # decay sector, where the expansion is still short of its target
+        rng = np.random.default_rng(20261102)
+        regimes = ("_series", "_asymptotic", "_cut_sums", "_series_mp")
+        for alpha, n, (lo, hi), (r_lo, r_hi) in (
+            (1.5, mittag_leffler._CHUNK + 1000, (-math.pi, math.pi), (1e-2, 200.0)),
+            (0.8, 4, (0.5 * math.pi, math.pi), (6.0, 12.0)),
+        ):
+            d = {"1": 1.0, "alpha": alpha, "2": 2.0, "alpha + 1": alpha + 1.0}[delta]
+            p = MLParams(alpha, d)
+            r = np.exp(rng.uniform(math.log(r_lo), math.log(r_hi), n))
+            z = r * np.exp(1j * rng.uniform(lo, hi, n) * rng.choice((-1.0, 1.0), n))
+            counts = self.count_calls(monkeypatch, regimes)
+            mittag_leffler._ml(p, z, (0, 1))
+            if alpha == 1.5:
+                # one expansion and at most one cut pass per chunk, both orders
+                assert counts["_asymptotic"] == 2 and 1 <= counts["_cut_sums"] <= 2
+                assert counts["_series"] == 4
+            else:
+                assert counts["_series_mp"] == 2 * n
+            self.check_pair(p, z)
+            self.check_pair(p, z[:600].reshape(2, -1))
+            self.check_pair(p, complex(z[0]))
+
+    def test_pairs_hand_each_point_to_the_cut_once(self, monkeypatch):
+        # the oracle and the Laplace check on the README ladder: at the
+        # parent of the pair dispatch, every cut point went in twice
+        seen = []
+        sums = mittag_leffler._cut_sums
+
+        def recorded(alpha, delta, z, order):
+            seen.append(z.copy())
+            return sums(alpha, delta, z, order)
+
+        monkeypatch.setattr(mittag_leffler, "_cut_sums", recorded)
+        m = build_ladder_model(-0.75, math.pi / 6, 1e-2, 1e4, 4)
+        x = np.random.default_rng(1).standard_normal(m.dimension) + 0j
+        oracle = make_propagator(m, 1.5, representation="oracle")
+        calls = [lambda: laplace_check(oracle, 2.0, x)]
+        calls += [lambda t=t: prop_apply(oracle, t, x) for t in np.geomspace(0.01, 10.0, 8)]
+        counts = []
+        for call in calls:
+            seen.clear()
+            call()
+            points = np.concatenate(seen) if seen else np.empty(0, dtype=complex)
+            assert np.unique(points).size == points.size
+            counts.append(points.size)
+        assert counts[0] > 1000 and sum(counts[1:]) > 0
 
 
 @functools.lru_cache(maxsize=64)
@@ -299,9 +388,10 @@ class TestSeriesFallback:
         regime = mittag_leffler._cut
 
         def recorded(alpha, delta, z, r, order):
-            value, ok = regime(alpha, delta, z, r, order)
+            values, oks = regime(alpha, delta, z, r, order)
+            value, ok = values[order], oks[order]
             calls.extend((alpha, delta, zi, order, vi) for zi, vi in zip(z[ok], value[ok]))
-            return value, ok
+            return values, oks
 
         monkeypatch.setattr(mittag_leffler, "_cut", recorded)
         for d in (0.0, 1.0, 1.2, 2.0, 2.5):
@@ -420,7 +510,7 @@ class TestCutRegime:
             for d in (0.0, 1.0, a, 2.0, a + 1.0):
                 z = self.sample(rng, a, 3)
                 for order, tol in ((0, 1e-13), (1, 1e-11)):
-                    value, ok = mittag_leffler._cut(a, d, z, np.abs(z), order)
+                    value, ok = (rows[order] for rows in mittag_leffler._cut(a, d, z, np.abs(z), order))
                     for zi, v in zip(z[ok], value[ok]):
                         ref = reference_series_mp(a, d, complex(zi), order)
                         assert abs(v - ref) <= tol * abs(ref), (a, d, zi, order)
