@@ -296,8 +296,8 @@ class TestOrderPair:
             self.check_pair(p, complex(z[0]))
 
     def test_pairs_hand_each_point_to_the_cut_once(self, monkeypatch):
-        # the oracle and the Laplace check on the README ladder: at the
-        # parent of the pair dispatch, every cut point went in twice
+        # the oracle and the Laplace check on the README ladder: with one
+        # dispatch per order, every cut point went in twice
         seen = []
         sums = mittag_leffler._cut_sums
 
