@@ -5,10 +5,15 @@ product integration exact on piecewise-linear data, regularized Caputo
 derivatives (1 < alpha < 2), and the Duhamel term of the forced problem.
 
 Both convolutions with a long memory run through one exponential-mode
-engine (``_histories``): a kernel written as a sum of exponentials
-e^{z tau} is convolved with piecewise-linear data by a recurrence that is
+engine (``_mode_sums``): a kernel written as a sum of exponentials
+w e^{z tau} is convolved with piecewise-linear data by a recurrence that is
 exact on every panel of the grid, in O(n K) work for K modes (Lubich and
-Schaedle, SIAM J. Sci. Comput. 24 (2002)).  Both sums are trapezoid rules
+Schaedle, SIAM J. Sci. Comput. 24 (2002)).  The engine steps tiles of nodes
+by modes, laid out with the modes on the contiguous axis, and contracts the
+histories with the weights itself, in real arithmetic for real modes; each
+caller makes one call per mode set.  ``rl_integral`` asks for the lagged
+sum, the histories carried across the last panel without its data, and
+integrates that panel exactly against g_beta.  Both sums are trapezoid rules
 in log r on the step ``mittag_leffler._CUT_STEP``.  g_beta, 0 < beta < 1,
 is one on [min h, T] (Jiang, Zhang, Zhang and Zhang, Commun. Comput. Phys.
 21 (2017)), its small-rate end closed by one exact tail mode;
@@ -26,6 +31,7 @@ from __future__ import annotations
 import functools
 import io
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -57,10 +63,19 @@ class TimeGrid:
     def __post_init__(self) -> None:
         if not (self.T > 0.0 and math.isfinite(self.T)):
             raise ValueError(f"horizon T must be positive, got {self.T}")
+        try:
+            object.__setattr__(self, "n_steps", operator.index(self.n_steps))
+        except TypeError:
+            raise ValueError(f"n_steps must be an integer, got {self.n_steps!r}") from None
         if self.n_steps < 1:
             raise ValueError(f"n_steps must be >= 1, got {self.n_steps}")
-        if self.grading < 1.0:
-            raise ValueError(f"grading must be >= 1, got {self.grading}")
+        if not (1.0 <= self.grading < math.inf):
+            raise ValueError(f"grading must be finite and >= 1, got {self.grading}")
+        if not self.nodes()[1] > 0.0:
+            raise ValueError(
+                f"grading {self.grading} puts the first node t_1 at 0 "
+                f"(T = {self.T}, n_steps = {self.n_steps})"
+            )
 
     def nodes(self) -> np.ndarray:
         i = np.arange(self.n_steps + 1, dtype=float)
@@ -145,6 +160,8 @@ _CHUNK_BYTES = 1 << 16
 # phi_k(x) is summed as a series of this degree below |x| = _PHI_RADIUS
 _PHI_RADIUS = 0.25
 _PHI_DEGREE = 13
+# 1/m! for that series and the phi recurrences, up to phi_3
+_RECIP_FACTORIAL = tuple(1.0 / math.factorial(m) for m in range(_PHI_DEGREE + 4))
 
 
 def _phi(x: np.ndarray, k_max: int):
@@ -154,86 +171,115 @@ def _phi(x: np.ndarray, k_max: int):
     series and the others follow from phi_{k-1} = 1/(k-1)! + x phi_k;
     elsewhere phi_1 = expm1(x)/x and phi_{k+1} = (phi_k - 1/k!)/x.
     """
+    rf = _RECIP_FACTORIAL
     small = np.abs(x) < _PHI_RADIUS
     xs = np.where(small, x, 0.0)
     xl = np.where(small, 1.0, x)
-    top = np.full_like(xs, 1.0 / math.factorial(_PHI_DEGREE + k_max))
-    for m in range(_PHI_DEGREE - 1, -1, -1):
+    top = xs * rf[_PHI_DEGREE + k_max]
+    top += rf[_PHI_DEGREE - 1 + k_max]
+    for m in range(_PHI_DEGREE - 2, -1, -1):
         top *= xs
-        top += 1.0 / math.factorial(m + k_max)
+        top += rf[m + k_max]
     series = [top]
     for k in range(k_max - 1, 0, -1):
-        series.insert(0, 1.0 / math.factorial(k) + xs * series[0])
+        series.insert(0, rf[k] + xs * series[0])
     closed = [np.expm1(xl) / xl]
     for k in range(1, k_max):
-        closed.append((closed[-1] - 1.0 / math.factorial(k)) / xl)
+        closed.append((closed[-1] - rf[k]) / xl)
     return np.exp(x), [np.where(small, s, c) for s, c in zip(series, closed)]
 
 
-def _histories(z: np.ndarray, t: np.ndarray, u: np.ndarray, jordan: bool = False):
-    """Exponential-mode histories of piecewise-linear node data, by tiles.
+def _as_reals(a: np.ndarray, real: bool) -> np.ndarray:
+    """Tile rows (c, columns, k) as (c, d, 2k) reals, one row per column of
+    u: [Re y, Im y] for a real tile, (re, im) per mode for a complex one."""
+    return a.reshape(a.shape[0], -1, 2 * a.shape[2]) if real else a.view(float)
 
-    For exponents ``z`` of shape (K, 1), shared by every column of ``u``, or
-    (K, d), one per column, the history of mode k is
+
+def _real_blocks(w: np.ndarray, real: bool) -> np.ndarray:
+    """Weights (k, g) as (g, 2, 2k) reals whose two rows, dotted with a row
+    of ``_as_reals``, give Re and Im of sum_k w_k y_k: the blocks
+    [[Re w, -Im w], [Im w, Re w]].  One dot product per sum keeps its bits
+    independent of the tile size."""
+    wr, wi = w.real.T, w.imag.T
+    b = np.stack([np.stack([wr, -wi], axis=1), np.stack([wi, wr], axis=1)], axis=1)
+    return (b if real else b.swapaxes(2, 3)).reshape(b.shape[0], 2, -1)
+
+
+def _mode_sums(z, w, t, u, out, cw=None, lagged: bool = False) -> None:
+    """Add weighted exponential-mode histories of the node data ``u``
+    (n + 1, d), linear between nodes, to ``out`` (n + 1, d).
+
+    ``z``, ``w`` and ``cw`` are (K, 1), shared by the columns of u, or
+    (K, d), one per column.  The history of mode k,
 
         y_k(t_i) = int_0^{t_i} e^{z_k (t_i - s)} u(s) ds,
 
-    advanced panel by panel, exactly for u linear on each panel, by
+    is advanced exactly panel by panel,
 
-        y_i = e^{z h} y_{i-1} + h [(phi_1 - phi_2)(z h) u_{i-1} + phi_2(z h) u_i].
+        y_i = e^{z h} y_{i-1} + h [(phi_1 - phi_2)(z h) u_{i-1} + phi_2(z h) u_i],
 
-    Yields ``(i0, ks, a, y, dy)`` for tiles of consecutive nodes
-    i0 <= i < i0 + c and the modes ``ks``, a slice of the first axis of z:
-    ``a[j] = e^{z_ks h_{i0+j}}``, ``y[0]`` the history at node i0 - 1 and
-    ``y[j + 1]`` the one at node i0 + j.  With ``jordan``, ``dy`` holds the
-    z-derivatives int_0^{t_i} (t_i - s) e^{z_k (t_i - s)} u(s) ds, advanced by
-    the next phi-function; otherwise it is None.  Real exponents act on the
-    real and imaginary parts of u separately.  A tile is stepped one node at
-    a time, vectorized over its modes and columns; it holds at most
-    ``_CHUNK_BYTES`` or half the size of u, whichever is larger, of history
-    (unless one mode of one node needs more), so the engine's memory stays
-    within a small multiple of its input; its arrays are reused by the next
-    tile.
+    and ``out[i]`` gets sum_k w_k y_k(t_i), or with ``lagged``
+    sum_k w_k e^{z_k h_i} y_k(t_{i-1}): the histories carried across the
+    last panel without its data, which the caller integrates exactly.  With
+    ``cw`` the z-derivatives dy_k(t_i) = int_0^{t_i} (t_i - s)
+    e^{z_k (t_i - s)} u(s) ds advance too, by the next phi-function, and
+    column 2b gets sum_k cw_k dy_k(t_i) of column 2b + 1 (cw read at the
+    odd columns): the superdiagonal of a Jordan block.
+
+    Tiles of consecutive nodes i0 <= i < i0 + c by a slice of the modes are
+    stepped one node at a time; every tile array is (nodes, columns, modes),
+    the modes on the contiguous axis.  Real exponents act on the real and
+    imaginary parts of u as separate real columns, weighed in real
+    arithmetic (``_real_blocks``).  A tile holds at most ``_CHUNK_BYTES``,
+    or half the size of u when that is more, of history (unless one mode of
+    one node needs more), and its arrays are reused by the next tile.
     """
     real = np.isrealobj(z)
     v = np.ascontiguousarray(u).view(float) if real else u
+    zt = np.repeat(z.T, 2, axis=0) if real and z.shape[1] > 1 else z.T
+    nk, cols = z.shape[0], v.shape[1]
     h = np.diff(t)
-    per_mode = v.shape[1] * v.itemsize * (2 if jordan else 1)
+    jordan = cw is not None
+    per_mode = cols * v.itemsize * (2 if jordan else 1)
     budget = max(_CHUNK_BYTES, v.nbytes // 2)
-    kc = max(1, min(z.shape[0], budget // per_mode))
+    kc = max(1, min(nk, budget // per_mode))
     size = max(1, budget // (kc * per_mode))
-    buf = np.empty((2 if jordan else 1, size + 1, kc, v.shape[1]), dtype=v.dtype)
-    for k0 in range(0, z.shape[0], kc):
-        ks = slice(k0, min(k0 + kc, z.shape[0]))
-        zk = z[ks]
-        y = buf[0, :, : zk.shape[0]]
-        dy = buf[1, :, : zk.shape[0]] if jordan else None
+    # histories, their products with e^{zh} and the z-derivatives
+    store = np.empty((3 if jordan else 2, (size + 1) * cols * kc), dtype=v.dtype)
+    reim = out.view(float).reshape(out.shape[0], -1, 2)
+    for k0 in range(0, nk, kc):
+        ks = slice(k0, min(k0 + kc, nk))
+        zk, k = zt[:, ks], ks.stop - k0
+        views = [s[: (size + 1) * cols * k].reshape(size + 1, cols, k) for s in store]
+        y, ay, dy = views if jordan else (*views, None)
         y[0] = 0.0
+        rows_y, rows_ay = list(y), list(ay)
+        wb = _real_blocks(w[ks], real)
         if jordan:
             dy[0] = 0.0
+            cb = _real_blocks(cw[ks] if cw.shape[1] == 1 else cw[ks, 1::2], real)
         for i0 in range(1, t.size, size):
             c = min(size, t.size - i0)
             hc = h[i0 - 1 : i0 - 1 + c, None, None]
             a, (p1, p2, *p3) = _phi(hc * zk, 3 if jordan else 2)
-            prev, cur = v[i0 - 1 : i0 - 1 + c, None, :], v[i0 : i0 + c, None, :]
+            prev, cur = v[i0 - 1 : i0 - 1 + c, :, None], v[i0 : i0 + c, :, None]
             np.multiply(hc * (p1 - p2), prev, out=y[1 : c + 1])
             y[1 : c + 1] += hc * p2 * cur
+            for aj, yj, ayj, yn in zip(a, rows_y, rows_ay, rows_y[1:]):
+                np.multiply(aj, yj, out=ayj)
+                yn += ayj
+            rows = slice(i0, i0 + c)
+            reim[rows] += np.vecdot(_as_reals(ay[:c] if lagged else y[1 : c + 1], real)[:, :, None], wb)
             if jordan:
                 (p3,) = p3
                 hh = hc * hc
                 np.multiply(hh * (p1 - 2.0 * p2 + 2.0 * p3), prev, out=dy[1 : c + 1])
                 dy[1 : c + 1] += hh * (p2 - 2.0 * p3) * cur
-            for j in range(c):
-                if jordan:
+                for j in range(c):
                     dy[j + 1] += a[j] * (dy[j] + hc[j] * y[j])
-                y[j + 1] += a[j] * y[j]
-            ys, dys = y[: c + 1], None if dy is None else dy[: c + 1]
-            if real:
-                ys, dys = ys.view(complex), None if dys is None else dys.view(complex)
-            yield i0, ks, a, ys, dys
-            y[0] = y[c]
-            if jordan:
+                reim[rows, 0::2] += np.vecdot(_as_reals(dy[1 : c + 1], real)[:, 1::2, None], cb)
                 dy[0] = dy[c]
+            y[0] = y[c]
 
 
 def _mode_count(x_lo: float, x_hi: float, step: float, what: str) -> int:
@@ -268,6 +314,7 @@ def _power_sum(beta: float, tau_min: float, T: float):
     weights = np.append(a0, h * r ** (1.0 - beta))
     weights *= math.sin(math.pi * min(beta, 1.0 - beta)) / math.pi
     _check_power_sum(beta, rates, weights, np.geomspace(tau_min, T, _SUM_CHECK_LAGS))
+    rates.flags.writeable = weights.flags.writeable = False  # every caller shares them
     return rates, weights
 
 
@@ -295,12 +342,10 @@ def rl_integral(k: Kernel, u: Trajectory) -> Trajectory:
     h = np.diff(t)
     if beta < 1.0:
         m0, m1 = _panel_moments(beta, 0.0, h, 0.0, h**beta)
-        out = np.zeros_like(vals)
+        out = np.zeros(vals.shape, dtype=complex)
         out[1:] = (m0 - m1 / h)[:, None] * vals[:-1] + (m1 / h)[:, None] * vals[1:]
         rates, weights = _power_sum(beta, float(h.min()), float(t[-1]))
-        for i0, ks, a, y, _ in _histories(-rates[:, None], t, vals):
-            c = a.shape[0]
-            out[i0 : i0 + c] += np.matmul(a[:, None, :, 0] * weights[ks], y[:c])[:, 0]
+        _mode_sums(-rates[:, None], weights[:, None], t, vals, out, lagged=True)
         return Trajectory(u.grid, out)
     out = np.zeros_like(vals)
     for i in range(1, n + 1):
@@ -503,19 +548,17 @@ def duhamel_convolve(
     built = np.array_equal(es.lam, m.lam) and np.array_equal(es.coupling, m.coupling)
     if not built or es.alpha != alpha or np.diff(t).min() < es.tau_min or t[-1] > es.T:
         raise ValueError("the exponential sums were built for another model, alpha or grid")
-    q = np.zeros_like(f.values)
+    q = np.zeros(f.values.shape, dtype=complex)
     coupled = bool(np.any(m.coupling))
-    modes = (
+
+    def per_column(x):  # one entry per block, for both of its columns
+        return x if x.shape[1] == 1 else np.repeat(x, 2, axis=1)
+
+    for z, w, cw in (
         (-es.rates[:, None], es.weights, es.couplings),
-        (np.repeat(es.poles, 2, axis=1), es.pole_weights, es.pole_couplings),
-    )
-    for z, w, cw in modes:
-        for i0, ks, a, y, dy in _histories(z, t, f.values, jordan=coupled):
-            c, k = a.shape[:2]
-            yb = y[1:].reshape(c, k, -1, 2)
-            q[i0 : i0 + c] += np.einsum("ckbj,kb->cbj", yb, w[ks]).reshape(c, -1)
-            if coupled:
-                q[i0 : i0 + c, 0::2] += np.einsum("ckb,kb->cb", dy[1:, :, 1::2], cw[ks])
+        (es.poles, es.pole_weights, es.pole_couplings),
+    ):
+        _mode_sums(per_column(z), per_column(w), t, f.values, q, per_column(cw) if coupled else None)
     return rl_integral(Kernel(alpha - 1.0), Trajectory(f.grid, q))
 
 

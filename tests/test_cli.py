@@ -1,8 +1,10 @@
+import collections
 import math
 
 import numpy as np
 import pytest
 
+from fracwave import fractional
 from fracwave.cli import build_parser, config_hash, main, parse_config_text
 from fracwave.mittag_leffler import MLParams, ml_eval
 from fracwave.operator_model import model_from_text
@@ -139,6 +141,8 @@ class TestExitCodes:
             ("solve", SCALAR_CFG.replace("w0 = 1", "w0 = 1,2,3"), 3, "error: vector has 3 entries"),
             ("solve", SCALAR_CFG.replace("= scalar", "= cubic"), 3, "error: unknown model kind"),
             ("solve", SCALAR_CFG + "problem = linear\nforcing = cubic\n", 3, "error: unknown forcing"),
+            ("solve", SCALAR_CFG + "grading = nan\n", 3, "error: grading must be finite"),
+            ("solve", SCALAR_CFG + "grading = 1e6\n", 3, "error: grading 1000000.0 puts the first node"),
             ("regions", "n = 3\naxis = mu\n", 3, "error: unknown axis"),
             ("regions", "n = 1\n", 3, "error: raster needs n >= 2"),
             ("model check", "model_file = /nonexistent/model.txt\n", 2, "usage error: model file not found"),
@@ -158,6 +162,8 @@ class TestExitCodes:
             "vector-length",
             "unknown-model",
             "unknown-forcing",
+            "grading-nan",
+            "grading-underflow",
             "unknown-axis",
             "regions-n-1",
             "missing-model-file",
@@ -214,6 +220,29 @@ class TestSolve:
             assert main(["solve", "--config", path, "--seed", "7", "--out", str(out)]) == 0
             outs.append((out / "solution.csv").read_bytes())
         assert outs[0] == outs[1]
+
+    def test_semilinear_runs_repeat_in_one_process(self, tmp_path, monkeypatch):
+        # the README semilinear solve twice in one process: nothing the first
+        # run leaves behind may change what the second writes, or how many
+        # exponential-mode engine calls and tiles it takes
+        cfg = SCALAR_CFG + "problem = semilinear\nforcing = sin-w\nforcing_value = 1\n"
+        path = write_config(tmp_path, cfg)
+        counts = collections.Counter()
+        for name in ("_mode_sums", "_phi"):  # _phi runs once per tile
+
+            def counted(*args, _name=name, _inner=getattr(fractional, name), **kwargs):
+                counts[_name] += 1
+                return _inner(*args, **kwargs)
+
+            monkeypatch.setattr(fractional, name, counted)
+        runs = []
+        for d in ("first", "second"):
+            counts.clear()
+            assert main(["solve", "--config", path, "--seed", "1", "--out", str(tmp_path / d)]) == 0
+            written = [(tmp_path / d / f).read_bytes() for f in ("solution.csv", "residual.csv")]
+            runs.append((written, dict(counts)))
+        assert runs[0] == runs[1]
+        assert runs[0][1]["_mode_sums"] > 0 and runs[0][1]["_phi"] > runs[0][1]["_mode_sums"]
 
     def test_zero_semilinear_equals_homogeneous(self, tmp_path):
         base = write_config(tmp_path, SCALAR_CFG)

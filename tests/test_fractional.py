@@ -47,6 +47,25 @@ class TestTimeGrid:
         with pytest.raises(ValueError):
             TimeGrid(1.0, 4, grading=0.5)
 
+    @pytest.mark.parametrize(
+        "n_steps, grading",
+        [
+            (8, math.nan),  # NaN nodes
+            (8, math.inf),  # every interior node underflows to 0
+            (8, 1e6),  # the same at a finite grading
+            (2.5, 2.0),  # no whole number of rows
+        ],
+    )
+    def test_rejects_grids_without_valid_nodes(self, n_steps, grading):
+        with pytest.raises(ValueError):
+            TimeGrid(1.0, n_steps, grading=grading)
+
+    def test_numpy_integer_steps(self):
+        g = TimeGrid(1.0, np.int64(8))
+        assert g.n_steps == 8 and type(g.n_steps) is int
+        assert np.array_equal(g.nodes(), TimeGrid(1.0, 8).nodes())
+        assert Trajectory(g, np.zeros(9)).values.shape == (9, 1)
+
 
 class TestRLIntegral:
     def test_beta_one_is_plain_integral(self):
@@ -273,7 +292,103 @@ def readme_ladder():
     return build_ladder_model(-0.75, math.pi / 6, 1e-2, 1e4, 4)
 
 
+def reference_phi(x):
+    """e^x, phi_1(x), phi_2(x), phi_3(x) of one complex x: the series to
+    convergence for |x| < 1/2, the closed forms elsewhere."""
+    if abs(x) < 0.5:
+        return (cmath.exp(x), *(sum(x**m / math.factorial(m + k) for m in range(40)) for k in (1, 2, 3)))
+    e = cmath.exp(x)
+    p1 = (e - 1.0) / x
+    p2 = (p1 - 1.0) / x
+    return e, p1, p2, (p2 - 0.5) / x
+
+
+def reference_mode_sums(z, w, t, u, cw=None, lagged=False):
+    """What ``fractional._mode_sums`` adds, by one scalar recurrence per mode
+    and column: y_i = e^{zh} y_{i-1} + h[(phi_1 - phi_2) u_{i-1} + phi_2 u_i]
+    and its z-derivative dy_i = e^{zh}(dy_{i-1} + h y_{i-1})
+    + h^2[(phi_1 - 2 phi_2 + 2 phi_3) u_{i-1} + (phi_2 - 2 phi_3) u_i]."""
+    n1, d = u.shape
+    zz, ww = np.broadcast_to(z, (z.shape[0], d)), np.broadcast_to(w, (z.shape[0], d))
+    cc = None if cw is None else np.broadcast_to(cw, (z.shape[0], d))
+    out = np.zeros((n1, d), dtype=complex)
+    for k in range(z.shape[0]):
+        for j in range(d):
+            y = dy = 0.0
+            for i in range(1, n1):
+                h = t[i] - t[i - 1]
+                e, p1, p2, p3 = reference_phi(complex(zz[k, j]) * h)
+                if lagged:
+                    out[i, j] += ww[k, j] * e * y
+                data = (p1 - 2 * p2 + 2 * p3) * u[i - 1, j] + (p2 - 2 * p3) * u[i, j]
+                dy = e * (dy + h * y) + h * h * data
+                y = e * y + h * ((p1 - p2) * u[i - 1, j] + p2 * u[i, j])
+                if not lagged:
+                    out[i, j] += ww[k, j] * y
+                if cc is not None and j % 2 == 1:
+                    out[i, j - 1] += cc[k, j] * dy
+    return out
+
+
+def mode_sum_case(name, n, modes, d=4):
+    """Seeded exponents, weights and data for the engine contract tests; the
+    rates span |z h| from below to far above phi's series radius."""
+    rng = np.random.default_rng(11)
+    cplx = lambda *shape: rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    t = TimeGrid(1.0, n).nodes()
+    u = cplx(n + 1, d)
+    rates = -np.geomspace(0.1, 1e3, modes)[:, None]
+    poles = -rng.uniform(0.1, 40.0, (modes, d)) + 1j * rng.uniform(-20.0, 20.0, (modes, d))
+    return t, u, {
+        "real-shared": dict(z=rates, w=cplx(modes, 1)),
+        "real-shared-lagged": dict(z=rates, w=rng.uniform(0.1, 1.0, (modes, 1)), lagged=True),
+        "real-per-column": dict(z=-np.exp(rng.uniform(-2.3, 6.9, (modes, d))), w=cplx(modes, d)),
+        "real-jordan-shared": dict(z=rates, w=cplx(modes, 1), cw=cplx(modes, 1)),
+        "real-jordan-per-column": dict(z=rates, w=cplx(modes, d), cw=cplx(modes, d)),
+        "complex-per-column": dict(z=poles, w=cplx(modes, d)),
+        "complex-jordan-per-column": dict(z=poles, w=cplx(modes, d), cw=cplx(modes, d)),
+        "complex-per-column-lagged": dict(z=poles, w=cplx(modes, d), lagged=True),
+    }[name]
+
+
+MODE_SUM_CASES = [
+    "real-shared",
+    "real-shared-lagged",
+    "real-per-column",
+    "real-jordan-shared",
+    "real-jordan-per-column",
+    "complex-per-column",
+    "complex-jordan-per-column",
+    "complex-per-column-lagged",
+]
+
+
 class TestExponentialHistory:
+    @pytest.mark.parametrize("chunk_bytes", [None, 1])
+    @pytest.mark.parametrize("case", MODE_SUM_CASES)
+    def test_mode_sums_match_reference_recurrence(self, monkeypatch, case, chunk_bytes):
+        # 24 modes on 21 nodes: with a 1-byte budget a tile holds one node
+        # and at most 10 modes, so the modes are split into uneven slices
+        t, u, kw = mode_sum_case(case, 20, 24)
+        if chunk_bytes is not None:
+            monkeypatch.setattr(fractional, "_CHUNK_BYTES", chunk_bytes)
+        out = np.zeros_like(u)
+        fractional._mode_sums(t=t, u=u, out=out, **kw)
+        ref = reference_mode_sums(t=t, u=u, **kw)
+        assert np.max(np.abs(out - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("case", MODE_SUM_CASES)
+    def test_mode_sums_do_not_depend_on_tile_size(self, monkeypatch, case):
+        # 24 modes on 201 nodes: every budget keeps all modes in one slice,
+        # and the default one holds ~20 times more nodes per tile
+        t, u, kw = mode_sum_case(case, 200, 24)
+        outs = []
+        for chunk_bytes in (fractional._CHUNK_BYTES, 1):
+            monkeypatch.setattr(fractional, "_CHUNK_BYTES", chunk_bytes)
+            outs.append(np.zeros_like(u))
+            fractional._mode_sums(t=t, u=u, out=outs[-1], **kw)
+        assert np.array_equal(outs[0], outs[1])
+
     @pytest.mark.parametrize(
         "model,alpha,n,T",
         [
@@ -320,6 +435,15 @@ class TestExponentialHistory:
         t = p.grid.nodes()
         ref = (1.0 - ml_eval(MLParams(alpha, 1.0), -(t**alpha) * a)) / a
         assert np.max(np.abs(w - ref)) <= 3e-4 * np.max(np.abs(ref))
+
+    def test_column_major_data(self):
+        # the engine adds into the real and imaginary parts of a C-ordered output
+        grid, m = TimeGrid(1.0, 64), build_scalar_model(2.0)
+        u = smooth_forcing(grid, 2)
+        f = Trajectory(grid, np.asfortranarray(u.values))
+        assert not f.values.flags.c_contiguous
+        assert np.array_equal(rl_integral(Kernel(0.5), f).values, rl_integral(Kernel(0.5), u).values)
+        assert np.array_equal(duhamel_convolve(m, 1.5, f).values, duhamel_convolve(m, 1.5, u).values)
 
     @pytest.mark.parametrize("beta", [0.02, 0.1, 0.5, 0.9, 0.98])
     @pytest.mark.parametrize("grading", [1.0, 2.0])
