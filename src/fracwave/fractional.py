@@ -207,7 +207,8 @@ def _real_blocks(w: np.ndarray, real: bool) -> np.ndarray:
 
 def _mode_sums(z, w, t, u, out, cw=None, lagged: bool = False) -> None:
     """Add weighted exponential-mode histories of the node data ``u``
-    (n + 1, d), linear between nodes, to ``out`` (n + 1, d).
+    (n + 1, d), linear between nodes, to ``out``, a C-ordered complex
+    (n + 1, d) array (it is written through a real view).
 
     ``z``, ``w`` and ``cw`` are (K, 1), shared by the columns of u, or
     (K, d), one per column.  The history of mode k,
@@ -234,6 +235,8 @@ def _mode_sums(z, w, t, u, out, cw=None, lagged: bool = False) -> None:
     or half the size of u when that is more, of history (unless one mode of
     one node needs more), and its arrays are reused by the next tile.
     """
+    if out.dtype != complex or not out.flags.c_contiguous:
+        raise ValueError("out must be a C-ordered complex array")
     real = np.isrealobj(z)
     v = np.ascontiguousarray(u).view(float) if real else u
     zt = np.repeat(z.T, 2, axis=0) if real and z.shape[1] > 1 else z.T

@@ -389,6 +389,13 @@ class TestExponentialHistory:
             fractional._mode_sums(t=t, u=u, out=outs[-1], **kw)
         assert np.array_equal(outs[0], outs[1])
 
+    @pytest.mark.parametrize("make_out", [np.asfortranarray, np.real], ids=["fortran", "real"])
+    def test_mode_sums_reject_outputs_without_a_complex_view(self, make_out):
+        # the sums are added through a real view of a C-ordered complex out
+        t, u, kw = mode_sum_case("real-shared", 20, 24)
+        with pytest.raises(ValueError, match="C-ordered complex"):
+            fractional._mode_sums(t=t, u=u, out=make_out(np.zeros_like(u)).copy(order="K"), **kw)
+
     @pytest.mark.parametrize(
         "model,alpha,n,T",
         [
