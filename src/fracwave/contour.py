@@ -200,10 +200,11 @@ def hankel_propagator(
     t: float,
     h: HankelSpec,
     x,
+    delta: float = 1.0,
 ) -> np.ndarray:
-    """E_alpha(-t^alpha A) x via the Laplace-inversion path integral
+    """E_{alpha,delta}(-t^alpha A) x via the Laplace-inversion path integral
 
-        (1/2 pi i) int e^{lambda t} lambda^{alpha-1} (lambda^alpha+A)^{-1} x
+        (t^{1-delta}/2 pi i) int e^{lambda t} lambda^{alpha-delta} (lambda^alpha+A)^{-1} x
 
     by the trapezoid rule in u on lambda(u) = mu (1 + sin(i u - phi)), the
     hyperbola with asymptotes at +/- theta0 (phi = theta0 - pi/2, mu = mu_t/t;
@@ -215,8 +216,8 @@ def hankel_propagator(
     log(1/phi)/d as theta0 nears either end of its range; a path that would
     need more than ``_HANKEL_MAX_NODES`` nodes raises ``ValueError``.
     """
-    if t <= 0:
-        raise ValueError(f"t must be positive, got {t}")
+    if not 0.0 < t < math.inf:
+        raise ValueError(f"t must be positive and finite, got {t}")
     if not (1.0 < alpha < 2.0):
         raise ValueError(f"alpha must lie in (1, 2), got {alpha}")
     theta_model = m.profile.theta
@@ -240,5 +241,5 @@ def hankel_propagator(
     c = step * 1j * mu * np.cos(iu - phi)  # d lambda
     c *= np.exp(lam * t)
     # (lambda^alpha + A)^{-1} = -(z - A)^{-1} at z = -lambda^alpha
-    c *= lam ** (alpha - 1.0) / (-2.0j * math.pi)
-    return _path_apply(m, -(lam**alpha), c, x)
+    c *= lam ** (alpha - delta) / (-2.0j * math.pi)
+    return t ** (1.0 - delta) * _path_apply(m, -(lam**alpha), c, x)

@@ -85,6 +85,8 @@ class AlmostSectorialModel:
         s = np.atleast_1d(np.asarray(self.coupling, dtype=float))
         if lam.shape != s.shape or lam.ndim != 1:
             raise ValueError("lam and coupling must be 1-d arrays of equal length")
+        if not (np.all(np.isfinite(lam)) and np.all(np.isfinite(s))):
+            raise ValueError("eigenvalues and couplings must be finite")
         if np.any(lam == 0):
             raise ValueError("eigenvalues must be nonzero (0 in the resolvent set)")
         if np.any(np.abs(np.angle(lam)) > self.profile.omega + 1e-12):

@@ -5,7 +5,7 @@ Every propagator handle can evaluate through three representations:
 
 * ``oracle``: exact blockwise spectral form (authoritative in tests),
 * ``gamma-path``: functional-calculus quadrature along Gamma_theta,
-* ``hankel-path``: Laplace-inversion path (delta = 1 only).
+* ``hankel-path``: Laplace-inversion path.
 
 Norm sweeps always use the exact blockwise spectral norm, so decay-slope
 measurements are independent of quadrature resolution.
@@ -70,8 +70,6 @@ class PropagatorHandle:
                 f"sector hypothesis omega < theta < mu < pi - alpha*pi/2 "
                 f"fails: mu={prof.mu}, alpha={self.alpha}"
             )
-        if self.representation == "hankel-path" and self.delta != 1.0:
-            raise ValueError("hankel-path representation requires delta = 1")
 
 
 make_propagator = PropagatorHandle
@@ -98,13 +96,13 @@ def _apply(p: PropagatorHandle, t: float, x, delta: float, representation: str) 
     ``representation``, on the default Gamma_theta contour or, without
     ``p.hankel``, the Hankel angle in the middle of (pi/2, (pi - theta)/alpha)."""
     x = np.asarray(x, dtype=complex).ravel()
-    if t < 0:
-        raise ValueError(f"t must be nonnegative, got {t}")
+    if not 0.0 <= t < math.inf:
+        raise ValueError(f"t must be nonnegative and finite, got {t}")
     if t == 0.0:
         return reciprocal_gamma(delta) * x
     if representation == "hankel-path":
         theta0 = 0.5 * (math.pi / 2.0 + (math.pi - p.model.profile.theta) / p.alpha)
-        return hankel_propagator(p.model, p.alpha, t, p.hankel or HankelSpec(theta0=theta0), x)
+        return hankel_propagator(p.model, p.alpha, t, p.hankel or HankelSpec(theta0), x, delta)
     ml = MLParams(p.alpha, delta)
     if representation == "oracle":
         fv, dv = _symbol_values(ml, t, p.model.lam)
@@ -202,18 +200,14 @@ def conv_norm_decay(p: PropagatorHandle, t_values) -> DecayReport:
 
 def prop_time_derivative(p: PropagatorHandle, t: float, n: int, x) -> np.ndarray:
     """d^n/dt^n of t^{delta-1} E_{alpha,delta}(-t^alpha A) x, evaluated by
-    the shift rule as t^{delta-n-1} E_{alpha,delta-n}(-t^alpha A) x.
-
-    A gamma-path handle integrates the shifted symbol on its contour; every
-    other representation, hankel-path included, goes through the oracle,
-    because the shifted delta - n has no Hankel form here, so a hankel-path
-    handle returns exactly the oracle's values."""
-    if n < 0:
-        raise ValueError("derivative order must be nonnegative")
-    if t <= 0:
-        raise ValueError(f"t must be positive, got {t}")
-    rep = "gamma-path" if p.representation == "gamma-path" else "oracle"
-    return t ** (p.delta - n - 1.0) * _apply(p, t, x, p.delta - n, rep)
+    the shift rule as t^{delta-n-1} E_{alpha,delta-n}(-t^alpha A) x through
+    the handle's own representation, for the orders n = 0, 1, 2 that the
+    wave equation uses."""
+    if n not in (0, 1, 2):
+        raise ValueError(f"derivative order must be 0, 1 or 2, got {n}")
+    if not 0.0 < t < math.inf:
+        raise ValueError(f"t must be positive and finite, got {t}")
+    return t ** (p.delta - n - 1.0) * _apply(p, t, x, p.delta - n, p.representation)
 
 
 def a_prop_apply(

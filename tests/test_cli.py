@@ -115,6 +115,9 @@ class TestConfig:
 
 BAD_KEY_CFG = LADDER_CFG + "alpah = 1.5\n"
 
+# a one-block model file whose eigenvalue row is NaN, read by relative path
+NAN_ROW_MODEL = "omega 0.0\ngamma -0.5\nmu 0.6\ntheta 0.5\nblocks 1\nnan 0.0 1.0\n"
+
 
 class TestExitCodes:
     """One row per failure path: exit code and the single stderr line."""
@@ -152,6 +155,12 @@ class TestExitCodes:
                 3,
                 "error: config key a: expected a complex number",
             ),
+            (
+                "model check",
+                "model_file = nan-row.txt\n",
+                3,
+                "error: model file nan-row.txt: eigenvalues and couplings must be finite",
+            ),
             # a command-line argument, not a config value: a usage error
             ("ml --alpha 1.5 --z x", None, 2, "usage error: expected a complex number"),
         ],
@@ -168,10 +177,13 @@ class TestExitCodes:
             "regions-n-1",
             "missing-model-file",
             "malformed-complex-config",
+            "nan-model-row",
             "malformed-complex-argument",
         ],
     )
-    def test_exit_code(self, tmp_path, capsys, command, cfg, code, message):
+    def test_exit_code(self, tmp_path, capsys, monkeypatch, command, cfg, code, message):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "nan-row.txt").write_text(NAN_ROW_MODEL)
         argv = command.split()
         if cfg is not None:
             argv += ["--config", write_config(tmp_path, cfg), "--out", str(tmp_path)]

@@ -68,7 +68,7 @@ def gamma_path_reference(m, f, c, x):
     return total / (2.0j * math.pi)
 
 
-def hankel_reference(m, alpha, t, h, x):
+def hankel_reference(m, alpha, t, h, x, delta=1.0):
     """The Hankel-path quadrature as a loop over nodes, one resolvent_apply
     per node (the trapezoid rule on the hyperbola of hankel_propagator)."""
     phi = h.theta0 - math.pi / 2.0
@@ -82,8 +82,8 @@ def hankel_reference(m, alpha, t, h, x):
         lam = mu * (1.0 + cmath.sin(w))
         dlam = step * 1j * mu * cmath.cos(w)
         resolvent_power = -resolvent_apply(m, -(lam**alpha), x)
-        total += dlam * cmath.exp(lam * t) * lam ** (alpha - 1.0) * resolvent_power
-    return total / (2.0j * math.pi)
+        total += dlam * cmath.exp(lam * t) * lam ** (alpha - delta) * resolvent_power
+    return t ** (1.0 - delta) * total / (2.0j * math.pi)
 
 
 class TestCalculusApply:
@@ -287,12 +287,22 @@ class TestHankelPropagator:
             gap = np.linalg.norm(hankel_propagator(m, ALPHA, t, h, x) - x)
             assert gap <= 10.0 * ax_norm * t ** (ALPHA * 0.75)
 
+    def test_default_delta_is_one(self):
+        m = ladder()
+        x = rand_vec(m)
+        h = HankelSpec(theta0=mid_theta0(m))
+        for t in [0.01, 1.0, 10.0]:
+            assert np.array_equal(
+                hankel_propagator(m, ALPHA, t, h, x, delta=1.0), hankel_propagator(m, ALPHA, t, h, x)
+            )
+
     def test_rejects_bad_args(self):
         m = ladder()
         x = rand_vec(m)
         h = HankelSpec(theta0=mid_theta0(m))
-        with pytest.raises(ValueError):
-            hankel_propagator(m, ALPHA, -1.0, h, x)
+        for t in [-1.0, math.nan, math.inf]:
+            with pytest.raises(ValueError):
+                hankel_propagator(m, ALPHA, t, h, x)
         with pytest.raises(ValueError):
             HankelSpec(theta0=0.3)
         bad = HankelSpec(theta0=math.pi - 0.05)
@@ -316,7 +326,8 @@ class TestNodeLoopReference:
         m = ladder()
         x = rand_vec(m)
         h = HankelSpec(theta0=mid_theta0(m))
-        for t in [0.01, 1.0, 10.0]:
-            want = hankel_reference(m, ALPHA, t, h, x)
-            got = hankel_propagator(m, ALPHA, t, h, x)
-            assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+        for delta in [1.0, ALPHA, 2.0, ALPHA + 1.0]:
+            for t in [0.01, 1.0, 10.0]:
+                want = hankel_reference(m, ALPHA, t, h, x, delta)
+                got = hankel_propagator(m, ALPHA, t, h, x, delta)
+                assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)

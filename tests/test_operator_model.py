@@ -62,6 +62,18 @@ class TestConstruction:
                 lam=np.array([0.0 + 0j]), coupling=np.array([0.0]), profile=prof
             )
 
+    @pytest.mark.parametrize(
+        "lam, coupling",
+        [(math.nan, 1.0), (complex(1.0, math.nan), 0.0), (math.inf, 0.0), (1.0, math.inf)],
+        ids=["nan-eigenvalue", "nan-imaginary-part", "inf-eigenvalue", "inf-coupling"],
+    )
+    def test_non_finite_entries_rejected(self, lam, coupling):
+        prof = SectorProfile(omega=0.1, gamma=-0.5, mu=0.3, theta=0.2)
+        with pytest.raises(ValueError, match="must be finite"):
+            AlmostSectorialModel(
+                lam=np.array([lam], dtype=complex), coupling=np.array([coupling]), profile=prof
+            )
+
 
 class TestApplyAndResolvent:
     def test_apply_diagonal(self):

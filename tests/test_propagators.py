@@ -58,10 +58,6 @@ class TestHandle:
         with pytest.raises(ValueError):
             make_propagator(ladder(), ALPHA, representation="dense")
 
-    def test_rejects_hankel_with_shifted_delta(self):
-        with pytest.raises(ValueError):
-            make_propagator(ladder(), ALPHA, delta=2.0, representation="hankel-path")
-
     def test_rejects_inadmissible_sector(self):
         # mu of this model exceeds pi - alpha*pi/2 once alpha is close to 2
         with pytest.raises(ValueError):
@@ -76,6 +72,17 @@ class TestHandle:
         assert np.allclose(prop_apply(p2, 0.0, x), x)  # 1/Gamma(2) = 1
         with pytest.raises(ValueError):
             prop_apply(p1, -1.0, x)
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -1.0])
+    @pytest.mark.parametrize("representation", ["oracle", "gamma-path", "hankel-path"])
+    def test_rejects_time_outside_half_line(self, representation, t):
+        m = ladder()
+        x = rand_vec(m)
+        p = make_propagator(m, ALPHA, representation=representation)
+        with pytest.raises(ValueError, match="finite"):
+            prop_apply(p, t, x)
+        with pytest.raises(ValueError, match="finite"):
+            prop_time_derivative(p, t, 1, x)
 
     def test_make_propagator_is_the_handle(self):
         m = ladder()
@@ -186,8 +193,7 @@ class TestTimeDerivative:
 
     @pytest.mark.parametrize("n", [0, 1])
     def test_paths_against_oracle(self, n):
-        # gamma-path applies the shifted symbol on its contour; hankel-path
-        # falls back to the oracle and so returns its values exactly
+        # each path applies the shifted symbol E_{alpha,delta-n} itself
         m = ladder()
         x = rand_vec(m)
         oracle = make_propagator(m, ALPHA, representation="oracle")
@@ -195,9 +201,29 @@ class TestTimeDerivative:
         ph = make_propagator(m, ALPHA, representation="hankel-path")
         for t in (0.1, 1.0, 5.0):
             want = prop_time_derivative(oracle, t, n, x)
-            gap = np.linalg.norm(prop_time_derivative(pg, t, n, x) - want) / np.linalg.norm(want)
-            assert gap <= 1e-8
-            assert np.array_equal(prop_time_derivative(ph, t, n, x), want)
+            for p in (pg, ph):
+                gap = np.linalg.norm(prop_time_derivative(p, t, n, x) - want) / np.linalg.norm(want)
+                assert gap <= 1e-8
+
+    @pytest.mark.parametrize("delta", [1.0, ALPHA, 2.0, ALPHA + 1.0])
+    @pytest.mark.parametrize("model", ["ladder", "scalar"])
+    def test_hankel_every_delta(self, model, delta):
+        # the Hankel path serves the whole E_{alpha,delta} family and its
+        # time derivatives through the shift delta -> delta - n
+        if model == "ladder":
+            m = ladder()
+            z1, z2 = np.random.default_rng(1).standard_normal((2, m.dimension))
+            x = z1 + 1j * z2
+        else:
+            m = build_scalar_model(2.0)
+            x = np.array([1.0, 0.0], dtype=complex)
+        oracle = make_propagator(m, ALPHA, delta=delta, representation="oracle")
+        hankel = make_propagator(m, ALPHA, delta=delta, representation="hankel-path")
+        for n in (0, 1, 2):
+            for t in (0.1, 1.0, 5.0):
+                want = prop_time_derivative(oracle, t, n, x)
+                got = prop_time_derivative(hankel, t, n, x)
+                assert np.linalg.norm(got - want) <= 1e-8 * np.linalg.norm(want)
 
     def test_rejects_bad_args(self):
         p = make_propagator(ladder(), ALPHA, representation="oracle")
@@ -206,6 +232,10 @@ class TestTimeDerivative:
             prop_time_derivative(p, 0.0, 1, x)
         with pytest.raises(ValueError):
             prop_time_derivative(p, 1.0, -1, x)
+        with pytest.raises(ValueError):
+            prop_time_derivative(p, 1.0, 3, x)
+        with pytest.raises(ValueError):
+            prop_time_derivative(p, 1.0, 1.5, x)
 
 
 class TestAProp:
