@@ -10,8 +10,8 @@ Two integration paths:
   Trapezoid rule in the hyperbola's parameter, with step and node count set
   by the target accuracy (Weideman and Trefethen, Math. Comp. 76 (2007)).
 
-Both are one node sum sum_j c_j (z_j - A)^{-1} x, applied as one blockwise
-symbol through the spectral oracle; on Gamma_theta, f is called once on the
+Both are one node sum sum_j c_j (z_j - A)^{-1} x, applied as one symbol
+pair through the model's applicator; on Gamma_theta, f is called once on the
 array of nodes (a scalar result is broadcast).
 """
 
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fractional import _trapezoid_weights
-from .operator_model import AlmostSectorialModel, spectral_apply
+from .operator_model import AlmostSectorialModel, _check_vector, _symbol_apply
 
 __all__ = [
     "ContourSpec",
@@ -97,9 +97,9 @@ def default_contour(
 def _path_apply(m: AlmostSectorialModel, z, c, x) -> np.ndarray:
     """sum_j c_j (z_j - A)^{-1} x for node and weight arrays z and c.
 
-    On a Jordan block (z - J)^{-1} = [[r, s r^2], [0, r]] with r = 1/(z - lambda),
-    so the sum is the symbol F = sum_j c_j r_j with F' = sum_j c_j r_j^2,
-    reduced one eigenvalue at a time (no nodes x blocks array is held).
+    The resolvent is the symbol r(lambda) = 1/(z - lambda), with r' = r^2, so
+    the sum is the symbol pair (sum_j c_j r_j, sum_j c_j r_j^2), reduced one
+    eigenvalue at a time (no nodes x blocks array is held).
     """
     tiny = 1e-14 * np.maximum(np.abs(z), 1e-300)
     fv, dv = np.empty((2, m.n_blocks), dtype=complex)
@@ -111,7 +111,7 @@ def _path_apply(m: AlmostSectorialModel, z, c, x) -> np.ndarray:
         cr = c / d
         fv[k] = np.sum(cr)
         dv[k] = np.sum(cr / d)
-    return spectral_apply(m, lambda _: fv, lambda _: dv, x)
+    return _symbol_apply(m, fv, dv, _check_vector(m, x))
 
 
 def _gamma_path_sum(m, f, c, x, refine=1):
@@ -152,9 +152,10 @@ def calculus_apply(
 
 
 def _warn_on_slow_decay(z, fz) -> None:
-    # |f(z)| (1 + |z|) at the middle and the outer end of the upper ray
+    # |f(z)| (1 + |z|) over the outer quarter (in log |z|) of the upper ray:
+    # a bounded one may still rise steeply before it levels off
     n = z.size // 2
-    fm, fo = (abs(fz[j]) * (1.0 + abs(z[j])) for j in (n + n // 2, -1))
+    fm, fo = (abs(fz[j]) * (1.0 + abs(z[j])) for j in (n + 3 * n // 4, -1))
     if fm > 0 and fo > 100.0 * fm:
         warnings.warn(
             "integrand does not satisfy the |f(z)| <= C/(1+|z|) decay "

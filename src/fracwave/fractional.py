@@ -5,15 +5,16 @@ product integration exact on piecewise-linear data, regularized Caputo
 derivatives (1 < alpha < 2), and the Duhamel term of the forced problem.
 
 Both convolutions with a long memory run through one exponential-mode
-engine (``_mode_sums``): a kernel written as a sum of exponentials
-w e^{z tau} is convolved with piecewise-linear data by a recurrence that is
+engine (``_mode_sums``): a kernel written as a sum of terms w tau^m e^{z tau},
+m = 0 or 1, is convolved with piecewise-linear data by a recurrence that is
 exact on every panel of the grid, in O(n K) work for K modes (Lubich and
 Schaedle, SIAM J. Sci. Comput. 24 (2002)).  The engine steps tiles of nodes
 by modes, laid out with the modes on the contiguous axis, and contracts the
-histories with the weights itself, in real arithmetic for real modes; each
-caller makes one call per mode set.  ``rl_integral`` asks for the lagged
-sum, the histories carried across the last panel without its data, and
-integrates that panel exactly against g_beta.  Both sums are trapezoid rules
+histories with the weights itself, in real arithmetic for real modes; it
+sees only columns of data, and each caller makes one call per mode set and
+power m.  ``rl_integral`` asks for the lagged sum, the histories carried
+across the last panel without its data, and adds that panel, integrated
+exactly against g_beta.  Both sums are trapezoid rules
 in log r on the step ``mittag_leffler._CUT_STEP``.  g_beta, 0 < beta < 1,
 is one on [min h, T] (Jiang, Zhang, Zhang and Zhang, Commun. Comput. Phys.
 21 (2017)), its small-rate end closed by one exact tail mode;
@@ -37,7 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .mittag_leffler import _CUT_EPS, _CUT_STEP, MLParams, _Cut, ml_eval, reciprocal_gamma
-from .operator_model import AlmostSectorialModel, spectral_matrices
+from .operator_model import AlmostSectorialModel
 
 __all__ = [
     "TimeGrid",
@@ -205,13 +206,13 @@ def _real_blocks(w: np.ndarray, real: bool) -> np.ndarray:
     return (b if real else b.swapaxes(2, 3)).reshape(b.shape[0], 2, -1)
 
 
-def _mode_sums(z, w, t, u, out, cw=None, lagged: bool = False) -> None:
-    """Add weighted exponential-mode histories of the node data ``u``
-    (n + 1, d), linear between nodes, to ``out``, a C-ordered complex
-    (n + 1, d) array (it is written through a real view).
+def _mode_sums(z, w, t, u, lagged: bool = False, derivative: bool = False) -> np.ndarray:
+    """The convolution of the node data ``u`` (n + 1, d), linear between
+    nodes, with the kernel sum_k w_k tau^m e^{z_k tau}, m = 1 with
+    ``derivative`` and 0 without: a complex (n + 1, d) array, 0 at t_0.
 
-    ``z``, ``w`` and ``cw`` are (K, 1), shared by the columns of u, or
-    (K, d), one per column.  The history of mode k,
+    ``z`` and ``w`` are (K, 1), shared by the columns of u, or (K, d), one
+    per column.  The history of mode k,
 
         y_k(t_i) = int_0^{t_i} e^{z_k (t_i - s)} u(s) ds,
 
@@ -219,13 +220,12 @@ def _mode_sums(z, w, t, u, out, cw=None, lagged: bool = False) -> None:
 
         y_i = e^{z h} y_{i-1} + h [(phi_1 - phi_2)(z h) u_{i-1} + phi_2(z h) u_i],
 
-    and ``out[i]`` gets sum_k w_k y_k(t_i), or with ``lagged``
+    and row i is sum_k w_k y_k(t_i), or with ``lagged`` (m = 0 only)
     sum_k w_k e^{z_k h_i} y_k(t_{i-1}): the histories carried across the
     last panel without its data, which the caller integrates exactly.  With
-    ``cw`` the z-derivatives dy_k(t_i) = int_0^{t_i} (t_i - s)
+    ``derivative`` the z-derivatives dy_k(t_i) = int_0^{t_i} (t_i - s)
     e^{z_k (t_i - s)} u(s) ds advance too, by the next phi-function, and
-    column 2b gets sum_k cw_k dy_k(t_i) of column 2b + 1 (cw read at the
-    odd columns): the superdiagonal of a Jordan block.
+    row i is sum_k w_k dy_k(t_i).
 
     Tiles of consecutive nodes i0 <= i < i0 + c by a slice of the modes are
     stepped one node at a time; every tile array is (nodes, columns, modes),
@@ -235,54 +235,52 @@ def _mode_sums(z, w, t, u, out, cw=None, lagged: bool = False) -> None:
     or half the size of u when that is more, of history (unless one mode of
     one node needs more), and its arrays are reused by the next tile.
     """
-    if out.dtype != complex or not out.flags.c_contiguous:
-        raise ValueError("out must be a C-ordered complex array")
     real = np.isrealobj(z)
     v = np.ascontiguousarray(u).view(float) if real else u
     zt = np.repeat(z.T, 2, axis=0) if real and z.shape[1] > 1 else z.T
     nk, cols = z.shape[0], v.shape[1]
     h = np.diff(t)
-    jordan = cw is not None
-    per_mode = cols * v.itemsize * (2 if jordan else 1)
+    per_mode = cols * v.itemsize * (2 if derivative else 1)
     budget = max(_CHUNK_BYTES, v.nbytes // 2)
     kc = max(1, min(nk, budget // per_mode))
     size = max(1, budget // (kc * per_mode))
     # histories, their products with e^{zh} and the z-derivatives
-    store = np.empty((3 if jordan else 2, (size + 1) * cols * kc), dtype=v.dtype)
+    store = np.empty((3 if derivative else 2, (size + 1) * cols * kc), dtype=v.dtype)
+    out = np.zeros(u.shape, dtype=complex)
     reim = out.view(float).reshape(out.shape[0], -1, 2)
     for k0 in range(0, nk, kc):
         ks = slice(k0, min(k0 + kc, nk))
         zk, k = zt[:, ks], ks.stop - k0
         views = [s[: (size + 1) * cols * k].reshape(size + 1, cols, k) for s in store]
-        y, ay, dy = views if jordan else (*views, None)
+        y, ay, dy = views if derivative else (*views, None)
         y[0] = 0.0
         rows_y, rows_ay = list(y), list(ay)
         wb = _real_blocks(w[ks], real)
-        if jordan:
+        if derivative:
             dy[0] = 0.0
-            cb = _real_blocks(cw[ks] if cw.shape[1] == 1 else cw[ks, 1::2], real)
         for i0 in range(1, t.size, size):
             c = min(size, t.size - i0)
             hc = h[i0 - 1 : i0 - 1 + c, None, None]
-            a, (p1, p2, *p3) = _phi(hc * zk, 3 if jordan else 2)
+            a, (p1, p2, *p3) = _phi(hc * zk, 3 if derivative else 2)
             prev, cur = v[i0 - 1 : i0 - 1 + c, :, None], v[i0 : i0 + c, :, None]
             np.multiply(hc * (p1 - p2), prev, out=y[1 : c + 1])
             y[1 : c + 1] += hc * p2 * cur
             for aj, yj, ayj, yn in zip(a, rows_y, rows_ay, rows_y[1:]):
                 np.multiply(aj, yj, out=ayj)
                 yn += ayj
-            rows = slice(i0, i0 + c)
-            reim[rows] += np.vecdot(_as_reals(ay[:c] if lagged else y[1 : c + 1], real)[:, :, None], wb)
-            if jordan:
+            if derivative:
                 (p3,) = p3
                 hh = hc * hc
                 np.multiply(hh * (p1 - 2.0 * p2 + 2.0 * p3), prev, out=dy[1 : c + 1])
                 dy[1 : c + 1] += hh * (p2 - 2.0 * p3) * cur
                 for j in range(c):
                     dy[j + 1] += a[j] * (dy[j] + hc[j] * y[j])
-                reim[rows, 0::2] += np.vecdot(_as_reals(dy[1 : c + 1], real)[:, 1::2, None], cb)
+            sums = dy[1 : c + 1] if derivative else ay[:c] if lagged else y[1 : c + 1]
+            reim[i0 : i0 + c] += np.vecdot(_as_reals(sums, real)[:, :, None], wb)
+            if derivative:
                 dy[0] = dy[c]
             y[0] = y[c]
+    return out
 
 
 def _mode_count(x_lo: float, x_hi: float, step: float, what: str) -> int:
@@ -344,11 +342,10 @@ def rl_integral(k: Kernel, u: Trajectory) -> Trajectory:
     beta = k.beta
     h = np.diff(t)
     if beta < 1.0:
-        m0, m1 = _panel_moments(beta, 0.0, h, 0.0, h**beta)
-        out = np.zeros(vals.shape, dtype=complex)
-        out[1:] = (m0 - m1 / h)[:, None] * vals[:-1] + (m1 / h)[:, None] * vals[1:]
         rates, weights = _power_sum(beta, float(h.min()), float(t[-1]))
-        _mode_sums(-rates[:, None], weights[:, None], t, vals, out, lagged=True)
+        out = _mode_sums(-rates[:, None], weights[:, None], t, vals, lagged=True)
+        m0, m1 = _panel_moments(beta, 0.0, h, 0.0, h**beta)
+        out[1:] += (m0 - m1 / h)[:, None] * vals[:-1] + (m1 / h)[:, None] * vals[1:]
         return Trajectory(u.grid, out)
     out = np.zeros_like(vals)
     for i in range(1, n + 1):
@@ -419,7 +416,7 @@ class _PropagatorSum:
 
     On a block [[lambda, s], [0, lambda]] the diagonal is the residue and
     cut modes of ``mittag_leffler._Cut`` at delta = 1, on rates shared by
-    all blocks.  The off-diagonal entry is s d/dlambda E =
+    all blocks.  The superdiagonal is s d/dlambda E =
     (s tau/(alpha lambda)) d/dtau E, so a mode w e^{z tau} adds
     s z w/(alpha lambda) tau e^{z tau} to it; unlike d rho/d lambda, whose
     terms cancel to O(lambda) of their size when |lambda| T^alpha << 1, this
@@ -439,17 +436,15 @@ class _PropagatorSum:
     tau_min: float
     T: float
 
-    def at(self, tau: np.ndarray) -> np.ndarray:
-        """The summed blocks at lags ``tau``, shape (len(tau), nb, 2, 2)."""
+    def at(self, tau: np.ndarray):
+        """The summed (diagonal, superdiagonal) pair at lags ``tau``, each
+        (len(tau), nb)."""
         tau = np.asarray(tau, dtype=float)
         er = np.exp(-np.outer(tau, self.rates))
         ep = np.exp(self.poles[None] * tau[:, None, None])
         diag = er @ self.weights + np.sum(self.pole_weights * ep, axis=1)
         off = er @ self.couplings + np.sum(self.pole_couplings * ep, axis=1)
-        out = np.zeros(diag.shape + (2, 2), dtype=complex)
-        out[..., 0, 0] = out[..., 1, 1] = diag
-        out[..., 0, 1] = tau[:, None] * off
-        return out
+        return diag, tau[:, None] * off
 
 
 def _propagator_sum(m: AlmostSectorialModel, alpha: float, tau_min: float, T: float):
@@ -493,25 +488,25 @@ def _propagator_sum(m: AlmostSectorialModel, alpha: float, tau_min: float, T: fl
 
 
 def _check_propagator_sum(es: _PropagatorSum, m: AlmostSectorialModel, alpha: float, lags) -> None:
-    """Compare the sums with the blockwise oracle at increasing ``lags``.
-    The error of a block at a lag is measured against its largest entry at
-    that lag or later: a decaying block must keep its relative accuracy in
-    the tail, and the coupling of a block with lambda T^alpha << 1, whose
-    sum cancels to far below its scale 1/|lambda|, is measured against the
-    diagonal.  The lambda-derivative is
+    """Compare the sums' (diagonal, superdiagonal) pairs with the oracle's,
+    entry by entry, at increasing ``lags``.  The error of a block at a lag
+    is measured against its largest entry at that lag or later: a decaying
+    block must keep its relative accuracy in the tail, and the coupling of
+    a block with lambda T^alpha << 1, whose sum cancels to far below its
+    scale 1/|lambda|, is measured against the diagonal.  The lambda-derivative is
     -tau^alpha E_{alpha,alpha}(-tau^alpha lambda)/alpha, through values only:
     ``ml_derivative`` is accepted at a looser tolerance than ``_SUM_TOL``.
     In the mid-band ``ml_eval`` uses the same cut representation, so there
     this compares two quadratures of one representation; its independent
     guard is the dense-reference tests in ``tests/test_fractional.py``."""
     ta = lags[:, None] ** alpha
-    oracle = spectral_matrices(
-        m,
-        lambda z: ml_eval(MLParams(alpha, 1.0), -ta * z),
-        lambda z: -ta / alpha * ml_eval(MLParams(alpha, alpha), -ta * z),
+    z = -ta * m.lam
+    oracle = (
+        ml_eval(MLParams(alpha, 1.0), z),
+        m.coupling * (-ta / alpha * ml_eval(MLParams(alpha, alpha), z)),
     )
-    err = np.max(np.abs(es.at(lags) - oracle), axis=(2, 3))
-    scale = np.maximum.accumulate(np.max(np.abs(oracle), axis=(2, 3))[::-1])[::-1]
+    err = np.maximum(*(np.abs(g - o) for g, o in zip(es.at(lags), oracle)))
+    scale = np.maximum.accumulate(np.maximum(*map(np.abs, oracle))[::-1])[::-1]
     bad = np.any(~(err <= _SUM_TOL * scale), axis=0)  # a NaN fails too
     if bad.any():
         k = int(np.argmax(bad))
@@ -551,8 +546,8 @@ def duhamel_convolve(
     built = np.array_equal(es.lam, m.lam) and np.array_equal(es.coupling, m.coupling)
     if not built or es.alpha != alpha or np.diff(t).min() < es.tau_min or t[-1] > es.T:
         raise ValueError("the exponential sums were built for another model, alpha or grid")
-    q = np.zeros(f.values.shape, dtype=complex)
-    coupled = bool(np.any(m.coupling))
+    u = f.values
+    q = np.zeros(u.shape, dtype=complex)
 
     def per_column(x):  # one entry per block, for both of its columns
         return x if x.shape[1] == 1 else np.repeat(x, 2, axis=1)
@@ -561,7 +556,9 @@ def duhamel_convolve(
         (-es.rates[:, None], es.weights, es.couplings),
         (es.poles, es.pole_weights, es.pole_couplings),
     ):
-        _mode_sums(per_column(z), per_column(w), t, f.values, q, per_column(cw) if coupled else None)
+        q += _mode_sums(per_column(z), per_column(w), t, u)
+        if np.any(m.coupling):  # s d/dlambda E of a block's second component, into its first
+            q[:, 0::2] += _mode_sums(z, cw, t, u[:, 1::2], derivative=True)
     return rl_integral(Kernel(alpha - 1.0), Trajectory(f.grid, q))
 
 

@@ -197,19 +197,23 @@ def _check_vector(m: AlmostSectorialModel, x) -> np.ndarray:
     return x
 
 
+def _symbol_apply(m: AlmostSectorialModel, f, df, x) -> np.ndarray:
+    """f(A) x for the symbol pair (f(lambda), f'(lambda)): each block of x
+    times [[f, s f'], [0, f]].  ``f`` and ``df`` broadcast against the
+    eigenvalues and may carry leading axes (e.g. time), one result row per
+    leading index; ``x`` is one vector or a (..., d) array of rows."""
+    if x.shape[-1] != m.dimension:
+        raise ValueError(f"row length {x.shape[-1]} != model dimension {m.dimension}")
+    xb = x.reshape(x.shape[:-1] + (-1, 2))
+    out = np.stack([f * xb[..., 0] + m.coupling * df * xb[..., 1], f * xb[..., 1]], axis=-1)
+    return out.reshape(out.shape[:-2] + (-1,))
+
+
 def apply(m: AlmostSectorialModel, x) -> np.ndarray:
     """A x by blockwise upper-triangular multiply; ``x`` is one vector or a
     (..., d) array of rows, each multiplied."""
     x = np.asarray(x, dtype=complex)
-    if x.ndim < 2:
-        x = _check_vector(m, x)
-    elif x.shape[-1] != m.dimension:
-        raise ValueError(f"row length {x.shape[-1]} != model dimension {m.dimension}")
-    xb = x.reshape(x.shape[:-1] + (-1, 2))
-    out = np.empty_like(xb)
-    out[..., 0] = m.lam * xb[..., 0] + m.coupling * xb[..., 1]
-    out[..., 1] = m.lam * xb[..., 1]
-    return out.reshape(x.shape)
+    return _symbol_apply(m, m.lam, 1.0, _check_vector(m, x) if x.ndim < 2 else x)
 
 
 def resolvent_apply(m: AlmostSectorialModel, z: complex, x) -> np.ndarray:
@@ -220,11 +224,7 @@ def resolvent_apply(m: AlmostSectorialModel, z: complex, x) -> np.ndarray:
     if np.min(gap) < 1e-14 * max(abs(z), 1e-300):
         raise ValueError(f"z={z} collides with the spectrum")
     inv = 1.0 / (z - m.lam)
-    xb = x.reshape(-1, 2)
-    out = np.empty_like(xb)
-    out[:, 0] = inv * xb[:, 0] + m.coupling * inv * inv * xb[:, 1]
-    out[:, 1] = inv * xb[:, 1]
-    return out.ravel()
+    return _symbol_apply(m, inv, inv * inv, x)
 
 
 def power(m: AlmostSectorialModel, beta: float) -> AlmostSectorialModel:
@@ -270,7 +270,7 @@ def resolvent_norm(m: AlmostSectorialModel, z: complex) -> float:
     """Exact spectral norm of (z - A)^{-1}."""
     z = complex(z)
     inv = 1.0 / (z - m.lam)
-    return float(np.max(_block_norms(inv, m.coupling * inv * inv, inv)))
+    return _symbol_norms(m, inv, inv * inv)
 
 
 def verify_resolvent_bound(
@@ -313,21 +313,23 @@ def spectral_matrices(m: AlmostSectorialModel, f, fprime) -> np.ndarray:
 
 
 def spectral_apply(m: AlmostSectorialModel, f, fprime, x) -> np.ndarray:
-    """f(A) x via the blockwise oracle."""
-    x = _check_vector(m, x)
-    blocks = spectral_matrices(m, f, fprime)
-    xb = x.reshape(-1, 2)
-    return np.einsum("kab,kb->ka", blocks, xb).ravel()
+    """f(A) x via the blockwise oracle; ``f`` and ``fprime`` are called once,
+    on ``m.lam``."""
+    return _symbol_apply(m, f(m.lam), fprime(m.lam), _check_vector(m, x))
+
+
+def _symbol_norms(m: AlmostSectorialModel, f, df):
+    """Exact spectral norm of f(A) for the symbol pair (f(lambda),
+    f'(lambda)) at the eigenvalues; one norm per leading index of the pair
+    (a float when it has none)."""
+    norms = np.max(_block_norms(f, m.coupling * df, f), axis=-1)
+    return float(norms) if norms.ndim == 0 else norms
 
 
 def model_norm_of_function(m: AlmostSectorialModel, f, fprime):
     """Exact spectral norm of f(A) from the blockwise oracle; one norm per
     leading index of the symbol (a float when it has none)."""
-    blocks = spectral_matrices(m, f, fprime)
-    norms = np.max(
-        _block_norms(blocks[..., 0, 0], blocks[..., 0, 1], blocks[..., 1, 1]), axis=-1
-    )
-    return float(norms) if norms.ndim == 0 else norms
+    return _symbol_norms(m, f(m.lam), fprime(m.lam))
 
 
 def graph_norm(m: AlmostSectorialModel, x) -> float:

@@ -21,14 +21,8 @@ import numpy as np
 from .contour import HankelSpec, calculus_apply, default_contour, hankel_propagator
 from .fractional import Kernel, TimeGrid, Trajectory, _csv, _trapezoid_weights, rl_integral
 from .mittag_leffler import BoundReport, MLParams, _ml, ml_eval, reciprocal_gamma
-from .operator_model import (
-    AlmostSectorialModel,
-    apply as op_apply,
-    model_norm_of_function,
-    resolvent_apply,
-    spectral_apply,
-    spectral_matrices,
-)
+from .operator_model import AlmostSectorialModel, _symbol_apply, _symbol_norms, resolvent_apply
+from .operator_model import apply as op_apply
 
 __all__ = [
     "PropagatorHandle",
@@ -105,31 +99,21 @@ def _apply(p: PropagatorHandle, t: float, x, delta: float, representation: str) 
         return hankel_propagator(p.model, p.alpha, t, p.hankel or HankelSpec(theta0), x, delta)
     ml = MLParams(p.alpha, delta)
     if representation == "oracle":
-        fv, dv = _symbol_values(ml, t, p.model.lam)
-        return spectral_apply(p.model, lambda _: fv, lambda _: dv, x)
+        return _symbol_apply(p.model, *_symbol_values(ml, t, p.model.lam), x)
     ta = t**p.alpha
     f = lambda z: ml_eval(ml, -ta * z)
     return calculus_apply(p.model, f, default_contour(p.model, t_alpha_scale=ta), x)
 
 
-def propagator_snapshots(
-    m: AlmostSectorialModel, alpha: float, delta: float, grid: TimeGrid
-) -> np.ndarray:
-    """Blockwise snapshots E_{alpha,delta}(-t_i^alpha A), shape (n+1, nb, 2, 2).
-
-    The t = 0 snapshot is the limit (1/Gamma(delta)) I.
-    """
+def propagator_snapshots(m: AlmostSectorialModel, alpha: float, delta: float, grid: TimeGrid):
+    """The symbol pair of E_{alpha,delta}(-t_i^alpha A) at the grid nodes:
+    values and lambda-derivatives, each (n+1, nb).  The t = 0 row is the
+    limit (1/Gamma(delta), 0)."""
     t = grid.nodes()
-    out = np.zeros((t.size, m.n_blocks, 2, 2), dtype=complex)
-    out[0, :, 0, 0] = out[0, :, 1, 1] = reciprocal_gamma(delta)
-    fv, dv = _symbol_values(MLParams(alpha, delta), t[1:, None], m.lam)
-    out[1:] = spectral_matrices(m, lambda _: fv, lambda _: dv)
-    return out
-
-
-def _apply_snapshots(snaps: np.ndarray, x: np.ndarray) -> np.ndarray:
-    xb = x.reshape(-1, 2)
-    return np.einsum("ikab,kb->ika", snaps, xb).reshape(snaps.shape[0], -1)
+    fv = np.full((t.size, m.n_blocks), reciprocal_gamma(delta), dtype=complex)
+    dv = np.zeros_like(fv)
+    fv[1:], dv[1:] = _symbol_values(MLParams(alpha, delta), t[1:, None], m.lam)
+    return fv, dv
 
 
 def prop_apply(p: PropagatorHandle, t: float, x) -> np.ndarray:
@@ -173,8 +157,7 @@ def _norm_sweep(
         raise ValueError("need at least two positive t values")
     lam = p.model.lam
     g, gp = weight(lam, *_symbol_values(MLParams(p.alpha, delta), ts[:, None], lam))
-    norms = model_norm_of_function(p.model, lambda _: g, lambda _: gp)
-    return _fit_decay(ts, norms * ts**power)
+    return _fit_decay(ts, _symbol_norms(p.model, g, gp) * ts**power)
 
 
 def _times_z(z, e, de):
@@ -253,19 +236,23 @@ def laplace_check(p: PropagatorHandle, lam: float, x, nodes_per_decade: int = 48
     # of t nodes per eigenvalue
     q = _trapezoid_weights(np.log(ts)) * ts * np.exp(-lam * ts)
     e, de = _symbol_values(MLParams(p.alpha, 1.0), ts, p.model.lam[:, None])
-    fv = np.sum(q * e, axis=1)
-    dv = np.sum(q * de, axis=1)
-    integral = spectral_apply(p.model, lambda _: fv, lambda _: dv, x)
+    integral = _symbol_apply(p.model, np.sum(q * e, axis=1), np.sum(q * de, axis=1), x)
     rhs = lam ** (p.alpha - 1.0) * (-resolvent_apply(p.model, -(lam**p.alpha), x))
     return float(np.linalg.norm(integral - rhs) / nx)
 
 
-def _grid_convolution(p: PropagatorHandle, t: float, beta: float, x, n_grid: int):
-    """(g_beta * E_alpha)(t) x by product integration of oracle snapshots."""
+def _g_conv(p: PropagatorHandle, t: float, beta: float, x, method: str, n_grid: int):
+    """(g_beta * E_alpha)(t) x through the oracle: ``method='oracle'`` by the
+    series identity t^beta E_{alpha,1+beta}(-t^alpha A) x, ``method='grid'``
+    by product integration of snapshots on a graded grid (grid-order
+    accurate)."""
+    if method == "oracle":
+        return t**beta * _apply(p, t, x, 1.0 + beta, "oracle")
+    if method != "grid":
+        raise ValueError(f"unknown method {method!r}")
     grid = TimeGrid(t, n_grid, grading=2.0)
-    snaps = _apply_snapshots(propagator_snapshots(p.model, p.alpha, 1.0, grid), x)
-    conv = rl_integral(Kernel(beta), Trajectory(grid, snaps))
-    return conv.values[-1]
+    snaps = _symbol_apply(p.model, *propagator_snapshots(p.model, p.alpha, 1.0, grid), x)
+    return rl_integral(Kernel(beta), Trajectory(grid, snaps)).values[-1]
 
 
 def derivative_identity_check(
@@ -281,14 +268,7 @@ def derivative_identity_check(
     if np.all(x == 0):
         return 0.0
     lhs = prop_time_derivative(replace(p, delta=1.0, representation="oracle"), t, 1, x)
-    if method == "oracle":
-        # (g_beta * E_alpha)(t) = t^beta E_{alpha,1+beta}(-t^alpha A), beta = alpha - 1
-        conv = t ** (p.alpha - 1.0) * _apply(p, t, x, p.alpha, "oracle")
-    elif method == "grid":
-        conv = _grid_convolution(p, t, p.alpha - 1.0, x, n_grid)
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    rhs = -op_apply(p.model, conv)
+    rhs = -op_apply(p.model, _g_conv(p, t, p.alpha - 1.0, x, method, n_grid))
     scale = np.linalg.norm(lhs) + np.linalg.norm(rhs) + 1e-300
     return float(np.linalg.norm(lhs - rhs) / scale)
 
@@ -310,14 +290,7 @@ def uno_identity_check(
     nx = np.linalg.norm(x)
     if nx == 0.0:
         return 0.0
-    if method == "oracle":
-        # (g_beta * E_alpha)(t) = t^beta E_{alpha,1+beta}(-t^alpha A), beta = alpha
-        conv = t**p.alpha * _apply(p, t, x, 1.0 + p.alpha, "oracle")
-    elif method == "grid":
-        conv = _grid_convolution(p, t, p.alpha, x, n_grid)
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    lhs = op_apply(p.model, conv)
+    lhs = op_apply(p.model, _g_conv(p, t, p.alpha, x, method, n_grid))
     rhs = x - _apply(p, t, x, 1.0, "oracle")
     return float(np.linalg.norm(lhs - rhs) / nx)
 

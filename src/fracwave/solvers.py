@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fractional import TimeGrid, Trajectory, _csv, caputo_derivative, duhamel_convolve, propagator_sum
-from .operator_model import AlmostSectorialModel, apply as op_apply
-from .propagators import _apply_snapshots, propagator_snapshots
+from .operator_model import AlmostSectorialModel, _symbol_apply, apply as op_apply
+from .propagators import propagator_snapshots
 
 __all__ = [
     "ForcingSpec",
@@ -149,16 +149,16 @@ def solve_homogeneous(p: WaveProblem) -> Trajectory:
 
 
 def _homogeneous_values(p: WaveProblem) -> np.ndarray:
-    """Homogeneous solution on the grid, from one set of snapshots per
-    nonzero initial datum."""
+    """Homogeneous solution on the grid, from the symbol pair of one set of
+    snapshots per nonzero initial datum."""
     t = p.grid.nodes()
     vals = np.zeros((t.size, p.model.dimension), dtype=complex)
     if np.any(p.w0 != 0):
         e1 = propagator_snapshots(p.model, p.alpha, 1.0, p.grid)
-        vals += _apply_snapshots(e1, p.w0)
+        vals += _symbol_apply(p.model, *e1, p.w0)
     if np.any(p.w1 != 0):
         e2 = propagator_snapshots(p.model, p.alpha, 2.0, p.grid)
-        vals += t[:, None] * _apply_snapshots(e2, p.w1)
+        vals += t[:, None] * _symbol_apply(p.model, *e2, p.w1)
     return vals
 
 

@@ -7,8 +7,9 @@ import pytest
 from fracwave import fractional
 from fracwave.cli import build_parser, config_hash, main, parse_config_text
 from fracwave.mittag_leffler import MLParams, ml_eval
-from fracwave.operator_model import model_from_text
-from fracwave.solvers import regime_report
+from fracwave.fractional import TimeGrid, trajectory_from_csv
+from fracwave.operator_model import build_scalar_model, model_from_text
+from fracwave.solvers import ForcingSpec, WaveProblem, regime_report, solve_linear
 
 
 def write_config(tmp_path, text, name="run.cfg"):
@@ -83,8 +84,9 @@ class TestConfig:
     def test_missing_file(self):
         assert main(["verify", "--config", "/nonexistent.cfg"]) == 2
 
-    def test_no_config_flag(self):
-        assert main(["verify"]) == 2
+    @pytest.mark.parametrize("command", ["verify", "solve", "model build", "model check"])
+    def test_no_config_flag(self, command):
+        assert main(command.split()) == 2
 
     def test_tol_only_where_read(self, tmp_path):
         path = write_config(tmp_path, "n = 3\n")
@@ -274,6 +276,18 @@ class TestSolve:
             ]
 
         assert body(a) == body(b)
+
+    def test_sin_t_forcing_with_random_and_full_vectors(self, tmp_path):
+        # w0 drawn from the seeded generator, w1 given entry by entry
+        cfg = SCALAR_CFG.replace("w0 = 1", "w0 = random\nw1 = 0.5,-0.25")
+        path = write_config(tmp_path, cfg + "problem = linear\nforcing = sin-t\nforcing_value = 2\n")
+        assert main(["solve", "--config", path, "--out", str(tmp_path), "--seed", "5"]) == 0
+        got = trajectory_from_csv((tmp_path / "solution.csv").read_text()).values
+        forcing = ForcingSpec.time_dependent(lambda t: 2.0 * math.sin(t))
+        w0 = np.random.default_rng(5).standard_normal(2)
+        m = build_scalar_model(2.0, gamma=-0.75)
+        prob = WaveProblem(m, 1.5, w0, np.array([0.5, -0.25]), TimeGrid(1.0, 256), forcing)
+        assert np.array_equal(got, solve_linear(prob).values)
 
     def test_nonconvergent_picard_exit4(self, tmp_path):
         cfg = SCALAR_CFG + (

@@ -192,6 +192,15 @@ class TestCalculusApply:
         with pytest.raises(ValueError):
             calculus_apply(m, lambda z: 1.0 / (1.0 + z), c, rand_vec(m))
 
+    @pytest.mark.parametrize(
+        "theta, r_min, r_max, nodes_per_decade",
+        [(0.0, 1e-8, 1e8, 16), (math.pi, 1e-8, 1e8, 16), (0.5, 0.0, 1e8, 16), (0.5, 1e8, 1e-8, 16), (0.5, 1e-8, 1e8, 3)],
+        ids=["theta-0", "theta-pi", "r_min-0", "radii-reversed", "nodes_per_decade-3"],
+    )
+    def test_contour_spec_rejects_bad_fields(self, theta, r_min, r_max, nodes_per_decade):
+        with pytest.raises(ValueError):
+            ContourSpec(theta, r_min, r_max, nodes_per_decade)
+
 
 class TestResolventOfPowerSum:
     def test_scalar(self):
@@ -308,6 +317,9 @@ class TestHankelPropagator:
         bad = HankelSpec(theta0=math.pi - 0.05)
         with pytest.raises(ValueError):
             hankel_propagator(m, ALPHA, 1.0, bad, x)
+        for alpha in [1.0, 2.0]:
+            with pytest.raises(ValueError, match="alpha must lie in"):
+                hankel_propagator(m, alpha, 1.0, h, x)
 
 
 class TestNodeLoopReference:

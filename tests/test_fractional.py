@@ -303,14 +303,13 @@ def reference_phi(x):
     return e, p1, p2, (p2 - 0.5) / x
 
 
-def reference_mode_sums(z, w, t, u, cw=None, lagged=False):
-    """What ``fractional._mode_sums`` adds, by one scalar recurrence per mode
+def reference_mode_sums(z, w, t, u, lagged=False, derivative=False):
+    """What ``fractional._mode_sums`` returns, by one scalar recurrence per mode
     and column: y_i = e^{zh} y_{i-1} + h[(phi_1 - phi_2) u_{i-1} + phi_2 u_i]
-    and its z-derivative dy_i = e^{zh}(dy_{i-1} + h y_{i-1})
+    and, for the tau e^{z tau} kernel, its z-derivative dy_i = e^{zh}(dy_{i-1} + h y_{i-1})
     + h^2[(phi_1 - 2 phi_2 + 2 phi_3) u_{i-1} + (phi_2 - 2 phi_3) u_i]."""
     n1, d = u.shape
     zz, ww = np.broadcast_to(z, (z.shape[0], d)), np.broadcast_to(w, (z.shape[0], d))
-    cc = None if cw is None else np.broadcast_to(cw, (z.shape[0], d))
     out = np.zeros((n1, d), dtype=complex)
     for k in range(z.shape[0]):
         for j in range(d):
@@ -324,9 +323,7 @@ def reference_mode_sums(z, w, t, u, cw=None, lagged=False):
                 dy = e * (dy + h * y) + h * h * data
                 y = e * y + h * ((p1 - p2) * u[i - 1, j] + p2 * u[i, j])
                 if not lagged:
-                    out[i, j] += ww[k, j] * y
-                if cc is not None and j % 2 == 1:
-                    out[i, j - 1] += cc[k, j] * dy
+                    out[i, j] += ww[k, j] * (dy if derivative else y)
     return out
 
 
@@ -343,10 +340,10 @@ def mode_sum_case(name, n, modes, d=4):
         "real-shared": dict(z=rates, w=cplx(modes, 1)),
         "real-shared-lagged": dict(z=rates, w=rng.uniform(0.1, 1.0, (modes, 1)), lagged=True),
         "real-per-column": dict(z=-np.exp(rng.uniform(-2.3, 6.9, (modes, d))), w=cplx(modes, d)),
-        "real-jordan-shared": dict(z=rates, w=cplx(modes, 1), cw=cplx(modes, 1)),
-        "real-jordan-per-column": dict(z=rates, w=cplx(modes, d), cw=cplx(modes, d)),
+        "real-derivative-shared": dict(z=rates, w=cplx(modes, 1), derivative=True),
+        "real-derivative-per-column": dict(z=rates, w=cplx(modes, d), derivative=True),
         "complex-per-column": dict(z=poles, w=cplx(modes, d)),
-        "complex-jordan-per-column": dict(z=poles, w=cplx(modes, d), cw=cplx(modes, d)),
+        "complex-derivative-per-column": dict(z=poles, w=cplx(modes, d), derivative=True),
         "complex-per-column-lagged": dict(z=poles, w=cplx(modes, d), lagged=True),
     }[name]
 
@@ -355,10 +352,10 @@ MODE_SUM_CASES = [
     "real-shared",
     "real-shared-lagged",
     "real-per-column",
-    "real-jordan-shared",
-    "real-jordan-per-column",
+    "real-derivative-shared",
+    "real-derivative-per-column",
     "complex-per-column",
-    "complex-jordan-per-column",
+    "complex-derivative-per-column",
     "complex-per-column-lagged",
 ]
 
@@ -372,8 +369,7 @@ class TestExponentialHistory:
         t, u, kw = mode_sum_case(case, 20, 24)
         if chunk_bytes is not None:
             monkeypatch.setattr(fractional, "_CHUNK_BYTES", chunk_bytes)
-        out = np.zeros_like(u)
-        fractional._mode_sums(t=t, u=u, out=out, **kw)
+        out = fractional._mode_sums(t=t, u=u, **kw)
         ref = reference_mode_sums(t=t, u=u, **kw)
         assert np.max(np.abs(out - ref)) <= 1e-14 * np.max(np.abs(ref))
 
@@ -385,16 +381,8 @@ class TestExponentialHistory:
         outs = []
         for chunk_bytes in (fractional._CHUNK_BYTES, 1):
             monkeypatch.setattr(fractional, "_CHUNK_BYTES", chunk_bytes)
-            outs.append(np.zeros_like(u))
-            fractional._mode_sums(t=t, u=u, out=outs[-1], **kw)
+            outs.append(fractional._mode_sums(t=t, u=u, **kw))
         assert np.array_equal(outs[0], outs[1])
-
-    @pytest.mark.parametrize("make_out", [np.asfortranarray, np.real], ids=["fortran", "real"])
-    def test_mode_sums_reject_outputs_without_a_complex_view(self, make_out):
-        # the sums are added through a real view of a C-ordered complex out
-        t, u, kw = mode_sum_case("real-shared", 20, 24)
-        with pytest.raises(ValueError, match="C-ordered complex"):
-            fractional._mode_sums(t=t, u=u, out=make_out(np.zeros_like(u)).copy(order="K"), **kw)
 
     @pytest.mark.parametrize(
         "model,alpha,n,T",

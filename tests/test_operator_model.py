@@ -7,6 +7,7 @@ import pytest
 from fracwave.mittag_leffler import MLParams, ml_derivative, ml_eval
 from fracwave.operator_model import (
     AlmostSectorialModel,
+    _symbol_apply,
     SectorProfile,
     apply,
     build_ladder_model,
@@ -48,6 +49,21 @@ class TestConstruction:
             build_ladder_model(-0.75, math.pi / 6, 1e4, 1e-2, 4)
         with pytest.raises(ValueError):
             build_ladder_model(-0.75, -0.1, 1e-2, 1e4, 4)
+
+    def test_one_ray_ladder(self):
+        m = build_ladder_model(-0.75, 0.0, 1e-2, 1e2, 2)
+        assert m.n_blocks == 9 and np.all(m.lam.imag == 0.0) and np.all(m.lam.real > 0.0)
+        assert np.allclose(m.coupling, 4.0 * 1e-2**-0.25 * m.lam.real**1.25)
+
+    @pytest.mark.parametrize(
+        "lam, coupling",
+        [([1.0, 2.0], [0.0]), ([[1.0]], [[0.0]]), ([complex(1.0, 1.0)], [0.0]), ([1.0], [-1.0])],
+        ids=["lengths-differ", "two-dimensional", "outside-sector", "negative-coupling"],
+    )
+    def test_rejects_bad_blocks(self, lam, coupling):
+        prof = SectorProfile(omega=0.1, gamma=-0.5, mu=0.3, theta=0.2)
+        with pytest.raises(ValueError):
+            AlmostSectorialModel(lam=np.array(lam, dtype=complex), coupling=np.array(coupling), profile=prof)
 
     def test_profile_validation(self):
         with pytest.raises(ValueError):
@@ -236,6 +252,18 @@ class TestSpectralOracle:
         for i, t in enumerate(ta[:, 0]):
             assert np.array_equal(blocks[i], spectral_matrices(m, *symbol(t)))
             assert norms[i] == model_norm_of_function(m, *symbol(t))
+
+    def test_symbol_apply_time_axis(self):
+        # one row per time, each the oracle f(A) x at that time
+        m = build_ladder_model(-0.6, math.pi / 8, 0.5, 5.0, 3)
+        p = MLParams(1.5, 1.0)
+        x = np.arange(m.dimension) - 0.5j
+        ta = np.array([0.1, 1.0, 3.0])[:, None] ** 1.5
+        got = _symbol_apply(m, ml_eval(p, -ta * m.lam), -ta * ml_derivative(p, -ta * m.lam, 1), x)
+        assert got.shape == (3, m.dimension)
+        for i, t in enumerate(ta[:, 0]):
+            want = spectral_apply(m, lambda z: ml_eval(p, -t * z), lambda z: -t * ml_derivative(p, -t * z, 1), x)
+            assert np.array_equal(got[i], want)
 
     def test_graph_norm(self):
         m = build_scalar_model(3.0)

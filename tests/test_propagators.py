@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from fracwave.contour import HankelSpec
-from fracwave.fractional import _trapezoid_weights
-from fracwave.mittag_leffler import MLParams, ml_eval
+from fracwave.fractional import TimeGrid, _trapezoid_weights
+from fracwave.mittag_leffler import MLParams, ml_eval, reciprocal_gamma
+from fracwave.operator_model import _symbol_apply, build_ladder_model, build_scalar_model, resolvent_apply
 from fracwave.operator_model import apply as op_apply
-from fracwave.operator_model import build_ladder_model, build_scalar_model, resolvent_apply
 from fracwave.propagators import (
     DecayReport,
     PropagatorHandle,
@@ -21,6 +21,7 @@ from fracwave.propagators import (
     prop_apply,
     prop_norm_decay,
     prop_time_derivative,
+    propagator_snapshots,
     strong_continuity_check,
     uno_identity_check,
 )
@@ -126,6 +127,21 @@ class TestRepresentationsAgree:
             assert np.linalg.norm(got - want) <= 1e-8 * np.linalg.norm(want)
 
 
+class TestSnapshots:
+    @pytest.mark.parametrize("delta", [1.0, ALPHA, 2.0])
+    def test_symbol_pair_per_node(self, delta):
+        # row i is the oracle symbol pair at t_i; the t = 0 row is (1/Gamma(delta), 0)
+        m = ladder()
+        grid = TimeGrid(2.0, 8)
+        fv, dv = propagator_snapshots(m, ALPHA, delta, grid)
+        assert fv.shape == dv.shape == (9, m.n_blocks)
+        assert np.all(fv[0] == reciprocal_gamma(delta)) and np.all(dv[0] == 0.0)
+        p = make_propagator(m, ALPHA, delta=delta, representation="oracle")
+        x = np.arange(m.dimension) + 0.5j
+        for i, t in enumerate(grid.nodes()):
+            assert np.array_equal(_symbol_apply(m, fv[i], dv[i], x), prop_apply(p, t, x))
+
+
 class TestNormDecay:
     TS = np.geomspace(0.01, 10.0, 16)
 
@@ -191,7 +207,7 @@ class TestTimeDerivative:
         want = 2.0 * prop_apply(p, 2.0, x)
         assert np.allclose(prop_time_derivative(p, 2.0, 0, x), want)
 
-    @pytest.mark.parametrize("n", [0, 1])
+    @pytest.mark.parametrize("n", [0, 1, 2])
     def test_paths_against_oracle(self, n):
         # each path applies the shifted symbol E_{alpha,delta-n} itself
         m = ladder()
@@ -281,6 +297,20 @@ class TestIdentities:
         p = make_propagator(ladder(), ALPHA, representation="oracle")
         with pytest.raises(ValueError):
             laplace_check(p, -1.0, rand_vec(p.model))
+
+    def test_laplace_rejects_outside_regime(self):
+        # alpha (1 + gamma) = 1.125 >= 1
+        m = build_ladder_model(-0.25, math.pi / 6, 1e-2, 1e4, 4)
+        p = make_propagator(m, ALPHA, representation="oracle")
+        with pytest.raises(ValueError, match="laplace check requires"):
+            laplace_check(p, 1.0, np.ones(m.dimension))
+
+    @pytest.mark.parametrize("check", [derivative_identity_check, uno_identity_check])
+    def test_identities_reject_unknown_method(self, check):
+        m = ladder()
+        p = make_propagator(m, ALPHA, representation="oracle")
+        with pytest.raises(ValueError, match="unknown method 'dense'"):
+            check(p, 1.0, np.ones(m.dimension), method="dense")
 
     def test_derivative_identity_oracle(self):
         m = ladder()

@@ -42,6 +42,22 @@ def ml_ref(t, a=A_SCALAR, alpha=ALPHA, delta=1.0):
     return ml_eval(MLParams(alpha, delta), -(t**alpha) * a)
 
 
+class TestProblemValidation:
+    def test_forcing_spec_rejects_bad_kind_and_func(self):
+        with pytest.raises(ValueError, match="unknown forcing kind"):
+            ForcingSpec(kind="cubic")
+        with pytest.raises(ValueError, match="needs a callable"):
+            ForcingSpec(kind="time", func=1.0)
+
+    def test_problem_rejects_bad_alpha_and_dimension(self):
+        for alpha in (1.0, 2.0):
+            with pytest.raises(ValueError, match="alpha must lie in"):
+                scalar_problem(alpha=alpha)
+        m = build_scalar_model(A_SCALAR, gamma=-0.75)
+        with pytest.raises(ValueError, match="dimension 2"):
+            WaveProblem(model=m, alpha=ALPHA, w0=np.ones(3), w1=np.zeros(2), grid=TimeGrid(1.0, 8))
+
+
 class TestValidateRegime:
     def test_homogeneous_ok(self):
         p = scalar_problem()  # gamma = -0.75: 4 > 1.5 > 4/3
@@ -225,6 +241,16 @@ class TestSemilinear:
     def test_rejects_wrong_forcing(self):
         with pytest.raises(ValueError):
             solve_semilinear(scalar_problem())
+
+    @pytest.mark.parametrize(
+        "kw, match",
+        [({"tol": 0.0}, "tol > 0"), ({"max_iter": 0}, "max_iter >= 1"), ({"initial": "w1"}, "unknown initialization")],
+        ids=["tol", "max_iter", "initial"],
+    )
+    def test_rejects_bad_iteration_settings(self, kw, match):
+        f = ForcingSpec.semilinear(lambda t, w: np.sin(w), lipschitz=1.0)
+        with pytest.raises(ValueError, match=match):
+            solve_semilinear(scalar_problem(forcing=f, n=16), **kw)
 
 
 class TestVerifyClassical:

@@ -639,6 +639,11 @@ class TestValidation:
         with pytest.raises(ValueError):
             MLParams(-1.0, 1.0)
 
+    @pytest.mark.parametrize("alpha, delta", [(math.nan, 1.0), (math.inf, 1.0), (1.5, -math.inf)])
+    def test_orders_finite(self, alpha, delta):
+        with pytest.raises(ValueError, match="must be finite"):
+            MLParams(alpha, delta)
+
     def test_finite_input(self):
         with pytest.raises(ValueError):
             ml_eval(MLParams(1.5, 1.0), complex(math.nan, 0.0))
