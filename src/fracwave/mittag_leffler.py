@@ -95,6 +95,11 @@ _CUT_STEP = 2.0 * math.pi * _CUT_STRIP / (
 #: of the blocks sharing one lattice off its nodes
 _OFFSETS = 16
 
+#: the cut sums sum their nodes below log r = _CUT_TAIL in closed form, one
+#: row per term in (r^alpha / lambda)^m r^p, m < _TAIL_Q, p < _TAIL_R
+_CUT_TAIL, _TAIL_Q, _TAIL_R = math.log(1e-4), 4, 5
+_TAIL_M, _TAIL_P = (k[:, None] for k in np.divmod(np.arange(float(_TAIL_Q * _TAIL_R)), _TAIL_R))
+
 #: a tile of the cut sums, nodes times points, holds about this many bytes
 _CUT_TILE_BYTES = 1 << 16
 
@@ -211,30 +216,11 @@ def _asymptotic_table(alpha: float, delta: float):
     return [reciprocal_gamma(v) for v in x], [h - math.log(math.pi) for h in log_gamma]
 
 
-def _exponential_branch_terms(alpha: float, delta: float, z, r, order: int):
+def _exponential_branch_terms(alpha: float, delta: float, z, root, angs, order: int):
     """Sum of residue contributions (1/alpha) s^(1-delta) e^s over admissible
-    branches, for ``order`` 1 the same sum differentiated in z, and, row k
-    for k <= ``order``, a bound on the Stokes-line error of the k-th sum: a
-    branch switches on across |arg s| = pi by (1/2) erfc(sqrt(|s|/2) (pi -
-    |arg s|)) (Berry smoothing), not by a step, so each branch with
-    |arg s| < 3 pi/2 adds its term times (1/2) e^{-|s| u^2 / 2},
-    u = |arg s| - pi, a bound of that erfc."""
-    phi = np.arctan2(z.imag, z.real)
-    root = r ** (1.0 / alpha)
-    val = np.zeros_like(z)
-    dval = np.zeros_like(z)
-    # sheets |m| <= 3 alpha/4 + 1/2 reach |arg s| < 3 pi/2 (e^s grows past it) and
-    # hold every live branch; Re s = -|s| cos u joins one exponent, e^{Re s} may overflow
-    k = int(0.75 * alpha + 0.5)
-    angs = (phi + 2.0 * math.pi * np.arange(-k, k + 1)[:, None]) / alpha
-    u = np.abs(angs) - math.pi
-    cu = np.cos(u)
-    log_term = (1.0 - delta) * np.log(root) - math.log(2.0 * alpha)
-    bound = np.exp(np.where(u < 0.5 * math.pi, log_term - root * (cu + 0.5 * u * u), -np.inf))
-    stokes = [bound.sum(axis=0)]
-    if order:
-        bound = bound * (np.hypot(1.0 - delta - root * cu, root * np.sin(u)) / (alpha * r))
-        stokes.append(bound.sum(axis=0))
+    branches s = ``root`` e^{i angs}, for ``order`` 1 differentiated in z."""
+    val = np.zeros(z.shape, dtype=complex)
+    dval = np.zeros(z.shape, dtype=complex)
     for ang in angs:
         live = np.abs(ang) <= math.pi * (1.0 + 1e-14)
         if not live.any():
@@ -254,7 +240,7 @@ def _exponential_branch_terms(alpha: float, delta: float, z, r, order: int):
         if order:
             # d/dz of (1/alpha) s^(1-delta) e^s with ds/dz = s/(alpha z)
             dval += base * (1.0 - delta + (re + 1j * im)) / (alpha * z)
-    return val, dval, stokes
+    return val, dval
 
 
 def _smaller_part(v: np.ndarray, real_axis: np.ndarray) -> np.ndarray:
@@ -340,19 +326,36 @@ def _asymptotic(alpha: float, delta: float, z: np.ndarray, r: np.ndarray, orders
                         bound = len(coefs) * env / r
                         negligible &= bound < _NEGLIGIBLE * _smaller_part(dtotal[i], real_axis)
                     active[i] &= ~negligible
-        exp_val, exp_dval, stokes = _exponential_branch_terms(
-            alpha, delta, z, r, int(derivative)
-        )
-        values, accepted = [], []
+        root = r ** (1.0 / alpha)
+        # arg s on the sheets |m| <= 3 alpha/4 + 1/2: they reach |arg s| < 3 pi/2
+        # (e^s grows past it) and hold every live branch
+        k = int(0.75 * alpha + 0.5)
+        angs = (np.arctan2(z.imag, z.real) + 2.0 * math.pi * np.arange(-k, k + 1)[:, None]) / alpha
+        exp_val, exp_dval = _exponential_branch_terms(alpha, delta, z, root, angs, int(derivative))
+        values, errs, judged, tols = [], [], [], []
         for i, order in enumerate(orders):
             part = dtotal[i] if order else total[i]
-            value = part + (exp_dval if order else exp_val)
-            err = smallest_env[i] / (np.abs(value) + np.abs(part)) + stokes[order] / np.abs(value)
-            # every algebraic coefficient on a Gamma pole (e.g. alpha = 1): the
-            # branch terms are then the exact value, with no Stokes line
-            err = np.where(all_poles[i], 0.0, err)
-            values.append(value)
-            accepted.append(err <= (10.0 * _ASYMPTOTIC_RTOL if order else _ASYMPTOTIC_RTOL))
+            values.append(part + (exp_dval if order else exp_val))
+            errs.append(smallest_env[i] / (np.abs(values[i]) + np.abs(part)))
+            tols.append(10.0 * _ASYMPTOTIC_RTOL if order else _ASYMPTOTIC_RTOL)
+            # every coefficient on a Gamma pole (e.g. alpha = 1): the branches are exact
+            judged.append(~all_poles[i] & (errs[i] <= tols[i]))
+        if any(ok.any() for ok in judged):
+            # the Stokes error, which can only reject those lanes: a branch switches on across
+            # |arg s| = pi by (1/2) erfc(sqrt(|s|/2) (pi - |arg s|)) (Berry smoothing), not by a
+            # step, so each with |arg s| < 3 pi/2 adds its term times (1/2) e^{-|s| u^2/2}
+            lanes = np.flatnonzero(np.logical_or.reduce(judged))
+            mod, u = root[lanes], np.abs(angs[:, lanes]) - math.pi
+            cu = np.cos(u)
+            # one exponent, as e^{Re s} = e^{-|s| cos u} may overflow
+            expo = (1.0 - delta) * np.log(mod) - math.log(2.0 * alpha) - mod * (cu + 0.5 * u * u)
+            bound = np.exp(np.where(u < 0.5 * math.pi, expo, -np.inf))
+            if derivative:  # the derivative's terms grow by |1 - delta + s| / (alpha |z|)
+                grow = np.hypot(1.0 - delta - mod * cu, mod * np.sin(u)) / (alpha * r[lanes])
+            for i, order in enumerate(orders):
+                err = (bound * grow if order else bound).sum(axis=0) / np.abs(values[i][lanes])
+                judged[i][lanes] &= errs[i][lanes] + err <= tols[i]
+        accepted = [ok | poles for ok, poles in zip(judged, all_poles)]
     return values, accepted
 
 
@@ -446,10 +449,10 @@ class _Cut:
     """
 
     def __init__(self, alpha: float, lam: np.ndarray):
-        self.alpha, self.lam = alpha, lam
+        self.alpha, self.arg = alpha, np.angle(lam)
         self.log_sigma = np.log(np.abs(lam)) / alpha
         # the roots on the sheets -2..1 and Im x_p of their poles
-        theta = (np.angle(lam) + math.pi + 2.0 * math.pi * np.arange(-2, 2)[:, None]) / alpha
+        theta = (self.arg + math.pi + 2.0 * math.pi * np.arange(-2, 2)[:, None]) / alpha
         sign = np.array([-1.0, -1.0, 1.0, 1.0])[:, None]
         im_p = theta - sign * math.pi
         # the two factors of the density's denominator, each through its pole
@@ -500,7 +503,7 @@ class _Cut:
         # h r rho(r) with r^alpha / lambda = e^{u - i arg lambda}; the sines
         # from reduced arguments, so that at delta = 1 the r^alpha term is 0
         u = alpha * d
-        ratio = np.exp(u - 1j * np.angle(self.lam))
+        ratio = np.exp(u - 1j * self.arg)
         weights = step * -_sin_pi(alpha - delta) / math.pi * ratio
         sin_pd = -_sin_pi(delta - 1.0)
         if sin_pd:
@@ -510,6 +513,29 @@ class _Cut:
         weights /= np.expm1(u - 1j * self.phi[0]) * np.expm1(u - 1j * self.phi[1])
         sigma_kept = np.where(self.keep, sigma, -np.abs(sigma))
         return r, weights, sigma_kept, np.where(self.keep, w, 0.0)
+
+
+def _cut_tail(alpha: float, delta: float, z: np.ndarray, r_c: np.ndarray):
+    """The nodes x_c - j h, j >= 1, below each point's lowest node r_c <= 1e-4,
+    in closed form (delta < alpha, |z| >= 1): the terms, one row per (m, p)
+    of ``_TAIL_M``, ``_TAIL_P``, and a bound on those left out.  With
+    lambda = -z and a = alpha - delta + 1, a node's h r rho(r) e^{-r} is
+    h sum_{m,p} C_m lambda^(-m-1) (-1)^p / p! r^s, s = a + m alpha + p,
+    C_m = (U_{m-1} sin(pi delta) - U_m sin(pi (alpha - delta))) / pi, U_m the
+    Chebyshev polynomials of the second kind at -cos(pi alpha), U_{-1} = 0,
+    and the nodes sum r^s to r_c^s / expm1(s h).  As |C_m| <= (2m + 1) / pi,
+    h / expm1(s h) <= 1 / a and |r^alpha / lambda| <= r, the terms m >= M or
+    p >= P (``_TAIL_Q``, ``_TAIL_R``) sum to below (2M + 2) r_c^(a+M) / (3 a)."""
+    a = alpha - delta + 1.0
+    s = a + alpha * _TAIL_M + _TAIL_P
+    # U_m(-cos(pi alpha)) = sin((m + 1) t) / sin(t), t = pi (alpha - 1)
+    t, sd, sad = math.pi * (alpha - 1.0), _sin_pi(delta), _sin_pi(alpha - delta)
+    cm = [math.sin(m * t) * sd - math.sin((m + 1) * t) * sad for m in range(_TAIL_Q)]
+    c = [x * (-1.0) ** p / math.factorial(p) for x in cm for p in range(_TAIL_R)]
+    coef = _CUT_STEP / (math.pi * math.sin(t)) * np.array(c)[:, None] / np.expm1(s * _CUT_STEP)
+    log_rc = np.log(r_c)
+    terms = coef * np.exp(s * log_rc - (_TAIL_M + 1.0) * np.log(-z))
+    return terms, (2 * _TAIL_Q + 2) / (3.0 * a) * np.exp((a + _TAIL_Q) * log_rc)
 
 
 def _cut_sums(alpha: float, delta: float, z: np.ndarray, order: int):
@@ -522,44 +548,44 @@ def _cut_sums(alpha: float, delta: float, z: np.ndarray, order: int):
     (E_{alpha,delta-alpha}(z) - 1/Gamma(delta-alpha)) / z, without
     cancellation in the decay sector, where E_{alpha,delta-alpha} tends to 0.
     Each point has its own lattice offset and a fixed number of terms per
-    sum, so its bits do not depend on the other points.  At r -> 0 the
-    density grows like r^(alpha-delta), so the integral over (0, r0) is
-    below r0^a / Gamma(a + 1), a = alpha - delta + 1, relative to the value,
-    whatever |z| >= 1; at the top e^{-r} is below eps^2.
+    sum, so its bits do not depend on the other points.  The lattice starts
+    within a step below x_c = ``_CUT_TAIL``; ``_cut_tail`` sums the nodes
+    below it in closed form, and its terms and its bound on those it leaves
+    out join the nodes' terms and moduli.  At the top e^{-r} is below eps^2.
     """
     ladder = []  # the deltas above alpha, reached from delta - k alpha
     while delta >= alpha:
         ladder.append(delta)
         delta -= alpha
-    a = alpha - delta + 1.0
-    log_eps = math.log(_CUT_EPS)
-    x_lo = (math.lgamma(a + 1.0) + log_eps) / a
-    # the first node lies within a step below x_lo
-    n = int(math.ceil((math.log(-2.0 * log_eps) - x_lo) / _CUT_STEP)) + 2
+    # the first node lies within a step below x_c
+    n = int(math.ceil((math.log(-2.0 * math.log(_CUT_EPS)) - _CUT_TAIL) / _CUT_STEP)) + 2
     steps = np.arange(n)[:, None]
-    values = np.empty((order + 1, z.size), dtype=complex)
-    bounds = np.empty((order + 1, z.size))
-    tile = max(1, _CUT_TILE_BYTES // (16 * n))
+    values, bounds = np.empty((order + 1, z.size), dtype=complex), np.empty((order + 1, z.size))
+    tile = max(1, _CUT_TILE_BYTES // (16 * (n + _TAIL_Q * _TAIL_R)))
     with np.errstate(over="ignore", invalid="ignore"):
         for lo in range(0, z.size, tile):
             zt = z[lo : lo + tile]
             cut = _Cut(alpha, -zt)
             # each point's lattice has its origin next to log|sigma|, so that
             # the nodes by its poles carry the rounding of a few steps, not of
-            # |x_lo| steps, which the poles' nearly singular terms amplify; its
+            # |x_c| steps, which the poles' nearly singular terms amplify; its
             # poles all sit one fraction o of a step off the nodes, and each
             # |1 - rho e^{-+2 pi i o}|, rho <= 1, is largest at o = 1/2
             x0 = cut.log_sigma - 0.5 * _CUT_STEP
-            j = np.floor((x_lo - x0) / _CUT_STEP).astype(int) + steps
+            j = np.floor((_CUT_TAIL - x0) / _CUT_STEP).astype(int) + steps
             rates, w, sigma, pw = cut.modes(delta, x0, j)
-            nodes, poles = w * np.exp(-rates), pw * np.exp(sigma)
+            tail, rest = _cut_tail(alpha, delta, zt, rates[0])
+            nodes, poles = np.concatenate((w * np.exp(-rates), tail)), pw * np.exp(sigma)
             for k in range(order + 1):
                 if k:
-                    nodes *= (1.0 - delta - rates) / (alpha * zt)
+                    # the tail's r^p by 1 - delta + p, its rest by <= |1 - delta| + P
+                    nodes[:n] *= (1.0 - delta - rates) / (alpha * zt)
+                    nodes[n:] *= (1.0 - delta + _TAIL_P) / (alpha * zt)
                     poles *= (1.0 - delta + sigma) / (alpha * zt)
+                    rest *= (abs(1.0 - delta) + _TAIL_R) / alpha
                 # points by rows, each summed over its own contiguous row
                 terms = np.ascontiguousarray(nodes.T)
-                v, b = terms.sum(axis=1), np.abs(terms).sum(axis=1)
+                v, b = terms.sum(axis=1), np.abs(terms).sum(axis=1) + rest
                 # one root at a time, in sheet order; e^{sigma} inherits the
                 # rounding of sigma, a few ulps of |sigma|
                 for row, root in zip(poles, sigma):

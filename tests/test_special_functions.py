@@ -473,10 +473,10 @@ class TestCutRegime:
     ALPHAS = (1.2, 1.5, 1.8, 1.95)
 
     @staticmethod
-    def sample(rng, alpha, n):
+    def sample(rng, alpha, n, r_lo=2.0, r_hi=200.0):
         """n points in each of the decay sector, the growth sector and the
         band where a root sigma of sigma^alpha = z sits near the cut, |z|
-        log-uniform on [2, 200]."""
+        log-uniform on [r_lo, r_hi]."""
         edge = 2.0 * math.pi - alpha * math.pi  # |arg z| of a root on the cut
         sectors = (
             (alpha * math.pi / 2, math.pi),
@@ -485,7 +485,7 @@ class TestCutRegime:
         )
         z = []
         for lo, hi in sectors:
-            r = np.exp(rng.uniform(math.log(2.0), math.log(200.0), n))
+            r = np.exp(rng.uniform(math.log(r_lo), math.log(r_hi), n))
             z.extend(r * np.exp(1j * rng.uniform(lo, hi, n) * rng.choice((-1.0, 1.0), n)))
         return np.array(z)
 
@@ -500,6 +500,20 @@ class TestCutRegime:
             return kernel(*args)
 
         monkeypatch.setattr(mittag_leffler, "_series_mp", recorded)
+        return calls
+
+    @staticmethod
+    def record_lattices(monkeypatch) -> list:
+        """Record the (cut, x0, j) of every ``_Cut.modes`` call in the list
+        returned."""
+        calls = []
+        modes = mittag_leffler._Cut.modes
+
+        def recorded(cut, delta, x0, j):
+            calls.append((cut, x0, j))
+            return modes(cut, delta, x0, j)
+
+        monkeypatch.setattr(mittag_leffler._Cut, "modes", recorded)
         return calls
 
     def test_accuracy_map(self, monkeypatch):
@@ -521,6 +535,58 @@ class TestCutRegime:
                     ml_derivative(MLParams(a, d), z, order)
         assert accepted >= 0.95 * total
         assert fallback == []
+
+    def test_accuracy_on_the_gate(self):
+        # |z| on [1, 2], the cut's r >= 1 gate, where |q_c| = r_c^alpha / |z|
+        # is largest and the closed tail of the lattice converges slowest
+        rng = np.random.default_rng(20261103)
+        accepted = total = 0
+        for a in self.ALPHAS:
+            for d in (0.0, 1.0, a, 2.0, a + 1.0):
+                z = self.sample(rng, a, 3, 1.0, 2.0)
+                for order, tol in ((0, 1e-13), (1, 1e-11)):
+                    value, ok = (rows[order] for rows in mittag_leffler._cut(a, d, z, np.abs(z), order))
+                    for zi, v in zip(z[ok], value[ok]):
+                        ref = reference_series_mp(a, d, complex(zi), order)
+                        assert abs(v - ref) <= tol * abs(ref), (a, d, zi, order)
+                    accepted += int(np.count_nonzero(ok))
+                    total += z.size
+        assert accepted >= 0.95 * total
+
+    @pytest.mark.parametrize("alpha", [1.05, 1.5, 1.95])
+    def test_closed_tail_equals_the_nodes_it_replaces(self, monkeypatch, alpha):
+        # 300 lattice nodes below each point's lowest node, by ``_Cut.modes``,
+        # against the closed sum that stands for them and all the nodes below
+        rng = np.random.default_rng(20261104)
+        lattices = self.record_lattices(monkeypatch)
+        for d in (0.0, 1.0, alpha, 2.0, alpha + 1.0):
+            while d >= alpha:  # the delta of the sums the lattice serves
+                d -= alpha
+            z = self.sample(rng, alpha, 4, 1.0, 200.0)
+            lattices.clear()
+            _, bounds = mittag_leffler._cut_sums(alpha, d, z, 1)
+            ((cut, x0, j),) = lattices  # one tile
+            below = j[0] - np.arange(300, 0, -1)[:, None]
+            rates, w, _, _ = cut.modes(d, x0, np.vstack([j[:1], below]))
+            tail, _ = mittag_leffler._cut_tail(alpha, d, z, rates[0])
+            rates, nodes = rates[1:], w[1:] * np.exp(-rates[1:])
+            for k in (0, 1):
+                if k:
+                    nodes = nodes * (1.0 - d - rates) / (alpha * z)
+                    tail = tail * (1.0 - d + mittag_leffler._TAIL_P) / (alpha * z)
+                gap = np.abs(nodes.sum(axis=0) - tail.sum(axis=0))
+                assert np.all(gap <= 1e-14 * bounds[k]), (d, k)
+                assert np.all(gap <= 1e-13 * np.abs(tail).sum(axis=0)), (d, k)
+
+    def test_nodes_per_point(self, monkeypatch):
+        # the lattice starts within a step below x_c = log 1e-4 for every
+        # delta, so each point sums 62 nodes before the closed tail
+        lattices = self.record_lattices(monkeypatch)
+        z = self.sample(np.random.default_rng(20261105), 1.5, 20, 1.0, 200.0)
+        for d in (0.0, 1.0, 1.5, 2.0, 2.5):
+            lattices.clear()
+            mittag_leffler._cut_sums(1.5, d, z, 1)
+            assert lattices and max(j.shape[0] for _, _, j in lattices) <= 70
 
     def test_half_step_keeps_every_pole_off_the_nodes(self):
         # relative to an origin o/16 of a step below log|sigma|, all of a
