@@ -5,16 +5,22 @@ product integration exact on piecewise-linear data, regularized Caputo
 derivatives (1 < alpha < 2), and the Duhamel term of the forced problem.
 
 Both convolutions with a long memory run through one exponential-mode
-engine (``_mode_sums``): a kernel written as a sum of terms w tau^m e^{z tau},
-m = 0 or 1, is convolved with piecewise-linear data by a recurrence that is
-exact on every panel of the grid, in O(n K) work for K modes (Lubich and
-Schaedle, SIAM J. Sci. Comput. 24 (2002)).  The engine steps tiles of nodes
-by modes, laid out with the modes on the contiguous axis, and contracts the
-histories with the weights itself, in real arithmetic for real modes; it
-sees only columns of data, and each caller makes one call per mode set and
-power m.  ``rl_integral`` asks for the lagged sum, the histories carried
-across the last panel without its data, and adds that panel, integrated
-exactly against g_beta.  Both sums are trapezoid rules
+engine: a kernel written as a sum of terms w tau^m e^{z tau}, m = 0 or 1,
+is convolved with piecewise-linear data by a recurrence that is exact on
+every panel of the grid, in O(n K) work for K modes (Lubich and Schaedle,
+SIAM J. Sci. Comput. 24 (2002)).  The engine (``_Modes``) is resumable: it
+steps one tile of nodes by modes at a time, laid out with the modes on the
+contiguous axis, and contracts the histories with the weights itself, in
+real arithmetic for real modes.  A tile's coefficients, e^{zh} and the phi
+functions, depend on the grid and the modes only and are computed apart
+from the histories, which each data stream carries from tile to tile; so
+the sweeps of a Picard iteration (``solvers.solve_semilinear``) advance
+together over a pass of the grid and compute them once (``_DuhamelSteps``).
+``_mode_sums`` is the whole-grid loop over one stream.  ``rl_integral``
+asks for the lagged sum, the histories carried across the last panel
+without its data, and adds that panel, integrated exactly against g_beta;
+the Duhamel term's second stage does the same per tile.  Both sums are
+trapezoid rules
 in log r on the step ``mittag_leffler._CUT_STEP``.  g_beta, 0 < beta < 1,
 is one on [min h, T] (Jiang, Zhang, Zhang and Zhang, Commun. Comput. Phys.
 21 (2017)), its small-rate end closed by one exact tail mode;
@@ -196,6 +202,11 @@ def _as_reals(a: np.ndarray, real: bool) -> np.ndarray:
     return a.reshape(a.shape[0], -1, 2 * a.shape[2]) if real else a.view(float)
 
 
+def _pairs(a: np.ndarray) -> np.ndarray:
+    """A C-ordered complex (c, d) array as (c, d, 2) reals."""
+    return a.view(float).reshape(a.shape[0], -1, 2)
+
+
 def _real_blocks(w: np.ndarray, real: bool) -> np.ndarray:
     """Weights (k, g) as (g, 2, 2k) reals whose two rows, dotted with a row
     of ``_as_reals``, give Re and Im of sum_k w_k y_k: the blocks
@@ -204,6 +215,103 @@ def _real_blocks(w: np.ndarray, real: bool) -> np.ndarray:
     wr, wi = w.real.T, w.imag.T
     b = np.stack([np.stack([wr, -wi], axis=1), np.stack([wi, wr], axis=1)], axis=1)
     return (b if real else b.swapaxes(2, 3)).reshape(b.shape[0], 2, -1)
+
+
+class _Modes:
+    """One set of modes of the engine, the kernel sum_k w_k tau^m e^{z_k tau},
+    laid out for complex (n + 1, d) data on the nodes ``t`` and advanced one
+    tile of nodes at a time (see ``_mode_sums``).
+
+    ``coefficients`` computes what a tile needs of the grid and the modes
+    alone; ``step`` advances one set of histories (``start``) over a tile of
+    data with them, so several data streams on one grid share that work.
+    The histories between tiles are each state's own; the tile arrays they
+    are stepped in are shared by every state.
+    """
+
+    def __init__(self, z, w, t, shape, lagged: bool = False, derivative: bool = False):
+        self.real = real = np.isrealobj(z)
+        self.zt = np.repeat(z.T, 2, axis=0) if real and z.shape[1] > 1 else z.T
+        self.h = np.diff(t)
+        self.lagged, self.derivative = lagged, derivative
+        self.cols = cols = shape[1] * 2 if real else shape[1]
+        itemsize = 8 if real else 16
+        nk = z.shape[0]
+        per_mode = cols * itemsize * (2 if derivative else 1)
+        budget = max(_CHUNK_BYTES, shape[0] * cols * itemsize // 2)
+        kc = max(1, min(nk, budget // per_mode))
+        self.size = max(1, budget // (kc * per_mode))  # nodes per tile at most
+        self.slices = [slice(k0, min(k0 + kc, nk)) for k0 in range(0, nk, kc)]
+        self.blocks = [_real_blocks(w[ks], real) for ks in self.slices]
+
+    def start(self) -> list:
+        """Histories 0 at t_0: per slice of the modes, the history (and its
+        z-derivative) at the last node stepped, (1 or 2, columns, modes)."""
+        dtype = float if self.real else complex
+        n = 2 if self.derivative else 1
+        return [np.zeros((n, self.cols, ks.stop - ks.start), dtype) for ks in self.slices]
+
+    def coefficients(self, i0: int, c: int) -> list:
+        """Per slice, e^{zh} (a list of rows) and the panel weights of the
+        data, h (phi_1 - phi_2)(zh) and h phi_2(zh), for the nodes
+        i0 <= i < i0 + c; with ``derivative`` also those of the z-derivatives
+        and h."""
+        hc = self.h[i0 - 1 : i0 - 1 + c, None, None]
+        out = []
+        for ks in self.slices:
+            a, (p1, p2, *p3) = _phi(hc * self.zt[:, ks], 3 if self.derivative else 2)
+            # e^{zh} per node, one (columns, modes) row each: the step's
+            # per-node products then broadcast nothing
+            a = list(np.broadcast_to(a, (c, self.cols, a.shape[2])).copy())
+            co = [a, hc * (p1 - p2), hc * p2]
+            if self.derivative:
+                (p3,) = p3
+                hh = hc * hc
+                co += [hh * (p1 - 2.0 * p2 + 2.0 * p3), hh * (p2 - 2.0 * p3), hc]
+            out.append(co)
+        return out
+
+    @functools.cached_property
+    def _tiles(self) -> list:
+        # per slice: histories, their products with e^{zh}, the z-derivatives
+        # (tile nodes, columns, modes), and the histories' rows
+        rows, kc = self.size + 1, self.slices[0].stop
+        dtype = float if self.real else complex
+        store = np.empty((3 if self.derivative else 2, rows * self.cols * kc), dtype=dtype)
+        views = []
+        for ks in self.slices:
+            k = ks.stop - ks.start
+            y, ay, *dy = (s[: rows * self.cols * k].reshape(rows, self.cols, k) for s in store)
+            views.append((y, ay, dy[0] if dy else None, list(y), list(ay)))
+        return views
+
+    def step(self, state: list, coefs: list, v: np.ndarray, out: np.ndarray) -> None:
+        """Advance ``state`` over the c nodes of a tile with their
+        ``coefficients`` and add the tile's sums into ``out`` (c, d, 2),
+        reals.  ``v`` is the data, (c + 1, columns), the node before the
+        tile first; a real view (``_as_reals`` order) for real modes."""
+        c = out.shape[0]
+        prev, cur = v[:c, :, None], v[1 : c + 1, :, None]
+        for (y, ay, dy, rows_y, rows_ay), wb, carry, (a, c0, c1, *dc) in zip(
+            self._tiles, self.blocks, state, coefs
+        ):
+            y[0] = carry[0]
+            np.multiply(c0, prev, out=y[1 : c + 1])
+            y[1 : c + 1] += c1 * cur
+            for aj, yj, ayj, yn in zip(a, rows_y, rows_ay, rows_y[1:]):
+                np.multiply(aj, yj, out=ayj)
+                yn += ayj
+            if self.derivative:
+                d0, d1, hc = dc
+                dy[0] = carry[1]
+                np.multiply(d0, prev, out=dy[1 : c + 1])
+                dy[1 : c + 1] += d1 * cur
+                for j in range(c):
+                    dy[j + 1] += a[j] * (dy[j] + hc[j] * y[j])
+                carry[1] = dy[c]
+            sums = dy[1 : c + 1] if self.derivative else ay[:c] if self.lagged else y[1 : c + 1]
+            out += np.vecdot(_as_reals(sums, self.real)[:, :, None], wb)
+            carry[0] = y[c]
 
 
 def _mode_sums(z, w, t, u, lagged: bool = False, derivative: bool = False) -> np.ndarray:
@@ -227,59 +335,24 @@ def _mode_sums(z, w, t, u, lagged: bool = False, derivative: bool = False) -> np
     e^{z_k (t_i - s)} u(s) ds advance too, by the next phi-function, and
     row i is sum_k w_k dy_k(t_i).
 
-    Tiles of consecutive nodes i0 <= i < i0 + c by a slice of the modes are
-    stepped one node at a time; every tile array is (nodes, columns, modes),
-    the modes on the contiguous axis.  Real exponents act on the real and
-    imaginary parts of u as separate real columns, weighed in real
-    arithmetic (``_real_blocks``).  A tile holds at most ``_CHUNK_BYTES``,
-    or half the size of u when that is more, of history (unless one mode of
-    one node needs more), and its arrays are reused by the next tile.
+    This is the whole-grid loop of ``_Modes.step``: tiles of consecutive
+    nodes i0 <= i < i0 + c by a slice of the modes are stepped one node at a
+    time; every tile array is (nodes, columns, modes), the modes on the
+    contiguous axis.  Real exponents act on the real and imaginary parts of
+    u as separate real columns, weighed in real arithmetic
+    (``_real_blocks``).  A tile holds at most ``_CHUNK_BYTES``, or half the
+    size of u when that is more, of history (unless one mode of one node
+    needs more).  Each row is a sum over the slices in order, and each
+    slice's share one dot product per row, so no bit depends on the tile.
     """
-    real = np.isrealobj(z)
-    v = np.ascontiguousarray(u).view(float) if real else u
-    zt = np.repeat(z.T, 2, axis=0) if real and z.shape[1] > 1 else z.T
-    nk, cols = z.shape[0], v.shape[1]
-    h = np.diff(t)
-    per_mode = cols * v.itemsize * (2 if derivative else 1)
-    budget = max(_CHUNK_BYTES, v.nbytes // 2)
-    kc = max(1, min(nk, budget // per_mode))
-    size = max(1, budget // (kc * per_mode))
-    # histories, their products with e^{zh} and the z-derivatives
-    store = np.empty((3 if derivative else 2, (size + 1) * cols * kc), dtype=v.dtype)
+    modes = _Modes(z, w, t, u.shape, lagged, derivative)
+    v = np.ascontiguousarray(u).view(float) if modes.real else u
     out = np.zeros(u.shape, dtype=complex)
-    reim = out.view(float).reshape(out.shape[0], -1, 2)
-    for k0 in range(0, nk, kc):
-        ks = slice(k0, min(k0 + kc, nk))
-        zk, k = zt[:, ks], ks.stop - k0
-        views = [s[: (size + 1) * cols * k].reshape(size + 1, cols, k) for s in store]
-        y, ay, dy = views if derivative else (*views, None)
-        y[0] = 0.0
-        rows_y, rows_ay = list(y), list(ay)
-        wb = _real_blocks(w[ks], real)
-        if derivative:
-            dy[0] = 0.0
-        for i0 in range(1, t.size, size):
-            c = min(size, t.size - i0)
-            hc = h[i0 - 1 : i0 - 1 + c, None, None]
-            a, (p1, p2, *p3) = _phi(hc * zk, 3 if derivative else 2)
-            prev, cur = v[i0 - 1 : i0 - 1 + c, :, None], v[i0 : i0 + c, :, None]
-            np.multiply(hc * (p1 - p2), prev, out=y[1 : c + 1])
-            y[1 : c + 1] += hc * p2 * cur
-            for aj, yj, ayj, yn in zip(a, rows_y, rows_ay, rows_y[1:]):
-                np.multiply(aj, yj, out=ayj)
-                yn += ayj
-            if derivative:
-                (p3,) = p3
-                hh = hc * hc
-                np.multiply(hh * (p1 - 2.0 * p2 + 2.0 * p3), prev, out=dy[1 : c + 1])
-                dy[1 : c + 1] += hh * (p2 - 2.0 * p3) * cur
-                for j in range(c):
-                    dy[j + 1] += a[j] * (dy[j] + hc[j] * y[j])
-            sums = dy[1 : c + 1] if derivative else ay[:c] if lagged else y[1 : c + 1]
-            reim[i0 : i0 + c] += np.vecdot(_as_reals(sums, real)[:, :, None], wb)
-            if derivative:
-                dy[0] = dy[c]
-            y[0] = y[c]
+    reim = _pairs(out)
+    state = modes.start()
+    for i0 in range(1, t.size, modes.size):
+        c = min(modes.size, t.size - i0)
+        modes.step(state, modes.coefficients(i0, c), v[i0 - 1 : i0 + c], reim[i0 : i0 + c])
     return out
 
 
@@ -329,6 +402,13 @@ def _check_power_sum(beta, rates, weights, lags) -> None:
         )
 
 
+def _last_panel(beta: float, h: np.ndarray):
+    """Columns of the weights of u_{i-1} and u_i in the integral of g_beta
+    against the panel [t_{i-1}, t_i] that ends at t_i, i >= 1."""
+    m0, m1 = _panel_moments(beta, 0.0, h, 0.0, h**beta)
+    return (m0 - m1 / h)[:, None], (m1 / h)[:, None]
+
+
 def rl_integral(k: Kernel, u: Trajectory) -> Trajectory:
     """(g_beta * u)(t_i) at every node, exact for piecewise-linear u.
 
@@ -344,8 +424,8 @@ def rl_integral(k: Kernel, u: Trajectory) -> Trajectory:
     if beta < 1.0:
         rates, weights = _power_sum(beta, float(h.min()), float(t[-1]))
         out = _mode_sums(-rates[:, None], weights[:, None], t, vals, lagged=True)
-        m0, m1 = _panel_moments(beta, 0.0, h, 0.0, h**beta)
-        out[1:] += (m0 - m1 / h)[:, None] * vals[:-1] + (m1 / h)[:, None] * vals[1:]
+        left, right = _last_panel(beta, h)
+        out[1:] += left * vals[:-1] + right * vals[1:]
         return Trajectory(u.grid, out)
     out = np.zeros_like(vals)
     for i in range(1, n + 1):
@@ -524,6 +604,117 @@ def propagator_sum(m: AlmostSectorialModel, alpha: float, grid: TimeGrid) -> _Pr
     return _propagator_sum(m, alpha, float(np.diff(t).min()), float(t[-1]))
 
 
+class _DuhamelSteps:
+    """The Duhamel term (g_{alpha-1} * E_alpha(-.^alpha A) * u)(t_i) of m,
+    alpha on ``grid``, advanced one tile of nodes at a time for any number
+    of forcings u ("levels").
+
+    Stage 1, q = E_alpha(-.^alpha A) * u, runs the rate and pole modes of
+    the propagator's sums (``sums`` from ``propagator_sum``, built when
+    omitted) and, for coupled blocks, their tau e^{z tau} couplings; stage 2
+    is ``rl_integral`` of q, its lagged g_{alpha-1} sum plus the exact last
+    panel.  The tiles are node 0, where the term is 0 and the data start the
+    histories, then runs of at most ``size`` nodes.  ``coefficients`` of a
+    tile depend on the grid and the modes only, and every level's ``step``
+    over that tile uses them; each level (``start``) holds its histories and
+    the last node's u and q.  A level's rows are those of one
+    ``duhamel_convolve`` call, bit for bit.
+    """
+
+    def __init__(self, m: AlmostSectorialModel, alpha: float, grid: TimeGrid, sums=None):
+        es = propagator_sum(m, alpha, grid) if sums is None else sums
+        t = grid.nodes()
+        h = np.diff(t)
+        built = np.array_equal(es.lam, m.lam) and np.array_equal(es.coupling, m.coupling)
+        if not built or es.alpha != alpha or h.min() < es.tau_min or t[-1] > es.T:
+            raise ValueError("the exponential sums were built for another model, alpha or grid")
+        d = self.dimension = m.dimension
+        shape, every = (t.size, d), slice(None)
+
+        def per_column(x):  # one entry per block, for both of its columns
+            return x if x.shape[1] == 1 else np.repeat(x, 2, axis=1)
+
+        # (modes, the columns of u they read, the columns of q they add into)
+        self.stage1 = []
+        for z, w, cw in (
+            (-es.rates[:, None], es.weights, es.couplings),
+            (es.poles, es.pole_weights, es.pole_couplings),
+        ):
+            self.stage1.append((_Modes(per_column(z), per_column(w), t, shape), every, every))
+            if np.any(m.coupling):  # s d/dlambda E of a block's second component, into its first
+                coupled = _Modes(z, cw, t, (t.size, d // 2), derivative=True)
+                self.stage1.append((coupled, slice(1, None, 2), slice(0, None, 2)))
+        beta = alpha - 1.0
+        rates, weights = _power_sum(beta, float(h.min()), float(t[-1]))
+        self.stage2 = _Modes(-rates[:, None], weights[:, None], t, shape, lagged=True)
+        self.panel = _last_panel(beta, h)
+        # one tile for all sets, their smallest, since no bit depends on it
+        # (``_mode_sums``).  A set with fewer modes computes its coefficients
+        # for a block of tiles at once, as many as keep its phi arguments no
+        # larger than those of the largest set's tile
+        self.modes = [mo for mo, _, _ in self.stage1] + [self.stage2]
+        self.size = min(mo.size for mo in self.modes)
+        per_node = [mo.zt.nbytes for mo in self.modes]
+        self.spans = [max(1, max(per_node) // b) * self.size for b in per_node]
+        for mo in self.modes:
+            mo.size = self.size
+        self.held = [None] * len(self.modes)  # the coefficients of each set's current block
+        self.n_nodes = t.size
+
+    def tiles(self):
+        """(i0, c): node 0, then the tiles of c nodes from i0."""
+        yield 0, 1
+        for i0 in range(1, self.n_nodes, self.size):
+            yield i0, min(self.size, self.n_nodes - i0)
+
+    def coefficients(self, i0: int, c: int):
+        """What every level's step over the tile needs of the grid and the
+        modes; None for node 0.  Called for the tiles in order."""
+        if i0 == 0:
+            return None
+        per_set = []
+        for k, (mo, span) in enumerate(zip(self.modes, self.spans)):
+            at = (i0 - 1) % span
+            if at == 0:
+                self.held[k] = mo.coefficients(i0, min(span, self.n_nodes - i0))
+            co = self.held[k]
+            per_set.append(co if span == self.size else [[x[at : at + c] for x in s] for s in co])
+        panel = tuple(x[i0 - 1 : i0 - 1 + c] for x in self.panel)
+        return per_set[:-1], per_set[-1], panel
+
+    def start(self) -> list:
+        """A level at t_0: its stage-1 and stage-2 histories, and buffers of
+        a tile's u and q whose row 0 is the node before the tile."""
+        rows = (self.size + 1, self.dimension)
+        states = [mo.start() for mo, _, _ in self.stage1]
+        return [states, self.stage2.start(), np.zeros(rows, complex), np.zeros(rows, complex)]
+
+    def step(self, level: list, coefs, u: np.ndarray) -> np.ndarray:
+        """Advance ``level`` over the tile whose forcing rows are ``u`` (c,
+        d), with the tile's ``coefficients``; returns the Duhamel term on
+        the tile."""
+        states, state2, ub, qb = level
+        g = np.zeros(u.shape, complex)
+        if coefs is None:
+            ub[0] = u[0]
+            return g
+        coefs1, coefs2, (left, right) = coefs
+        c = u.shape[0]
+        ub[1 : c + 1] = u
+        q = qb[1 : c + 1]
+        q[...] = 0.0
+        for (mo, src, dst), state, co in zip(self.stage1, states, coefs1):
+            data = ub[: c + 1, src]
+            o = np.zeros((c, data.shape[1]), complex)
+            mo.step(state, co, np.ascontiguousarray(data).view(float) if mo.real else data, _pairs(o))
+            q[:, dst] += o
+        qv = qb[: c + 1]
+        self.stage2.step(state2, coefs2, qv.view(float), _pairs(g))
+        g += left * qv[:c] + right * qv[1:]
+        ub[0], qb[0] = ub[c], qb[c]
+        return g
+
+
 def duhamel_convolve(
     m: AlmostSectorialModel, alpha: float, f: Trajectory, sums: _PropagatorSum | None = None
 ) -> Trajectory:
@@ -532,8 +723,9 @@ def duhamel_convolve(
     Stage 1 is q = E_alpha(-.^alpha A) * f with f linear between nodes,
     integrated exactly panel by panel through the exponential sums of the
     propagator, ``sums`` from ``propagator_sum`` for m, alpha and f's grid
-    (built here when omitted); stage 2 is ``rl_integral`` of the
-    piecewise-linear q.  Both cost O(n K) for K modes.  The value at t = 0 is
+    (built here when omitted); stage 2 is the ``rl_integral`` of the
+    piecewise-linear q.  Both cost O(n K) for K modes, and run tile by tile
+    through ``_DuhamelSteps`` with one level.  The value at t = 0 is
     exactly 0.  Raises ``ValueError`` if f does not have the model's
     dimension, if ``sums`` were built for another model, alpha or lag range
     than f's grid needs, or if an exponential sum misses its accuracy target.
@@ -541,25 +733,13 @@ def duhamel_convolve(
     d = m.dimension
     if f.dimension != d:
         raise ValueError(f"forcing dimension {f.dimension} != model dimension {d}")
-    es = propagator_sum(m, alpha, f.grid) if sums is None else sums
-    t = f.grid.nodes()
-    built = np.array_equal(es.lam, m.lam) and np.array_equal(es.coupling, m.coupling)
-    if not built or es.alpha != alpha or np.diff(t).min() < es.tau_min or t[-1] > es.T:
-        raise ValueError("the exponential sums were built for another model, alpha or grid")
+    steps = _DuhamelSteps(m, alpha, f.grid, sums)
     u = f.values
-    q = np.zeros(u.shape, dtype=complex)
-
-    def per_column(x):  # one entry per block, for both of its columns
-        return x if x.shape[1] == 1 else np.repeat(x, 2, axis=1)
-
-    for z, w, cw in (
-        (-es.rates[:, None], es.weights, es.couplings),
-        (es.poles, es.pole_weights, es.pole_couplings),
-    ):
-        q += _mode_sums(per_column(z), per_column(w), t, u)
-        if np.any(m.coupling):  # s d/dlambda E of a block's second component, into its first
-            q[:, 0::2] += _mode_sums(z, cw, t, u[:, 1::2], derivative=True)
-    return rl_integral(Kernel(alpha - 1.0), Trajectory(f.grid, q))
+    out = np.empty(u.shape, dtype=complex)
+    level = steps.start()
+    for i0, c in steps.tiles():
+        out[i0 : i0 + c] = steps.step(level, steps.coefficients(i0, c), u[i0 : i0 + c])
+    return Trajectory(f.grid, out)
 
 
 def _csv(header_lines, columns, rows) -> str:

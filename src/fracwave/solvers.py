@@ -15,7 +15,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fractional import TimeGrid, Trajectory, _csv, caputo_derivative, duhamel_convolve, propagator_sum
+from .fractional import (
+    TimeGrid,
+    Trajectory,
+    _csv,
+    _DuhamelSteps,
+    caputo_derivative,
+    duhamel_convolve,
+)
 from .operator_model import AlmostSectorialModel, _symbol_apply, apply as op_apply
 from .propagators import propagator_snapshots
 
@@ -162,8 +169,14 @@ def _homogeneous_values(p: WaveProblem) -> np.ndarray:
     return vals
 
 
-def _sample_forcing(p: WaveProblem, w_values: np.ndarray | None = None) -> np.ndarray:
-    t = p.grid.nodes()
+def _sample_forcing(
+    p: WaveProblem, w_values: np.ndarray | None = None, t: np.ndarray | None = None
+) -> np.ndarray:
+    """The forcing at the nodes ``t`` (all of the grid's by default), one
+    call of ``func`` per node; a semilinear one reads the matching rows of
+    ``w_values``."""
+    if t is None:
+        t = p.grid.nodes()
     d = p.model.dimension
     if p.forcing.kind == "none":
         return np.zeros((t.size, d), dtype=complex)
@@ -175,7 +188,8 @@ def _sample_forcing(p: WaveProblem, w_values: np.ndarray | None = None) -> np.nd
     if out.ndim == 1:  # scalar-valued forcing broadcast over components
         out = np.repeat(out[:, None], d, axis=1)
     if out.shape != (t.size, d):
-        raise ValueError(f"forcing samples have shape {out.shape}, want {(t.size, d)}")
+        n = p.grid.n_steps + 1  # the shapes of the samples at every node
+        raise ValueError(f"forcing samples have shape {(n, *out.shape[1:])}, want {(n, d)}")
     return out
 
 
@@ -206,6 +220,51 @@ def _graph_sup_norm(m: AlmostSectorialModel, values: np.ndarray) -> float:
     )
 
 
+# Picard sweeps run in passes of "levels" over the grid: the first pass runs
+# _FIRST_LEVELS of them, each later one as many as the last two increments
+# predict, geometrically, to reach the tolerance, at most _MAX_LEVELS (a
+# level holds an (n + 1, d) array)
+_FIRST_LEVELS = 3
+_MAX_LEVELS = 6
+
+
+def _pass_levels(history: list, tol: float, left: int) -> int:
+    if len(history) < 2 or not 0.0 < history[-1] / history[-2] < 1.0:
+        return min(_FIRST_LEVELS, left)
+    need = math.ceil(math.log(tol / history[-1]) / math.log(history[-1] / history[-2]))
+    return max(1, min(need, _MAX_LEVELS, left))
+
+
+def _picard_pass(p: WaveProblem, steps: _DuhamelSteps, t, homog, w, levels: int):
+    """The next ``levels`` Picard sweeps from ``w``, advanced together tile
+    by tile: level k's forcing on a tile reads level k - 1's values there,
+    which it has just written, and every level steps with the tile's
+    coefficients, computed once.  Returns the values of the levels that
+    finished the grid and the exception that stopped the next one, if any;
+    the levels before it go on, since one of them may converge."""
+    ws = [np.empty_like(homog) for _ in range(levels)]
+    states = [steps.start() for _ in range(levels)]
+    error = None
+    for i0, c in steps.tiles():
+        rows = slice(i0, i0 + c)
+        coefs = steps.coefficients(i0, c)
+        src = w
+        for k, (level, w_next) in enumerate(zip(states, ws)):
+            try:
+                f = _sample_forcing(p, src[rows], t[rows])
+                w_next[rows] = homog[rows] + steps.step(level, coefs, f)
+            except Exception as e:  # raised by the forcing, or a warning made an error
+                # one sweep at a time stops at an earlier level that
+                # converges and never sees this one, so those go on
+                del states[k:], ws[k:]
+                if not ws:
+                    raise
+                error = e
+                break
+            src = w_next
+    return ws, error
+
+
 def solve_semilinear(
     p: WaveProblem,
     tol: float = 1e-10,
@@ -218,6 +277,16 @@ def solve_semilinear(
     the sup-node graph-norm increment per sweep and should become geometric
     once the horizon T keeps the one-step contraction factor below one.  The
     exponential sums of the Duhamel term are built once, for all sweeps.
+
+    The sweeps run in passes over the grid, several "levels" per pass
+    (``_picard_pass``): ``_FIRST_LEVELS`` in the first, then as many as the
+    ratio of the last two increments predicts to reach ``tol``, at most
+    ``_MAX_LEVELS``, and never past ``max_iter``.  The tiles' coefficients
+    are computed once per pass instead of once per sweep.  Each level does
+    a sweep's arithmetic, bit for bit, and the increments are taken in
+    order after the pass, so the result, the sweep count and the history
+    are those of one sweep at a time; levels past the converged one are
+    wasted work, never a change.
     """
     if p.forcing.kind != "semilinear":
         raise ValueError("semilinear solver requires a semilinear forcing")
@@ -231,16 +300,20 @@ def solve_semilinear(
     else:
         raise ValueError(f"unknown initialization {initial!r}")
     history: list[float] = []
-    sums = propagator_sum(p.model, p.alpha, p.grid)
-    for k in range(1, max_iter + 1):
-        fvals = _sample_forcing(p, w)
-        duh = duhamel_convolve(p.model, p.alpha, Trajectory(p.grid, fvals), sums)
-        w_next = homog + duh.values
-        inc = _graph_sup_norm(p.model, w_next - w)
-        history.append(inc)
-        w = w_next
-        if inc <= tol:
-            return Trajectory(p.grid, w), k, history
+    steps = _DuhamelSteps(p.model, p.alpha, p.grid)
+    t = p.grid.nodes()
+    while len(history) < max_iter:
+        levels = _pass_levels(history, tol, max_iter - len(history))
+        ws, error = _picard_pass(p, steps, t, homog, w, levels)
+        for w_next in ws:
+            inc = _graph_sup_norm(p.model, w_next - w)
+            history.append(inc)
+            w = w_next
+            if inc <= tol:
+                return Trajectory(p.grid, w), len(history), history
+        del ws  # before the next pass allocates its levels
+        if error is not None:
+            raise error
     raise PicardError(
         f"no contraction below tol={tol} within {max_iter} sweeps "
         f"(last increment {history[-1]:.3e})",

@@ -4,8 +4,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fracwave import solvers
-from fracwave.fractional import TimeGrid, Trajectory
+from fracwave import cli, solvers
+from fracwave.fractional import TimeGrid, Trajectory, _DuhamelSteps, duhamel_convolve, propagator_sum
 from fracwave.mittag_leffler import MLParams, ml_eval
 from fracwave.operator_model import build_ladder_model, build_scalar_model
 from fracwave.solvers import (
@@ -251,6 +251,140 @@ class TestSemilinear:
         f = ForcingSpec.semilinear(lambda t, w: np.sin(w), lipschitz=1.0)
         with pytest.raises(ValueError, match=match):
             solve_semilinear(scalar_problem(forcing=f, n=16), **kw)
+
+
+def sequential_picard(p, tol=1e-10, max_iter=60):
+    """The sweep loop ``solve_semilinear`` ran before it advanced several
+    sweeps per pass: one whole-grid ``duhamel_convolve`` per sweep.  Returns
+    (w, sweeps or None when max_iter ran out, history)."""
+    homog = solvers._homogeneous_values(p)
+    w = np.repeat(p.w0[None, :], p.grid.n_steps + 1, axis=0)
+    history = []
+    sums = propagator_sum(p.model, p.alpha, p.grid)
+    for k in range(1, max_iter + 1):
+        fvals = solvers._sample_forcing(p, w)
+        duh = duhamel_convolve(p.model, p.alpha, Trajectory(p.grid, fvals), sums)
+        w_next = homog + duh.values
+        inc = solvers._graph_sup_norm(p.model, w_next - w)
+        history.append(inc)
+        w = w_next
+        if inc <= tol:
+            return w, k, history
+    return w, None, history
+
+
+def coupled_ladder_problem(n=100):
+    # Jordan blocks with |lambda| T^alpha << 1 and strong couplings: the
+    # coupling (derivative) passes and the pole modes both run
+    m = build_ladder_model(-0.75, 0.3, 1e-3, 1e-2, 1, coupling_scale=5e3)
+    w0 = np.zeros(m.dimension, dtype=complex)
+    w0[0], w0[1::2] = 1.0, 0.3
+    f = ForcingSpec.semilinear(lambda t, w: 0.5 * np.sin(w), lipschitz=0.5)
+    return WaveProblem(m, 1.2, w0, np.zeros(m.dimension), TimeGrid(1.0, n), f)
+
+
+SIN_W = ForcingSpec.semilinear(lambda t, w: np.sin(w), lipschitz=1.0)
+DIVERGENT = ForcingSpec.semilinear(lambda t, w: 50.0 * w, lipschitz=50.0)
+
+
+class TestPicardLevels:
+    """Several sweeps per pass over the grid ("levels") against one sweep
+    at a time: the same values, sweep count and history, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "problem, kw",
+        [
+            (lambda: scalar_problem(forcing=SIN_W, n=1024), {}),  # the README problem
+            (coupled_ladder_problem, {}),
+            # converges on the 8th sweep, inside the second pass (sweeps 4 to 9)
+            (lambda: scalar_problem(forcing=SIN_W, n=1024), {"tol": 1e-8}),
+            # max_iter cuts the second pass to two levels
+            (lambda: scalar_problem(forcing=SIN_W, n=257), {"max_iter": 5}),
+        ],
+        ids=["readme-scalar", "coupled-ladder", "converged-mid-pass", "max-iter-mid-pass"],
+    )
+    def test_levels_equal_sweeps(self, problem, kw):
+        p = problem()
+        ref_w, ref_iters, ref_history = sequential_picard(p, **kw)
+        if ref_iters is None:
+            with pytest.raises(PicardError) as err:
+                solve_semilinear(p, **kw)
+            assert err.value.history == ref_history
+            return
+        w, iters, history = solve_semilinear(p, **kw)
+        assert np.array_equal(w.values, ref_w)
+        assert iters == ref_iters and history == ref_history
+
+    def test_partial_last_tile(self):
+        p = scalar_problem(forcing=SIN_W, n=257)
+        size = _DuhamelSteps(p.model, p.alpha, p.grid).size
+        assert p.grid.n_steps % size != 0
+        ref_w, ref_iters, ref_history = sequential_picard(p)
+        w, iters, history = solve_semilinear(p)
+        assert np.array_equal(w.values, ref_w)
+        assert iters == ref_iters and history == ref_history
+
+    @pytest.mark.parametrize("max_iter", [1, 2, 4, 7])
+    def test_divergence_stops_at_max_iter(self, max_iter):
+        # no level runs past max_iter: RuntimeWarnings are errors here, and
+        # an overflowing sweep would raise one instead of PicardError
+        p = scalar_problem(w0=1.0, w1=0.0, forcing=DIVERGENT, n=64, T=2.0)
+        _, _, ref_history = sequential_picard(p, tol=1e-12, max_iter=15)
+        with pytest.raises(PicardError) as err:
+            solve_semilinear(p, tol=1e-12, max_iter=max_iter)
+        assert err.value.history == ref_history[:max_iter]
+
+    def test_wrong_forcing_shape_raises_the_same_error(self):
+        f = ForcingSpec.semilinear(lambda t, w: np.zeros(3), lipschitz=1.0)
+        with pytest.raises(ValueError, match=r"^forcing samples have shape \(65, 3\), want \(65, 2\)$"):
+            solve_semilinear(scalar_problem(forcing=f, n=64))
+
+    def test_wrong_forcing_shape_exits_3(self, tmp_path, monkeypatch, capsys):
+        bad = ForcingSpec.semilinear(lambda t, w: np.zeros(3), lipschitz=1.0)
+        monkeypatch.setattr(cli, "_forcing_from_config", lambda cfg: bad)
+        path = tmp_path / "run.cfg"
+        path.write_text("model = scalar\na = 2\nn_steps = 64\nw0 = 1\nproblem = semilinear\n")
+        assert cli.main(["solve", "--config", str(path), "--out", str(tmp_path)]) == 3
+        assert capsys.readouterr().err.startswith("error: forcing samples have shape (65, 3)")
+
+    def test_forcing_error_part_way_propagates(self):
+        calls = []
+
+        def f(t, w):
+            calls.append(t)
+            if len(calls) == 200:  # on the first level, between tiles
+                raise ZeroDivisionError("forcing failed")
+            return np.sin(w)
+
+        with pytest.raises(ZeroDivisionError, match="forcing failed"):
+            solve_semilinear(scalar_problem(forcing=ForcingSpec.semilinear(f, 1.0), n=1024))
+
+    def test_forcing_error_past_the_converged_sweep_is_not_seen(self):
+        # the third level of the first pass raises, but the second sweep has
+        # converged: one sweep at a time never reaches the third
+        starts = []
+
+        def f(t, w):
+            if t == 0.0:
+                starts.append(t)
+                if len(starts) == 3:
+                    raise ZeroDivisionError("third sweep")
+            return np.zeros_like(w)
+
+        p = scalar_problem(w0=0.8, forcing=ForcingSpec.semilinear(f, 0.0), n=64)
+        w, iters, history = solve_semilinear(p, tol=1e-12)
+        assert iters <= 2 and len(starts) == 3
+        assert np.array_equal(w.values, solvers._homogeneous_values(p))
+
+    def test_forcing_called_per_node(self):
+        seen = set()
+
+        def f(t, w):
+            seen.add((type(t), np.shape(w)))
+            return np.sin(w)
+
+        solve_semilinear(scalar_problem(forcing=ForcingSpec.semilinear(f, 1.0), n=64))
+        assert seen == {(np.float64, (2,))}
 
 
 class TestVerifyClassical:
