@@ -96,7 +96,14 @@ def _count(s: str) -> int:
     return int(v)
 
 
-# every key some subcommand reads, and its reader
+def _finite(s: str) -> float:
+    v = float(s)
+    if not math.isfinite(v):
+        raise ValueError(f"expected a finite number, got {s!r}")
+    return v
+
+
+# every key some subcommand reads, and its reader; TimeGrid checks grading
 _KEYS = {
     "a": _parse_complex,
     **dict.fromkeys(("blocks_per_decade", "n_steps", "max_iter", "n"), _count),
@@ -106,11 +113,12 @@ _KEYS = {
     **dict.fromkeys(
         (
             "gamma", "omega", "rho_min", "rho_max", "coupling_scale", "theta", "mu",
-            "alpha", "T", "grading", "tol", "forcing_value", "alpha_min", "alpha_max",
+            "alpha", "T", "tol", "forcing_value", "alpha_min", "alpha_max",
             "gamma_min", "gamma_max", "nu", "nu_min", "nu_max",
         ),
-        float,
+        _finite,
     ),
+    "grading": float,
 }
 
 
@@ -434,7 +442,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--seed", type=int, default=0, help="RNG seed")
         if tol:  # only the subcommands that read it
-            p.add_argument("--tol", type=float, default=None, help="tolerance override")
+            p.add_argument("--tol", type=_finite, default=None, help="tolerance override")
         p.add_argument(
             "--stdout", action="store_true", help="write CSV data to stdout"
         )

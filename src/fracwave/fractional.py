@@ -53,7 +53,6 @@ __all__ = [
     "rl_integral",
     "caputo_derivative",
     "duhamel_convolve",
-    "propagator_sum",
     "trajectory_to_csv",
     "trajectory_from_csv",
 ]
@@ -196,22 +195,11 @@ def _phi(x: np.ndarray, k_max: int):
     return np.exp(x), [np.where(small, s, c) for s, c in zip(series, closed)]
 
 
-def _as_reals(a: np.ndarray, real: bool) -> np.ndarray:
-    """Tile rows (c, columns, k) as (c, d, 2k) reals, one row per column of
-    u: [Re y, Im y] for a real tile, (re, im) per mode for a complex one."""
-    return a.reshape(a.shape[0], -1, 2 * a.shape[2]) if real else a.view(float)
-
-
-def _pairs(a: np.ndarray) -> np.ndarray:
-    """A C-ordered complex (c, d) array as (c, d, 2) reals."""
-    return a.view(float).reshape(a.shape[0], -1, 2)
-
-
 def _real_blocks(w: np.ndarray, real: bool) -> np.ndarray:
     """Weights (k, g) as (g, 2, 2k) reals whose two rows, dotted with a row
-    of ``_as_reals``, give Re and Im of sum_k w_k y_k: the blocks
-    [[Re w, -Im w], [Im w, Re w]].  One dot product per sum keeps its bits
-    independent of the tile size."""
+    of real sums in ``_Modes.step``, give Re and Im of sum_k w_k y_k: the
+    blocks [[Re w, -Im w], [Im w, Re w]].  One dot product per sum keeps its
+    bits independent of the tile size."""
     wr, wi = w.real.T, w.imag.T
     b = np.stack([np.stack([wr, -wi], axis=1), np.stack([wi, wr], axis=1)], axis=1)
     return (b if real else b.swapaxes(2, 3)).reshape(b.shape[0], 2, -1)
@@ -285,12 +273,15 @@ class _Modes:
             views.append((y, ay, dy[0] if dy else None, list(y), list(ay)))
         return views
 
-    def step(self, state: list, coefs: list, v: np.ndarray, out: np.ndarray) -> None:
+    def step(self, state: list, coefs: list, u: np.ndarray, out: np.ndarray) -> None:
         """Advance ``state`` over the c nodes of a tile with their
-        ``coefficients`` and add the tile's sums into ``out`` (c, d, 2),
-        reals.  ``v`` is the data, (c + 1, columns), the node before the
-        tile first; a real view (``_as_reals`` order) for real modes."""
+        ``coefficients`` and add the tile's sums into ``out``, complex (c, d)
+        and C-ordered.  ``u`` is the complex data, (c + 1, d), the node
+        before the tile first.  Real modes step its real and imaginary parts
+        as separate real columns."""
         c = out.shape[0]
+        v = np.ascontiguousarray(u).view(float) if self.real else u
+        reim = out.view(float).reshape(c, -1, 2)
         prev, cur = v[:c, :, None], v[1 : c + 1, :, None]
         for (y, ay, dy, rows_y, rows_ay), wb, carry, (a, c0, c1, *dc) in zip(
             self._tiles, self.blocks, state, coefs
@@ -310,7 +301,10 @@ class _Modes:
                     dy[j + 1] += a[j] * (dy[j] + hc[j] * y[j])
                 carry[1] = dy[c]
             sums = dy[1 : c + 1] if self.derivative else ay[:c] if self.lagged else y[1 : c + 1]
-            out += np.vecdot(_as_reals(sums, self.real)[:, :, None], wb)
+            # as (c, d, 2k) reals, one row per column of u: [Re y, Im y] for
+            # real modes, (re, im) per mode for complex ones
+            sums = sums.reshape(c, -1, 2 * sums.shape[2]) if self.real else sums.view(float)
+            reim += np.vecdot(sums[:, :, None], wb)
             carry[0] = y[c]
 
 
@@ -346,13 +340,11 @@ def _mode_sums(z, w, t, u, lagged: bool = False, derivative: bool = False) -> np
     slice's share one dot product per row, so no bit depends on the tile.
     """
     modes = _Modes(z, w, t, u.shape, lagged, derivative)
-    v = np.ascontiguousarray(u).view(float) if modes.real else u
     out = np.zeros(u.shape, dtype=complex)
-    reim = _pairs(out)
     state = modes.start()
     for i0 in range(1, t.size, modes.size):
         c = min(modes.size, t.size - i0)
-        modes.step(state, modes.coefficients(i0, c), v[i0 - 1 : i0 + c], reim[i0 : i0 + c])
+        modes.step(state, modes.coefficients(i0, c), u[i0 - 1 : i0 + c], out[i0 : i0 + c])
     return out
 
 
@@ -509,12 +501,6 @@ class _PropagatorSum:
     poles: np.ndarray  # (P, nb) root exponents sigma
     pole_weights: np.ndarray  # (P, nb) W, or 0 where the root is left out
     pole_couplings: np.ndarray  # (P, nb) s sigma W/(alpha lambda), of tau e^{sigma tau}
-    # what the sums were built and checked for: alpha, lambda, s, lags [tau_min, T]
-    alpha: float
-    lam: np.ndarray
-    coupling: np.ndarray
-    tau_min: float
-    T: float
 
     def at(self, tau: np.ndarray):
         """The summed (diagonal, superdiagonal) pair at lags ``tau``, each
@@ -561,7 +547,6 @@ def _propagator_sum(m: AlmostSectorialModel, alpha: float, tau_min: float, T: fl
         poles=poles,
         pole_weights=pole_weights,
         pole_couplings=poles * pole_weights * ds,
-        alpha=alpha, lam=lam, coupling=m.coupling, tau_min=tau_min, T=T,
     )
     _check_propagator_sum(es, m, alpha, np.geomspace(tau_min, T, _SUM_CHECK_LAGS))
     return es
@@ -597,22 +582,15 @@ def _check_propagator_sum(es: _PropagatorSum, m: AlmostSectorialModel, alpha: fl
         )
 
 
-def propagator_sum(m: AlmostSectorialModel, alpha: float, grid: TimeGrid) -> _PropagatorSum:
-    """The checked exponential sums of E_alpha(-tau^alpha A) for ``grid``, to
-    pass to every ``duhamel_convolve`` call of a solve on that grid."""
-    t = grid.nodes()
-    return _propagator_sum(m, alpha, float(np.diff(t).min()), float(t[-1]))
-
-
 class _DuhamelSteps:
     """The Duhamel term (g_{alpha-1} * E_alpha(-.^alpha A) * u)(t_i) of m,
     alpha on ``grid``, advanced one tile of nodes at a time for any number
     of forcings u ("levels").
 
     Stage 1, q = E_alpha(-.^alpha A) * u, runs the rate and pole modes of
-    the propagator's sums (``sums`` from ``propagator_sum``, built when
-    omitted) and, for coupled blocks, their tau e^{z tau} couplings; stage 2
-    is ``rl_integral`` of q, its lagged g_{alpha-1} sum plus the exact last
+    the propagator's sums, built and checked on [min h, T] here, and, for
+    coupled blocks, their tau e^{z tau} couplings; stage 2 is
+    ``rl_integral`` of q, its lagged g_{alpha-1} sum plus the exact last
     panel.  The tiles are node 0, where the term is 0 and the data start the
     histories, then runs of at most ``size`` nodes.  ``coefficients`` of a
     tile depend on the grid and the modes only, and every level's ``step``
@@ -621,13 +599,10 @@ class _DuhamelSteps:
     ``duhamel_convolve`` call, bit for bit.
     """
 
-    def __init__(self, m: AlmostSectorialModel, alpha: float, grid: TimeGrid, sums=None):
-        es = propagator_sum(m, alpha, grid) if sums is None else sums
+    def __init__(self, m: AlmostSectorialModel, alpha: float, grid: TimeGrid):
         t = grid.nodes()
         h = np.diff(t)
-        built = np.array_equal(es.lam, m.lam) and np.array_equal(es.coupling, m.coupling)
-        if not built or es.alpha != alpha or h.min() < es.tau_min or t[-1] > es.T:
-            raise ValueError("the exponential sums were built for another model, alpha or grid")
+        es = _propagator_sum(m, alpha, float(h.min()), float(t[-1]))
         d = self.dimension = m.dimension
         shape, every = (t.size, d), slice(None)
 
@@ -706,34 +681,31 @@ class _DuhamelSteps:
         for (mo, src, dst), state, co in zip(self.stage1, states, coefs1):
             data = ub[: c + 1, src]
             o = np.zeros((c, data.shape[1]), complex)
-            mo.step(state, co, np.ascontiguousarray(data).view(float) if mo.real else data, _pairs(o))
+            mo.step(state, co, data, o)
             q[:, dst] += o
         qv = qb[: c + 1]
-        self.stage2.step(state2, coefs2, qv.view(float), _pairs(g))
+        self.stage2.step(state2, coefs2, qv, g)
         g += left * qv[:c] + right * qv[1:]
         ub[0], qb[0] = ub[c], qb[c]
         return g
 
 
-def duhamel_convolve(
-    m: AlmostSectorialModel, alpha: float, f: Trajectory, sums: _PropagatorSum | None = None
-) -> Trajectory:
+def duhamel_convolve(m: AlmostSectorialModel, alpha: float, f: Trajectory) -> Trajectory:
     """The Duhamel term (g_{alpha-1} * E_alpha(-.^alpha A) * f)(t_i).
 
     Stage 1 is q = E_alpha(-.^alpha A) * f with f linear between nodes,
     integrated exactly panel by panel through the exponential sums of the
-    propagator, ``sums`` from ``propagator_sum`` for m, alpha and f's grid
-    (built here when omitted); stage 2 is the ``rl_integral`` of the
+    propagator on f's grid; stage 2 is the ``rl_integral`` of the
     piecewise-linear q.  Both cost O(n K) for K modes, and run tile by tile
-    through ``_DuhamelSteps`` with one level.  The value at t = 0 is
-    exactly 0.  Raises ``ValueError`` if f does not have the model's
-    dimension, if ``sums`` were built for another model, alpha or lag range
-    than f's grid needs, or if an exponential sum misses its accuracy target.
+    through ``_DuhamelSteps`` with one level, which builds the sums.  The
+    value at t = 0 is exactly 0.  Raises ``ValueError`` if f does not have
+    the model's dimension or if an exponential sum misses its accuracy
+    target.
     """
     d = m.dimension
     if f.dimension != d:
         raise ValueError(f"forcing dimension {f.dimension} != model dimension {d}")
-    steps = _DuhamelSteps(m, alpha, f.grid, sums)
+    steps = _DuhamelSteps(m, alpha, f.grid)
     u = f.values
     out = np.empty(u.shape, dtype=complex)
     level = steps.start()

@@ -32,7 +32,6 @@ __all__ = [
     "power",
     "verify_resolvent_bound",
     "resolvent_norm",
-    "spectral_matrices",
     "spectral_apply",
     "model_norm_of_function",
     "graph_norm",
@@ -294,22 +293,6 @@ def verify_resolvent_bound(
     c_mu = float(np.max(norms / moduli**m.profile.gamma))
     m.profile.c_mu = c_mu
     return BoundReport(constant=c_mu, slope=slope, n_samples=moduli.size)
-
-
-def spectral_matrices(m: AlmostSectorialModel, f, fprime) -> np.ndarray:
-    """Blockwise f(A): array (..., n_blocks, 2, 2) of [[f, s f'], [0, f]].
-
-    ``f`` and ``fprime`` are called once, on the eigenvalue array ``m.lam``;
-    their results broadcast against it, so a symbol carrying leading axes
-    (e.g. a time axis) yields one block array per leading index.  This is
-    the module's exact oracle for functions of the model.
-    """
-    fv, dv, _ = np.broadcast_arrays(f(m.lam), fprime(m.lam), m.lam)
-    out = np.zeros(fv.shape + (2, 2), dtype=complex)
-    out[..., 0, 0] = fv
-    out[..., 1, 1] = fv
-    out[..., 0, 1] = m.coupling * dv
-    return out
 
 
 def spectral_apply(m: AlmostSectorialModel, f, fprime, x) -> np.ndarray:

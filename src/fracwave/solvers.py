@@ -11,6 +11,7 @@ classical-solution residual verification.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -94,6 +95,8 @@ class WaveProblem:
         w1 = np.asarray(self.w1, dtype=complex).ravel()
         if w0.size != d or w1.size != d:
             raise ValueError(f"initial data must have dimension {d}")
+        if not (np.isfinite(w0).all() and np.isfinite(w1).all()):
+            raise ValueError("initial data must be finite")
         object.__setattr__(self, "w0", w0)
         object.__setattr__(self, "w1", w1)
 
@@ -290,7 +293,11 @@ def solve_semilinear(
     """
     if p.forcing.kind != "semilinear":
         raise ValueError("semilinear solver requires a semilinear forcing")
-    if tol <= 0 or max_iter < 1:
+    try:
+        max_iter = operator.index(max_iter)
+    except TypeError:
+        raise ValueError(f"max_iter must be an integer, got {max_iter!r}") from None
+    if not tol > 0 or max_iter < 1:  # a NaN tol fails too
         raise ValueError("need tol > 0 and max_iter >= 1")
     homog = _homogeneous_values(p)
     if initial == "w0":

@@ -147,6 +147,19 @@ class TestExitCodes:
             ("solve", SCALAR_CFG.replace("= scalar", "= cubic"), 3, "error: unknown model kind"),
             ("solve", SCALAR_CFG + "problem = linear\nforcing = cubic\n", 3, "error: unknown forcing"),
             ("solve", SCALAR_CFG + "grading = nan\n", 3, "error: grading must be finite"),
+            ("solve", SCALAR_CFG.replace("w0 = 1", "w0 = nan"), 3, "error: initial data must be finite"),
+            (
+                "solve",
+                SCALAR_CFG + "problem = linear\nforcing = constant\nforcing_value = inf\n",
+                3,
+                "error: config key forcing_value: expected a finite number",
+            ),
+            (
+                "solve",
+                SCALAR_CFG + "problem = semilinear\nforcing = sin-w\ntol = nan\n",
+                3,
+                "error: config key tol: expected a finite number",
+            ),
             ("solve", SCALAR_CFG + "grading = 1e6\n", 3, "error: grading 1000000.0 puts the first node"),
             ("regions", "n = 3\naxis = mu\n", 3, "error: unknown axis"),
             ("regions", "n = 1\n", 3, "error: raster needs n >= 2"),
@@ -174,6 +187,9 @@ class TestExitCodes:
             "unknown-model",
             "unknown-forcing",
             "grading-nan",
+            "w0-nan",
+            "forcing-value-inf",
+            "tol-nan",
             "grading-underflow",
             "unknown-axis",
             "regions-n-1",
@@ -192,6 +208,13 @@ class TestExitCodes:
         assert main(argv) == code
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(message)
+
+
+def test_non_finite_tol_argument_is_a_usage_error(tmp_path, capsys):
+    path = write_config(tmp_path, SCALAR_CFG + "problem = semilinear\nforcing = sin-w\n")
+    assert main(["solve", "--config", path, "--out", str(tmp_path), "--tol", "nan"]) == 2
+    assert "argument --tol" in capsys.readouterr().err
+    assert not (tmp_path / "solution.csv").exists()
 
 
 class TestVerify:

@@ -13,13 +13,12 @@ from fracwave.fractional import (
     Trajectory,
     caputo_derivative,
     duhamel_convolve,
-    propagator_sum,
     rl_integral,
     trajectory_from_csv,
     trajectory_to_csv,
 )
 from fracwave.mittag_leffler import MLParams, ml_eval
-from fracwave.operator_model import build_ladder_model, build_scalar_model, spectral_matrices
+from fracwave.operator_model import build_ladder_model, build_scalar_model
 from fracwave.solvers import ForcingSpec, WaveProblem, solve_linear
 
 
@@ -217,20 +216,6 @@ class TestDuhamel:
         with pytest.raises(ValueError):
             duhamel_convolve(build_scalar_model(1.0), 1.5, f)
 
-    @pytest.mark.parametrize("built_for", ["model", "alpha", "step", "horizon"])
-    def test_rejects_sums_built_for_another_problem(self, built_for):
-        grid, m, alpha = TimeGrid(1.0, 64), build_scalar_model(2.0), 1.5
-        sums = {
-            "model": lambda: propagator_sum(build_scalar_model(5.0), alpha, grid),
-            "alpha": lambda: propagator_sum(m, 1.2, grid),
-            # checked on lags from a coarser grid's shortest step, or up to T = 0.5
-            "step": lambda: propagator_sum(m, alpha, TimeGrid(1.0, 32)),
-            "horizon": lambda: propagator_sum(m, alpha, TimeGrid(0.5, 64)),
-        }[built_for]()
-        f = make_traj(grid, lambda t: [math.sin(3.0 * t), t])
-        with pytest.raises(ValueError):
-            duhamel_convolve(m, alpha, f, sums)
-
 
 def direct_rl(beta, u):
     """(g_beta * u)(t_i) by the O(n^2) exact sum over every panel."""
@@ -247,16 +232,18 @@ def direct_rl(beta, u):
 
 def psi_blocks(m, alpha, delta, tau):
     """Blockwise tau^(delta-1) E_{alpha,delta}(-tau^alpha A) for tau >= 0 (any
-    shape), its lambda-derivative through values only:
+    shape), the blocks [[f, s f'], [0, f]] of shape tau.shape + (n_blocks,
+    2, 2), f' through values only:
     E'_{alpha,delta} = (E_{alpha,alpha+delta-1} - (delta-1) E_{alpha,alpha+delta})/alpha."""
     ta = tau[..., None] ** alpha
     pre = tau[..., None] ** (delta - 1.0)
-    e = lambda d, z: ml_eval(MLParams(alpha, d), -ta * z)
-    return spectral_matrices(
-        m,
-        lambda z: pre * e(delta, z),
-        lambda z: -pre * ta * (e(alpha + delta - 1.0, z) - (delta - 1.0) * e(alpha + delta, z)) / alpha,
-    )
+    e = lambda d: ml_eval(MLParams(alpha, d), -ta * m.lam)
+    f = pre * e(delta)
+    fprime = -pre * ta * (e(alpha + delta - 1.0) - (delta - 1.0) * e(alpha + delta)) / alpha
+    blocks = np.zeros(f.shape + (2, 2), dtype=complex)
+    blocks[..., 0, 0] = blocks[..., 1, 1] = f
+    blocks[..., 0, 1] = m.coupling * fprime
+    return blocks
 
 
 def dense_duhamel(m, alpha, f):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from fracwave import cli, solvers
-from fracwave.fractional import TimeGrid, Trajectory, _DuhamelSteps, duhamel_convolve, propagator_sum
+from fracwave.fractional import TimeGrid, Trajectory, _DuhamelSteps, duhamel_convolve
 from fracwave.mittag_leffler import MLParams, ml_eval
 from fracwave.operator_model import build_ladder_model, build_scalar_model
 from fracwave.solvers import (
@@ -244,13 +244,21 @@ class TestSemilinear:
 
     @pytest.mark.parametrize(
         "kw, match",
-        [({"tol": 0.0}, "tol > 0"), ({"max_iter": 0}, "max_iter >= 1"), ({"initial": "w1"}, "unknown initialization")],
-        ids=["tol", "max_iter", "initial"],
+        [
+            ({"tol": 0.0}, "tol > 0"),
+            ({"tol": math.nan}, "tol > 0"),
+            ({"max_iter": 0}, "max_iter >= 1"),
+            ({"max_iter": 5.5}, "max_iter must be an integer"),
+            ({"initial": "w1"}, "unknown initialization"),
+        ],
+        ids=["tol", "tol-nan", "max_iter", "max_iter-float", "initial"],
     )
     def test_rejects_bad_iteration_settings(self, kw, match):
-        f = ForcingSpec.semilinear(lambda t, w: np.sin(w), lipschitz=1.0)
+        calls = []
+        f = ForcingSpec.semilinear(lambda t, w: calls.append(t) or np.sin(w), lipschitz=1.0)
         with pytest.raises(ValueError, match=match):
             solve_semilinear(scalar_problem(forcing=f, n=16), **kw)
+        assert not calls  # rejected before any sweep
 
 
 def sequential_picard(p, tol=1e-10, max_iter=60):
@@ -260,10 +268,9 @@ def sequential_picard(p, tol=1e-10, max_iter=60):
     homog = solvers._homogeneous_values(p)
     w = np.repeat(p.w0[None, :], p.grid.n_steps + 1, axis=0)
     history = []
-    sums = propagator_sum(p.model, p.alpha, p.grid)
     for k in range(1, max_iter + 1):
         fvals = solvers._sample_forcing(p, w)
-        duh = duhamel_convolve(p.model, p.alpha, Trajectory(p.grid, fvals), sums)
+        duh = duhamel_convolve(p.model, p.alpha, Trajectory(p.grid, fvals))
         w_next = homog + duh.values
         inc = solvers._graph_sup_norm(p.model, w_next - w)
         history.append(inc)
