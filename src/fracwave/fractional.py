@@ -8,29 +8,30 @@ Both convolutions with a long memory run through one exponential-mode
 engine: a kernel written as a sum of terms w tau^m e^{z tau}, m = 0 or 1,
 is convolved with piecewise-linear data by a recurrence that is exact on
 every panel of the grid, in O(n K) work for K modes (Lubich and Schaedle,
-SIAM J. Sci. Comput. 24 (2002)).  The engine (``_Modes``) is resumable: it
-steps one tile of nodes by modes at a time, laid out with the modes on the
-contiguous axis, and contracts the histories with the weights itself, in
-real arithmetic for real modes.  A tile's coefficients, e^{zh} and the phi
-functions, depend on the grid and the modes only and are computed apart
-from the histories, which each data stream carries from tile to tile; so
-the sweeps of a Picard iteration (``solvers.solve_semilinear``) advance
-together over a pass of the grid and compute them once (``_DuhamelSteps``).
+SIAM J. Sci. Comput. 24 (2002)).  The engine (``_Modes``) is resumable:
+it steps one tile of nodes at a time, all of a set's modes in one block on
+the contiguous axis and at most max(``_CHUNK_BYTES``, half the data) of
+history, or one node, per tile, and contracts the histories with the
+weights itself, in real arithmetic for real modes.  A tile's coefficients,
+e^{zh} and the phi functions, depend on the grid and the modes only and
+are computed apart from the histories, which each data stream carries from
+tile to tile; so the sweeps of a Picard iteration
+(``solvers.solve_semilinear``) advance together over a pass of the grid,
+and ``_DuhamelSteps.tiles`` hands each tile's coefficients to all of them.
 ``_mode_sums`` is the whole-grid loop over one stream.  ``rl_integral``
 asks for the lagged sum, the histories carried across the last panel
 without its data, and adds that panel, integrated exactly against g_beta;
 the Duhamel term's second stage does the same per tile.  Both sums are
-trapezoid rules
-in log r on the step ``mittag_leffler._CUT_STEP``.  g_beta, 0 < beta < 1,
-is one on [min h, T] (Jiang, Zhang, Zhang and Zhang, Commun. Comput. Phys.
-21 (2017)), its small-rate end closed by one exact tail mode;
-E_alpha(-tau^alpha A) is one on [0, T] through its residues and its
-real-axis integral, whose quadrature error from the roots near the branch
-cut is added back exactly as modes of their own (``mittag_leffler._Cut``,
-also the third of ``ml_eval``'s four regimes, at tau = 1).  Each sum is
-built to a fixed accuracy and checked against the exact kernel at
-log-spaced lags; a sum that misses ``_SUM_TOL`` raises ``ValueError``
-instead of returning degraded numbers.
+trapezoid rules in log r on the step ``mittag_leffler._CUT_STEP``.
+g_beta, 0 < beta < 1, is one on [min h, T] (Jiang, Zhang, Zhang and Zhang,
+Commun. Comput. Phys. 21 (2017)), its small-rate end closed by one
+exact tail mode; E_alpha(-tau^alpha A) is one on [0, T] through its
+residues and its real-axis integral, whose quadrature error from the roots
+near the branch cut is added back exactly as modes of their own
+(``mittag_leffler._Cut``, also the third of ``ml_eval``'s four regimes, at
+tau = 1).  Each sum is built to a fixed accuracy and checked against the
+exact kernel at log-spaced lags; a sum that misses ``_SUM_TOL`` raises
+``ValueError`` instead of returning degraded numbers.
 """
 
 from __future__ import annotations
@@ -115,10 +116,10 @@ class Trajectory:
         v = np.asarray(self.values, dtype=complex)
         if v.ndim == 1:
             v = v[:, None]
-        if v.ndim != 2 or v.shape[0] != self.grid.n_steps + 1:
+        if v.ndim != 2 or v.shape[0] != self.grid.n_steps + 1 or v.shape[1] == 0:
             raise ValueError(
                 f"values must have one row per node "
-                f"({self.grid.n_steps + 1}), got shape {v.shape}"
+                f"({self.grid.n_steps + 1}) and at least one column, got shape {v.shape}"
             )
         object.__setattr__(self, "values", v)
 
@@ -157,10 +158,10 @@ _SUM_TOL = 1e-12
 _SUM_CHECK_LAGS = 32
 _SUM_MAX_MODES = 1 << 14
 
-# a tile of the mode engine, some nodes times some modes, holds at most this
-# many bytes of history, or half the size of its data when that is more (its
-# temporaries are a few times that); the modes are split only when those of
-# one node need more
+# a tile of the mode engine, some nodes times all the modes of a set, holds
+# at most this many bytes of history, or half the size of its data when that
+# is more (its temporaries are a few times that), or one node when that needs
+# more
 _CHUNK_BYTES = 1 << 16
 
 # phi_k(x) is summed as a series of this degree below |x| = _PHI_RADIUS
@@ -208,7 +209,9 @@ def _real_blocks(w: np.ndarray, real: bool) -> np.ndarray:
 class _Modes:
     """One set of modes of the engine, the kernel sum_k w_k tau^m e^{z_k tau},
     laid out for complex (n + 1, d) data on the nodes ``t`` and advanced one
-    tile of nodes at a time (see ``_mode_sums``).
+    tile of at most ``size`` nodes by all the modes at a time (see
+    ``_mode_sums``): max(``_CHUNK_BYTES``, half the data) of history, or one
+    node when that is more.
 
     ``coefficients`` computes what a tile needs of the grid and the modes
     alone; ``step`` advances one set of histories (``start``) over a tile of
@@ -224,56 +227,43 @@ class _Modes:
         self.lagged, self.derivative = lagged, derivative
         self.cols = cols = shape[1] * 2 if real else shape[1]
         itemsize = 8 if real else 16
-        nk = z.shape[0]
-        per_mode = cols * itemsize * (2 if derivative else 1)
+        per_node = cols * z.shape[0] * itemsize * (2 if derivative else 1)
         budget = max(_CHUNK_BYTES, shape[0] * cols * itemsize // 2)
-        kc = max(1, min(nk, budget // per_mode))
-        self.size = max(1, budget // (kc * per_mode))  # nodes per tile at most
-        self.slices = [slice(k0, min(k0 + kc, nk)) for k0 in range(0, nk, kc)]
-        self.blocks = [_real_blocks(w[ks], real) for ks in self.slices]
+        self.size = max(1, budget // per_node)  # nodes per tile at most
+        self.block = _real_blocks(w, real)
 
-    def start(self) -> list:
-        """Histories 0 at t_0: per slice of the modes, the history (and its
-        z-derivative) at the last node stepped, (1 or 2, columns, modes)."""
-        dtype = float if self.real else complex
+    def start(self) -> np.ndarray:
+        """Histories 0 at t_0: the history (and its z-derivative) at the last
+        node stepped, (1 or 2, columns, modes)."""
         n = 2 if self.derivative else 1
-        return [np.zeros((n, self.cols, ks.stop - ks.start), dtype) for ks in self.slices]
+        return np.zeros((n, self.cols, self.zt.shape[1]), float if self.real else complex)
 
     def coefficients(self, i0: int, c: int) -> list:
-        """Per slice, e^{zh} (a list of rows) and the panel weights of the
-        data, h (phi_1 - phi_2)(zh) and h phi_2(zh), for the nodes
+        """e^{zh} (a list of rows) and the panel weights of the data,
+        h (phi_1 - phi_2)(zh) and h phi_2(zh), for the nodes
         i0 <= i < i0 + c; with ``derivative`` also those of the z-derivatives
         and h."""
         hc = self.h[i0 - 1 : i0 - 1 + c, None, None]
-        out = []
-        for ks in self.slices:
-            a, (p1, p2, *p3) = _phi(hc * self.zt[:, ks], 3 if self.derivative else 2)
-            # e^{zh} per node, one (columns, modes) row each: the step's
-            # per-node products then broadcast nothing
-            a = list(np.broadcast_to(a, (c, self.cols, a.shape[2])).copy())
-            co = [a, hc * (p1 - p2), hc * p2]
-            if self.derivative:
-                (p3,) = p3
-                hh = hc * hc
-                co += [hh * (p1 - 2.0 * p2 + 2.0 * p3), hh * (p2 - 2.0 * p3), hc]
-            out.append(co)
-        return out
+        a, (p1, p2, *p3) = _phi(hc * self.zt, 3 if self.derivative else 2)
+        # e^{zh} per node, one (columns, modes) row each: the step's per-node
+        # products then broadcast nothing
+        a = list(np.broadcast_to(a, (c, self.cols, a.shape[2])).copy())
+        co = [a, hc * (p1 - p2), hc * p2]
+        if self.derivative:
+            (p3,) = p3
+            hh = hc * hc
+            co += [hh * (p1 - 2.0 * p2 + 2.0 * p3), hh * (p2 - 2.0 * p3), hc]
+        return co
 
     @functools.cached_property
-    def _tiles(self) -> list:
-        # per slice: histories, their products with e^{zh}, the z-derivatives
-        # (tile nodes, columns, modes), and the histories' rows
-        rows, kc = self.size + 1, self.slices[0].stop
-        dtype = float if self.real else complex
-        store = np.empty((3 if self.derivative else 2, rows * self.cols * kc), dtype=dtype)
-        views = []
-        for ks in self.slices:
-            k = ks.stop - ks.start
-            y, ay, *dy = (s[: rows * self.cols * k].reshape(rows, self.cols, k) for s in store)
-            views.append((y, ay, dy[0] if dy else None, list(y), list(ay)))
-        return views
+    def _tile(self):
+        # histories, their products with e^{zh}, the z-derivatives (tile
+        # nodes, columns, modes), and the histories' rows
+        shape = (3 if self.derivative else 2, self.size + 1, self.cols, self.zt.shape[1])
+        y, ay, *dy = np.empty(shape, float if self.real else complex)
+        return y, ay, dy[0] if dy else None, list(y), list(ay)
 
-    def step(self, state: list, coefs: list, u: np.ndarray, out: np.ndarray) -> None:
+    def step(self, state: np.ndarray, coefs: list, u: np.ndarray, out: np.ndarray) -> None:
         """Advance ``state`` over the c nodes of a tile with their
         ``coefficients`` and add the tile's sums into ``out``, complex (c, d)
         and C-ordered.  ``u`` is the complex data, (c + 1, d), the node
@@ -283,29 +273,28 @@ class _Modes:
         v = np.ascontiguousarray(u).view(float) if self.real else u
         reim = out.view(float).reshape(c, -1, 2)
         prev, cur = v[:c, :, None], v[1 : c + 1, :, None]
-        for (y, ay, dy, rows_y, rows_ay), wb, carry, (a, c0, c1, *dc) in zip(
-            self._tiles, self.blocks, state, coefs
-        ):
-            y[0] = carry[0]
-            np.multiply(c0, prev, out=y[1 : c + 1])
-            y[1 : c + 1] += c1 * cur
-            for aj, yj, ayj, yn in zip(a, rows_y, rows_ay, rows_y[1:]):
-                np.multiply(aj, yj, out=ayj)
-                yn += ayj
-            if self.derivative:
-                d0, d1, hc = dc
-                dy[0] = carry[1]
-                np.multiply(d0, prev, out=dy[1 : c + 1])
-                dy[1 : c + 1] += d1 * cur
-                for j in range(c):
-                    dy[j + 1] += a[j] * (dy[j] + hc[j] * y[j])
-                carry[1] = dy[c]
-            sums = dy[1 : c + 1] if self.derivative else ay[:c] if self.lagged else y[1 : c + 1]
-            # as (c, d, 2k) reals, one row per column of u: [Re y, Im y] for
-            # real modes, (re, im) per mode for complex ones
-            sums = sums.reshape(c, -1, 2 * sums.shape[2]) if self.real else sums.view(float)
-            reim += np.vecdot(sums[:, :, None], wb)
-            carry[0] = y[c]
+        y, ay, dy, rows_y, rows_ay = self._tile
+        a, c0, c1, *dc = coefs
+        y[0] = state[0]
+        np.multiply(c0, prev, out=y[1 : c + 1])
+        y[1 : c + 1] += c1 * cur
+        for aj, yj, ayj, yn in zip(a, rows_y, rows_ay, rows_y[1:]):
+            np.multiply(aj, yj, out=ayj)
+            yn += ayj
+        if self.derivative:
+            d0, d1, hc = dc
+            dy[0] = state[1]
+            np.multiply(d0, prev, out=dy[1 : c + 1])
+            dy[1 : c + 1] += d1 * cur
+            for j in range(c):
+                dy[j + 1] += a[j] * (dy[j] + hc[j] * y[j])
+            state[1] = dy[c]
+        sums = dy[1 : c + 1] if self.derivative else ay[:c] if self.lagged else y[1 : c + 1]
+        # as (c, d, 2k) reals, one row per column of u: [Re y, Im y] for
+        # real modes, (re, im) per mode for complex ones
+        sums = sums.reshape(c, -1, 2 * sums.shape[2]) if self.real else sums.view(float)
+        reim += np.vecdot(sums[:, :, None], self.block)
+        state[0] = y[c]
 
 
 def _mode_sums(z, w, t, u, lagged: bool = False, derivative: bool = False) -> np.ndarray:
@@ -330,14 +319,13 @@ def _mode_sums(z, w, t, u, lagged: bool = False, derivative: bool = False) -> np
     row i is sum_k w_k dy_k(t_i).
 
     This is the whole-grid loop of ``_Modes.step``: tiles of consecutive
-    nodes i0 <= i < i0 + c by a slice of the modes are stepped one node at a
-    time; every tile array is (nodes, columns, modes), the modes on the
-    contiguous axis.  Real exponents act on the real and imaginary parts of
-    u as separate real columns, weighed in real arithmetic
-    (``_real_blocks``).  A tile holds at most ``_CHUNK_BYTES``, or half the
-    size of u when that is more, of history (unless one mode of one node
-    needs more).  Each row is a sum over the slices in order, and each
-    slice's share one dot product per row, so no bit depends on the tile.
+    nodes i0 <= i < i0 + c by all the modes are stepped one node at a time;
+    every tile array is (nodes, columns, modes), the modes on the contiguous
+    axis.  Real exponents act on the real and imaginary parts of u as
+    separate real columns, weighed in real arithmetic (``_real_blocks``).  A
+    tile holds at most max(``_CHUNK_BYTES``, half the size of u) of history,
+    or one node of all the modes when that is more.  Each row is one dot
+    product over the modes, so no bit depends on the tile.
     """
     modes = _Modes(z, w, t, u.shape, lagged, derivative)
     out = np.zeros(u.shape, dtype=complex)
@@ -482,45 +470,23 @@ def _trapezoid_weights(t: np.ndarray) -> np.ndarray:
     return w
 
 
-@dataclass(frozen=True)
-class _PropagatorSum:
-    """E_alpha(-tau^alpha A) as blockwise exponential sums in tau >= 0.
+def _propagator_sum(m: AlmostSectorialModel, alpha: float, tau_min: float, T: float):
+    """E_alpha(-tau^alpha A) as blockwise exponential sums in tau >= 0,
+    checked on [tau_min, T]: the rate set (-r, w, cw) of the modes
+    e^{-r_j tau}, -r (K, 1) shared by the blocks and w, cw (K, nb), and the
+    pole set (sigma, W, cW) of the modes e^{sigma tau}, each (P, nb), W 0
+    where a root is left out.
 
     On a block [[lambda, s], [0, lambda]] the diagonal is the residue and
-    cut modes of ``mittag_leffler._Cut`` at delta = 1, on rates shared by
-    all blocks.  The superdiagonal is s d/dlambda E =
-    (s tau/(alpha lambda)) d/dtau E, so a mode w e^{z tau} adds
-    s z w/(alpha lambda) tau e^{z tau} to it; unlike d rho/d lambda, whose
-    terms cancel to O(lambda) of their size when |lambda| T^alpha << 1, this
-    keeps the coupling's relative accuracy.
-    """
-
-    rates: np.ndarray  # (K,) rates r_j of the modes e^{-r_j tau}
-    weights: np.ndarray  # (K, nb) their weights on the diagonal
-    couplings: np.ndarray  # (K, nb) -s r_j w/(alpha lambda), of tau e^{-r_j tau}
-    poles: np.ndarray  # (P, nb) root exponents sigma
-    pole_weights: np.ndarray  # (P, nb) W, or 0 where the root is left out
-    pole_couplings: np.ndarray  # (P, nb) s sigma W/(alpha lambda), of tau e^{sigma tau}
-
-    def at(self, tau: np.ndarray):
-        """The summed (diagonal, superdiagonal) pair at lags ``tau``, each
-        (len(tau), nb)."""
-        tau = np.asarray(tau, dtype=float)
-        er = np.exp(-np.outer(tau, self.rates))
-        ep = np.exp(self.poles[None] * tau[:, None, None])
-        diag = er @ self.weights + np.sum(self.pole_weights * ep, axis=1)
-        off = er @ self.couplings + np.sum(self.pole_couplings * ep, axis=1)
-        return diag, tau[:, None] * off
-
-
-def _propagator_sum(m: AlmostSectorialModel, alpha: float, tau_min: float, T: float):
-    """The exponential sums of E_alpha(-tau^alpha A), checked on [tau_min, T].
-
-    The modes are those of ``mittag_leffler._Cut`` at delta = 1, on one
-    lattice shared by all blocks, its offset chosen to keep every block's
-    poles off the nodes.  The range is set by the tails: |lambda| r^-alpha
-    at large r, so the sum holds down to tau = 0; at small r both
-    r^alpha/|lambda| against E(0) = 1 and (r T)^alpha/Gamma(alpha + 1)
+    cut modes of ``mittag_leffler._Cut`` at delta = 1, on one lattice shared
+    by all blocks, its offset chosen to keep every block's poles off the
+    nodes.  The superdiagonal is s d/dlambda E = (s tau/(alpha lambda))
+    d/dtau E, so a mode w e^{z tau} adds cw tau e^{z tau} to it, cw =
+    s z w/(alpha lambda); unlike d rho/d lambda, whose terms cancel to
+    O(lambda) of their size when |lambda| T^alpha << 1, this keeps the
+    coupling's relative accuracy.  The range is set by the tails:
+    |lambda| r^-alpha at large r, so the sum holds down to tau = 0; at small
+    r both r^alpha/|lambda| against E(0) = 1 and (r T)^alpha/Gamma(alpha + 1)
     against the algebraic tail |E(T)| ~ 1/(T^alpha |lambda| |Gamma(1 - alpha)|)
     of a stiff block, whose small values the Duhamel integral accumulates
     over [0, T].
@@ -540,37 +506,35 @@ def _propagator_sum(m: AlmostSectorialModel, alpha: float, tau_min: float, T: fl
     j = np.arange(_mode_count(x0, x_hi, _CUT_STEP, f"E_{alpha}"))[:, None]
     r, weights, poles, pole_weights = cut.modes(1.0, x0, j)
     ds = m.coupling / (alpha * lam)
-    es = _PropagatorSum(
-        rates=r[:, 0],
-        weights=weights,
-        couplings=-r * weights * ds,
-        poles=poles,
-        pole_weights=pole_weights,
-        pole_couplings=poles * pole_weights * ds,
-    )
-    _check_propagator_sum(es, m, alpha, np.geomspace(tau_min, T, _SUM_CHECK_LAGS))
-    return es
+    sets = (-r, weights, -r * weights * ds), (poles, pole_weights, poles * pole_weights * ds)
+    _check_propagator_sum(sets, m, alpha, np.geomspace(tau_min, T, _SUM_CHECK_LAGS))
+    return sets
 
 
-def _check_propagator_sum(es: _PropagatorSum, m: AlmostSectorialModel, alpha: float, lags) -> None:
-    """Compare the sums' (diagonal, superdiagonal) pairs with the oracle's,
-    entry by entry, at increasing ``lags``.  The error of a block at a lag
-    is measured against its largest entry at that lag or later: a decaying
-    block must keep its relative accuracy in the tail, and the coupling of
-    a block with lambda T^alpha << 1, whose sum cancels to far below its
-    scale 1/|lambda|, is measured against the diagonal.  The lambda-derivative is
+def _check_propagator_sum(sets, m: AlmostSectorialModel, alpha: float, lags) -> None:
+    """Compare the summed (diagonal, superdiagonal) pairs of the mode
+    ``sets`` of ``_propagator_sum`` with the oracle's, entry by entry, at
+    increasing ``lags``.  The error of a block at a lag is measured against
+    its largest entry at that lag or later: a decaying block must keep its
+    relative accuracy in the tail, and the coupling of a block with
+    lambda T^alpha << 1, whose sum cancels to far below its scale
+    1/|lambda|, is measured against the diagonal.  The lambda-derivative is
     -tau^alpha E_{alpha,alpha}(-tau^alpha lambda)/alpha, through values only:
     ``ml_derivative`` is accepted at a looser tolerance than ``_SUM_TOL``.
     In the mid-band ``ml_eval`` uses the same cut representation, so there
     this compares two quadratures of one representation; its independent
     guard is the dense-reference tests in ``tests/test_fractional.py``."""
+    (z, w, cw), (sigma, pw, pcw) = sets
+    er = np.exp(np.outer(lags, z))
+    ep = np.exp(sigma[None] * lags[:, None, None])
+    sums = (er @ w + np.sum(pw * ep, axis=1), lags[:, None] * (er @ cw + np.sum(pcw * ep, axis=1)))
     ta = lags[:, None] ** alpha
     z = -ta * m.lam
     oracle = (
         ml_eval(MLParams(alpha, 1.0), z),
         m.coupling * (-ta / alpha * ml_eval(MLParams(alpha, alpha), z)),
     )
-    err = np.maximum(*(np.abs(g - o) for g, o in zip(es.at(lags), oracle)))
+    err = np.maximum(*(np.abs(g - o) for g, o in zip(sums, oracle)))
     scale = np.maximum.accumulate(np.maximum(*map(np.abs, oracle))[::-1])[::-1]
     bad = np.any(~(err <= _SUM_TOL * scale), axis=0)  # a NaN fails too
     if bad.any():
@@ -591,18 +555,18 @@ class _DuhamelSteps:
     the propagator's sums, built and checked on [min h, T] here, and, for
     coupled blocks, their tau e^{z tau} couplings; stage 2 is
     ``rl_integral`` of q, its lagged g_{alpha-1} sum plus the exact last
-    panel.  The tiles are node 0, where the term is 0 and the data start the
-    histories, then runs of at most ``size`` nodes.  ``coefficients`` of a
-    tile depend on the grid and the modes only, and every level's ``step``
-    over that tile uses them; each level (``start``) holds its histories and
-    the last node's u and q.  A level's rows are those of one
-    ``duhamel_convolve`` call, bit for bit.
+    panel.  ``tiles`` yields node 0, where the term is 0 and the data start
+    the histories, then runs of at most ``size`` nodes, the smallest tile of
+    the sets (``_Modes``), each with its coefficients, which depend on the
+    grid and the modes only; every level's ``step`` over that tile uses
+    them.  Each level (``start``) holds its histories and the last node's u
+    and q.  A level's rows are those of one ``duhamel_convolve`` call, bit
+    for bit.
     """
 
     def __init__(self, m: AlmostSectorialModel, alpha: float, grid: TimeGrid):
         t = grid.nodes()
         h = np.diff(t)
-        es = _propagator_sum(m, alpha, float(h.min()), float(t[-1]))
         d = self.dimension = m.dimension
         shape, every = (t.size, d), slice(None)
 
@@ -611,10 +575,7 @@ class _DuhamelSteps:
 
         # (modes, the columns of u they read, the columns of q they add into)
         self.stage1 = []
-        for z, w, cw in (
-            (-es.rates[:, None], es.weights, es.couplings),
-            (es.poles, es.pole_weights, es.pole_couplings),
-        ):
+        for z, w, cw in _propagator_sum(m, alpha, float(h.min()), float(t[-1])):
             self.stage1.append((_Modes(per_column(z), per_column(w), t, shape), every, every))
             if np.any(m.coupling):  # s d/dlambda E of a block's second component, into its first
                 coupled = _Modes(z, cw, t, (t.size, d // 2), derivative=True)
@@ -623,39 +584,35 @@ class _DuhamelSteps:
         rates, weights = _power_sum(beta, float(h.min()), float(t[-1]))
         self.stage2 = _Modes(-rates[:, None], weights[:, None], t, shape, lagged=True)
         self.panel = _last_panel(beta, h)
-        # one tile for all sets, their smallest, since no bit depends on it
-        # (``_mode_sums``).  A set with fewer modes computes its coefficients
-        # for a block of tiles at once, as many as keep its phi arguments no
-        # larger than those of the largest set's tile
+        # one tile for all sets, their smallest: no bit depends on it (``_mode_sums``)
         self.modes = [mo for mo, _, _ in self.stage1] + [self.stage2]
         self.size = min(mo.size for mo in self.modes)
-        per_node = [mo.zt.nbytes for mo in self.modes]
-        self.spans = [max(1, max(per_node) // b) * self.size for b in per_node]
         for mo in self.modes:
             mo.size = self.size
-        self.held = [None] * len(self.modes)  # the coefficients of each set's current block
         self.n_nodes = t.size
 
     def tiles(self):
-        """(i0, c): node 0, then the tiles of c nodes from i0."""
-        yield 0, 1
-        for i0 in range(1, self.n_nodes, self.size):
-            yield i0, min(self.size, self.n_nodes - i0)
-
-    def coefficients(self, i0: int, c: int):
-        """What every level's step over the tile needs of the grid and the
-        modes; None for node 0.  Called for the tiles in order."""
-        if i0 == 0:
-            return None
-        per_set = []
-        for k, (mo, span) in enumerate(zip(self.modes, self.spans)):
-            at = (i0 - 1) % span
-            if at == 0:
-                self.held[k] = mo.coefficients(i0, min(span, self.n_nodes - i0))
-            co = self.held[k]
-            per_set.append(co if span == self.size else [[x[at : at + c] for x in s] for s in co])
-        panel = tuple(x[i0 - 1 : i0 - 1 + c] for x in self.panel)
-        return per_set[:-1], per_set[-1], panel
+        """(i0, c, coefficients): node 0, whose coefficients are None, then
+        the tiles of c nodes from i0 with what every level's step over them
+        needs of the grid and the modes."""
+        yield 0, 1, None
+        n, size = self.n_nodes, self.size
+        # a set with fewer modes computes its coefficients for a block of
+        # tiles at once, as many as keep its phi arguments no larger than
+        # those of the largest set's tile
+        per_node = [mo.zt.nbytes for mo in self.modes]
+        spans = [max(1, max(per_node) // b) * size for b in per_node]
+        current = [None] * len(self.modes)  # the coefficients of each set's current block
+        for i0 in range(1, n, size):
+            c = min(size, n - i0)
+            per_set = []
+            for k, (mo, span) in enumerate(zip(self.modes, spans)):
+                at = (i0 - 1) % span
+                if at == 0:
+                    current[k] = mo.coefficients(i0, min(span, n - i0))
+                per_set.append(current[k] if span == size else [x[at : at + c] for x in current[k]])
+            panel = tuple(x[i0 - 1 : i0 - 1 + c] for x in self.panel)
+            yield i0, c, (per_set[:-1], per_set[-1], panel)
 
     def start(self) -> list:
         """A level at t_0: its stage-1 and stage-2 histories, and buffers of
@@ -666,8 +623,8 @@ class _DuhamelSteps:
 
     def step(self, level: list, coefs, u: np.ndarray) -> np.ndarray:
         """Advance ``level`` over the tile whose forcing rows are ``u`` (c,
-        d), with the tile's ``coefficients``; returns the Duhamel term on
-        the tile."""
+        d), with the tile's coefficients from ``tiles``; returns the Duhamel
+        term on the tile."""
         states, state2, ub, qb = level
         g = np.zeros(u.shape, complex)
         if coefs is None:
@@ -709,8 +666,8 @@ def duhamel_convolve(m: AlmostSectorialModel, alpha: float, f: Trajectory) -> Tr
     u = f.values
     out = np.empty(u.shape, dtype=complex)
     level = steps.start()
-    for i0, c in steps.tiles():
-        out[i0 : i0 + c] = steps.step(level, steps.coefficients(i0, c), u[i0 : i0 + c])
+    for i0, c, coefs in steps.tiles():
+        out[i0 : i0 + c] = steps.step(level, coefs, u[i0 : i0 + c])
     return Trajectory(f.grid, out)
 
 
@@ -744,6 +701,8 @@ def trajectory_from_csv(text: str) -> Trajectory:
         if not line or line.startswith("#") or line.startswith("t,"):
             continue
         rows.append([float(x) for x in line.split(",")])
+    if not rows:
+        raise ValueError("trajectory CSV has no data rows")
     arr = np.array(rows)
     t = arr[:, 0]
     vals = arr[:, 1::2] + 1j * arr[:, 2::2]

@@ -84,6 +84,8 @@ class AlmostSectorialModel:
         s = np.atleast_1d(np.asarray(self.coupling, dtype=float))
         if lam.shape != s.shape or lam.ndim != 1:
             raise ValueError("lam and coupling must be 1-d arrays of equal length")
+        if lam.size == 0:
+            raise ValueError("a model needs at least one block")
         if not (np.all(np.isfinite(lam)) and np.all(np.isfinite(s))):
             raise ValueError("eigenvalues and couplings must be finite")
         if np.any(lam == 0):
@@ -352,7 +354,10 @@ def model_from_text(text: str) -> AlmostSectorialModel:
             fields[key] = float(value)
         else:
             rows.append([float(v) for v in parts])
-    if len(rows) != int(fields.get("blocks", len(rows))):
+    blocks = fields.get("blocks", len(rows))
+    if not float(blocks).is_integer():
+        raise ValueError(f"block count must be an integer, got {blocks}")
+    if len(rows) != blocks:
         raise ValueError("block count mismatch in model file")
     for key in ("omega", "gamma", "mu", "theta"):
         if key not in fields:

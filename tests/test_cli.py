@@ -119,6 +119,7 @@ BAD_KEY_CFG = LADDER_CFG + "alpah = 1.5\n"
 
 # a one-block model file whose eigenvalue row is NaN, read by relative path
 NAN_ROW_MODEL = "omega 0.0\ngamma -0.5\nmu 0.6\ntheta 0.5\nblocks 1\nnan 0.0 1.0\n"
+EMPTY_MODEL = "omega 0.0\ngamma -0.5\nmu 0.6\ntheta 0.5\nblocks 0\n"
 
 
 class TestExitCodes:
@@ -176,6 +177,14 @@ class TestExitCodes:
                 3,
                 "error: model file nan-row.txt: eigenvalues and couplings must be finite",
             ),
+            *(
+                (command, cfg, 3, "error: model file empty.txt: a model needs at least one block")
+                for command, cfg in (
+                    ("solve", SCALAR_CFG + "model_file = empty.txt\n"),
+                    ("verify", LADDER_CFG + "model_file = empty.txt\n"),
+                    ("model check", "model_file = empty.txt\n"),
+                )
+            ),
             # a command-line argument, not a config value: a usage error
             ("ml --alpha 1.5 --z x", None, 2, "usage error: expected a complex number"),
         ],
@@ -196,12 +205,14 @@ class TestExitCodes:
             "missing-model-file",
             "malformed-complex-config",
             "nan-model-row",
+            *(f"empty-model-{c}" for c in ("solve", "verify", "model-check")),
             "malformed-complex-argument",
         ],
     )
     def test_exit_code(self, tmp_path, capsys, monkeypatch, command, cfg, code, message):
         monkeypatch.chdir(tmp_path)
         (tmp_path / "nan-row.txt").write_text(NAN_ROW_MODEL)
+        (tmp_path / "empty.txt").write_text(EMPTY_MODEL)
         argv = command.split()
         if cfg is not None:
             argv += ["--config", write_config(tmp_path, cfg), "--out", str(tmp_path)]

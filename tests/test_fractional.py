@@ -1,5 +1,4 @@
 import cmath
-import dataclasses
 import math
 
 import numpy as np
@@ -67,6 +66,10 @@ class TestTimeGrid:
 
 
 class TestRLIntegral:
+    def test_rejects_data_without_columns(self):
+        with pytest.raises(ValueError, match="at least one column"):
+            rl_integral(Kernel(0.5), Trajectory(TimeGrid(1.0, 8), np.zeros((9, 0))))
+
     def test_beta_one_is_plain_integral(self):
         grid = TimeGrid(1.0, 32, grading=1.0)
         u = make_traj(grid, lambda t: 1.0)
@@ -351,8 +354,8 @@ class TestExponentialHistory:
     @pytest.mark.parametrize("chunk_bytes", [None, 1])
     @pytest.mark.parametrize("case", MODE_SUM_CASES)
     def test_mode_sums_match_reference_recurrence(self, monkeypatch, case, chunk_bytes):
-        # 24 modes on 21 nodes: with a 1-byte budget a tile holds one node
-        # and at most 10 modes, so the modes are split into uneven slices
+        # 24 modes on 21 nodes: with a 1-byte budget every tile is one node
+        # of all the modes, so each node is stepped and summed on its own
         t, u, kw = mode_sum_case(case, 20, 24)
         if chunk_bytes is not None:
             monkeypatch.setattr(fractional, "_CHUNK_BYTES", chunk_bytes)
@@ -440,13 +443,14 @@ class TestExponentialHistory:
     def test_corrupted_propagator_weight_fails_check(self, factor):
         m, alpha = small_ladder(), 1.5
         lags = np.geomspace(1e-4, 1.0, 32)
-        es = fractional._propagator_sum(m, alpha, 1e-4, 1.0)
-        fractional._check_propagator_sum(es, m, alpha, lags)
-        weights = es.weights.copy()
+        sets = fractional._propagator_sum(m, alpha, 1e-4, 1.0)
+        fractional._check_propagator_sum(sets, m, alpha, lags)
+        (z, w, cw), poles = sets
+        weights = w.copy()
         k = int(np.argmax(np.abs(weights[:, 0])))
         weights[k, 0] *= factor
         with pytest.raises(ValueError):
-            fractional._check_propagator_sum(dataclasses.replace(es, weights=weights), m, alpha, lags)
+            fractional._check_propagator_sum(((z, weights, cw), poles), m, alpha, lags)
 
     def test_power_sum_matches_kernel(self):
         # the trapezoid nodes and the tail mode over beta, the horizon and the
@@ -478,6 +482,11 @@ class TestSerialization:
         assert back.dimension == 2
         assert np.allclose(back.values, w.values, atol=0, rtol=1e-15)
         assert np.allclose(back.grid.nodes(), grid.nodes(), rtol=1e-12)
+
+    @pytest.mark.parametrize("text", ["", "t,re_0,im_0\n", "# fracwave-version: test\nt,re_0,im_0\n"])
+    def test_rejects_csv_without_data_rows(self, text):
+        with pytest.raises(ValueError, match="no data rows"):
+            trajectory_from_csv(text)
 
     def test_header(self):
         grid = TimeGrid(1.0, 2, grading=1.0)

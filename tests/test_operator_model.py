@@ -274,3 +274,15 @@ class TestSerialization:
         assert np.array_equal(back.lam, m.lam)
         assert np.array_equal(back.coupling, m.coupling)
         assert back.profile == m.profile
+
+    HEADER = "omega 0.5\ngamma -0.5\nmu 0.7\ntheta 0.6\n"
+
+    @pytest.mark.parametrize("blocks", ["1.5", "inf", "nan"])
+    def test_rejects_non_integral_block_count(self, blocks):
+        with pytest.raises(ValueError, match="block count must be an integer"):
+            model_from_text(f"{self.HEADER}blocks {blocks}\n1.0 0.0 0.5\n")
+
+    @pytest.mark.parametrize("blocks", ["", "blocks 0\n"])
+    def test_rejects_model_without_blocks(self, blocks):
+        with pytest.raises(ValueError, match="at least one block"):
+            model_from_text(self.HEADER + blocks)

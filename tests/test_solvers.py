@@ -429,6 +429,17 @@ class TestVerifyClassical:
         with pytest.raises(ValueError):
             verify_classical(p, solve_homogeneous(other))
 
+    @pytest.mark.parametrize("window", [1.0, 1.5, -0.1, math.nan])
+    def test_rejects_window_outside_unit_interval(self, window):
+        p = scalar_problem(n=16)
+        with pytest.raises(ValueError, match="window must lie in"):
+            verify_classical(p, solve_homogeneous(p), window=window)
+
+    def test_window_without_interior_nodes_is_nan(self):
+        # t_7 = (7/8)^2 T < 0.99 T, so no node lies in [0.99 T, T)
+        p = scalar_problem(n=8)
+        assert math.isnan(verify_classical(p, solve_homogeneous(p), window=0.99).max_residual)
+
 
 class TestHoelderModulus:
     def grid_func(self, fn, n=128):
