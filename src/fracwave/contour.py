@@ -4,13 +4,18 @@ Two integration paths:
 
 * ``Gamma_theta``: the pair of rays r e^{+/- i theta}, used for f(A)x with
   f decaying like 1/(1+|z|) on the rays.  Geometric nodes, trapezoid in
-  log space; the integrand vanishes at both ends of the (truncated) rays.
+  log r.  ``calculus_apply`` serves any such f on truncated rays, where the
+  integrand is assumed negligible at both ends.  The propagator route
+  (``_gamma_propagator``) serves the entire symbol E_{alpha,delta}(-t^alpha z)
+  on the same lattice in log r, extended to the whole line: the nodes
+  below the spectrum and far above it are summed in closed form, so the
+  nodes it evaluates lie between the two ends only.
 * Hankel path ``Gamma_theta0``: the hyperbola with asymptotes at +/- theta0
   in (pi/2, pi), used for the Laplace-type propagator representation.
   Trapezoid rule in the hyperbola's parameter, with step and node count set
   by the target accuracy (Weideman and Trefethen, Math. Comp. 76 (2007)).
 
-Both are one node sum sum_j c_j (z_j - A)^{-1} x, applied as one symbol
+Each is one node sum sum_j c_j (z_j - A)^{-1} x, applied as one symbol
 pair through the model's applicator; on Gamma_theta, f is called once on the
 array of nodes (a scalar result is broadcast).
 """
@@ -19,12 +24,14 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .fractional import _trapezoid_weights
+from .mittag_leffler import MLParams, _asymptotic_table, _series_table, ml_eval
 from .operator_model import AlmostSectorialModel, _check_vector, _symbol_apply
 
 __all__ = [
@@ -77,15 +84,22 @@ def default_contour(
 
     ``t_alpha_scale`` is the factor multiplying z inside f (typically
     t^alpha); larger values push the integrand's decay outward, so the
-    outer truncation grows accordingly.
+    outer truncation grows accordingly.  A growth order gamma so close to 0
+    that r_max is not a finite float raises ``ValueError``.
     """
     lo, hi = m.spectral_radius_range()
     gamma = m.profile.gamma
     # inner truncation error ~ r_min * |f(0)| * ||A^-1||; decades are cheap,
     # so cut far below the spectral floor (well past the stated margin)
     r_min = min(lo, 1.0) * 1e-12
-    r_tail = (_CONTOUR_TAIL_TOL ** (1.0 / gamma)) / max(t_alpha_scale, 1e-300)
-    r_max = max(hi * _CONTOUR_MARGIN, r_tail, r_min * 1e4)
+    # r_tail = _CONTOUR_TAIL_TOL^(1/gamma) / t_alpha_scale, in logs
+    log_tail = math.log(_CONTOUR_TAIL_TOL) / gamma - math.log(max(t_alpha_scale, 1e-300))
+    if not log_tail <= math.log(sys.float_info.max):
+        raise ValueError(
+            f"gamma={gamma} with t_alpha_scale={t_alpha_scale} puts the "
+            f"contour's r_max beyond the floats"
+        )
+    r_max = max(hi * _CONTOUR_MARGIN, math.exp(log_tail), r_min * 1e4)
     return ContourSpec(
         theta=m.profile.theta,
         r_min=r_min,
@@ -94,13 +108,11 @@ def default_contour(
     )
 
 
-def _path_apply(m: AlmostSectorialModel, z, c, x) -> np.ndarray:
-    """sum_j c_j (z_j - A)^{-1} x for node and weight arrays z and c.
-
-    The resolvent is the symbol r(lambda) = 1/(z - lambda), with r' = r^2, so
-    the sum is the symbol pair (sum_j c_j r_j, sum_j c_j r_j^2), reduced one
-    eigenvalue at a time (no nodes x blocks array is held).
-    """
+def _path_symbols(m: AlmostSectorialModel, z, c):
+    """The symbol pair (sum_j c_j r_j, sum_j c_j r_j^2) of
+    sum_j c_j (z_j - A)^{-1} at the eigenvalues, r_j = 1/(z_j - lambda)
+    (r' = r^2), reduced one eigenvalue at a time (no nodes x blocks array
+    is held)."""
     tiny = 1e-14 * np.maximum(np.abs(z), 1e-300)
     fv, dv = np.empty((2, m.n_blocks), dtype=complex)
     for k, lam in enumerate(m.lam):
@@ -111,7 +123,12 @@ def _path_apply(m: AlmostSectorialModel, z, c, x) -> np.ndarray:
         cr = c / d
         fv[k] = np.sum(cr)
         dv[k] = np.sum(cr / d)
-    return _symbol_apply(m, fv, dv, _check_vector(m, x))
+    return fv, dv
+
+
+def _path_apply(m: AlmostSectorialModel, z, c, x) -> np.ndarray:
+    """sum_j c_j (z_j - A)^{-1} x for node and weight arrays z and c."""
+    return _symbol_apply(m, *_path_symbols(m, z, c), _check_vector(m, x))
 
 
 def _gamma_path_sum(m, f, c, x, refine=1):
@@ -188,11 +205,12 @@ class HankelSpec:
             raise ValueError(f"theta0 must lie in (pi/2, pi), got {self.theta0}")
 
 
-# the Hankel trapezoid rule aims at an error e^{-L}; its hyperbola has mu t = mu_t;
-# a path may hold at most _HANKEL_MAX_NODES nodes
+# the Hankel trapezoid rule and the closed ends of the propagator route on
+# Gamma_theta aim at an error e^{-L}; the hyperbola has mu t = mu_t; a path
+# may hold at most _PATH_MAX_NODES nodes
 _HANKEL_L = 36.0
 _HANKEL_MU_T = 4.0
-_HANKEL_MAX_NODES = 1 << 16
+_PATH_MAX_NODES = 1 << 16
 
 
 def hankel_propagator(
@@ -215,7 +233,8 @@ def hankel_propagator(
     e^{mu_t - 2 pi d / step} against e^{-L}, and the path is cut where
     e^{lambda t} has fallen to e^{-L}.  The node count grows like
     log(1/phi)/d as theta0 nears either end of its range; a path that would
-    need more than ``_HANKEL_MAX_NODES`` nodes raises ``ValueError``.
+    need more than ``_PATH_MAX_NODES`` nodes raises ``ValueError``, and so
+    does a t so small that the path's nodes or weights are not finite.
     """
     if not 0.0 < t < math.inf:
         raise ValueError(f"t must be positive and finite, got {t}")
@@ -231,16 +250,127 @@ def hankel_propagator(
     d = min(phi, (math.pi - theta_model) / alpha - h.theta0)
     step = 2.0 * math.pi * d / (_HANKEL_L + _HANKEL_MU_T)
     n = math.ceil(math.acosh((1.0 + _HANKEL_L / _HANKEL_MU_T) / math.sin(phi)) / step)
-    if 2 * n + 1 > _HANKEL_MAX_NODES:
+    if 2 * n + 1 > _PATH_MAX_NODES:
         raise ValueError(
             f"theta0={h.theta0} needs {2 * n + 1} Hankel nodes, more than "
-            f"{_HANKEL_MAX_NODES}; move it away from the ends of its range"
+            f"{_PATH_MAX_NODES}; move it away from the ends of its range"
         )
     iu = 1j * step * np.arange(-n, n + 1)
-    mu = _HANKEL_MU_T / t
-    lam = mu * (1.0 + np.sin(iu - phi))
-    c = step * 1j * mu * np.cos(iu - phi)  # d lambda
-    c *= np.exp(lam * t)
-    # (lambda^alpha + A)^{-1} = -(z - A)^{-1} at z = -lambda^alpha
-    c *= lam ** (alpha - delta) / (-2.0j * math.pi)
-    return t ** (1.0 - delta) * _path_apply(m, -(lam**alpha), c, x)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mu = _HANKEL_MU_T / t
+        lam = mu * (1.0 + np.sin(iu - phi))
+        c = step * 1j * mu * np.cos(iu - phi)  # d lambda
+        c *= np.exp(lam * t)
+        # (lambda^alpha + A)^{-1} = -(z - A)^{-1} at z = -lambda^alpha
+        c *= lam ** (alpha - delta) / (-2.0j * math.pi)
+        z = -(lam**alpha)
+        scale = np.float64(t) ** (1.0 - delta)
+    if not (np.all(np.isfinite(z)) and np.all(np.isfinite(c)) and np.isfinite(scale)):
+        raise ValueError(f"t={t}: the Hankel path's nodes or weights are not finite")
+    return scale * _path_apply(m, z, c, x)
+
+
+def _outer_reach(alpha: float, delta: float, theta: float) -> float:
+    """log W: for |w| >= W on the rays arg w = +/-(pi - theta), the
+    exponential branch term (1/alpha) w^((1-delta)/alpha) e^{w^(1/alpha)} of
+    E_{alpha,delta}(w) is below e^{-L}, and so is the first term left out of
+    the algebraic expansion, times |w|, at some truncation order.
+
+    The branch term falls like e^{-c s}, s = |w|^(1/alpha), c =
+    -cos((pi - theta)/alpha) > 0, and W solves c s - max(0, 1 - delta) log s
+    = L (fixed-point iteration from below, monotone).  The expansion's term k
+    is at most |Gamma(1 - delta + alpha k)| / (pi |w|^k).
+    """
+    c = -math.cos((math.pi - theta) / alpha)
+    b = max(0.0, 1.0 - delta)
+    s = _HANKEL_L / c
+    while (s_next := (_HANKEL_L + b * math.log(s)) / c) > s:
+        s = s_next
+    log_gamma = np.array(_asymptotic_table(alpha, delta)[1])
+    k = np.arange(1, log_gamma.size)
+    return max(alpha * math.log(s), float(np.min((log_gamma[1:] + _HANKEL_L) / k)))
+
+
+def _gamma_propagator(m: AlmostSectorialModel, alpha: float, t: float, x, delta: float = 1.0):
+    """E_{alpha,delta}(-t^alpha A) x by the Gamma_theta quadrature of
+    ``calculus_apply`` (theta of the model's profile, the step h of
+    ``ContourSpec``'s default node density) on the lattice r_j = r_1 e^{jh}
+    over the whole line in log r.
+
+    The nodes r_1 <= r_j < R are evaluated, with full trapezoid weights.
+    Below r_1 = min(lo/4, 1/t^alpha) (lo, hi the smallest and largest
+    eigenvalue moduli) f(z) = E_{alpha,delta}(-t^alpha z) is its Taylor
+    series, which sums there without cancellation (t^alpha |z| <= 1), and
+    1/(z - lambda) = -sum_k z^k / lambda^(k+1); from R = max(4 hi,
+    W/t^alpha) (``_outer_reach``) on, f is its algebraic expansion
+    -sum_i (-t^alpha z)^(-i) / Gamma(delta - alpha i) and 1/(z - lambda) =
+    sum_k lambda^k z^(-k-1).  Both geometric series in lambda shrink at
+    least 4-fold per term, and stop at e^{-L}.  Each end is then a double
+    series in powers of the node, z^p, and the nodes of a ray sum them in
+    closed form: sum_{j>=1} (r_1 e^{-jh})^p = r_1^p / expm1(hp) below,
+    sum_{j>=0} (r_N e^{jh})^(-q) = r_N^(-q) / -expm1(-hq) above.  With the
+    two rays together each end is a power series in 1/lambda or lambda,
+    differentiated termwise for the symbol's lambda-derivative, and its
+    coefficients are one small matrix product.
+
+    r_1 follows 1/t^alpha down for large t, so the node count grows with
+    log t, because the nodes near 1/t^alpha carry a share of the result of
+    order one: the truncated rays of ``default_contour``, which stop at
+    1e-12 min(lo, 1), lose it as t^alpha nears 1e12 / min(lo, 1) (README
+    ladder, delta = 1: 0.7 % off at t^alpha = 1e12, 22 % from 1e30 on).  A
+    t whose path would need more than ``_PATH_MAX_NODES`` nodes, or
+    non-finite nodes or t^alpha, raises ``ValueError``; so does theta so
+    close to pi (1 - alpha/2) that R needs that many.
+    """
+    theta = m.profile.theta
+    lo, hi = m.spectral_radius_range()
+    h = math.log(10.0) / ContourSpec.nodes_per_decade
+    log_ta = alpha * math.log(t)
+    if not log_ta < math.log(sys.float_info.max):
+        raise ValueError(f"t={t}: t^alpha is not a finite float")
+    log_r1 = min(math.log(lo / 4.0), -log_ta)
+    log_end = max(math.log(4.0 * hi), _outer_reach(alpha, delta, theta) - log_ta)
+    n = (log_end - log_r1) / h
+    if not 2 * n <= _PATH_MAX_NODES:
+        raise ValueError(
+            f"t={t} needs {2 * n:.3g} Gamma_theta nodes, more than {_PATH_MAX_NODES}"
+        )
+    n = math.ceil(n)
+    log_rn = log_r1 + n * h
+    if not log_rn < math.log(sys.float_info.max):
+        raise ValueError(f"t={t}: the Gamma_theta path's nodes are not finite")
+    # the evaluated nodes of the lower ray and their weights; f has real
+    # Taylor coefficients, so the upper ray's are their conjugates
+    z = np.exp(log_r1 + h * np.arange(n)) * cmath.exp(-1j * theta)
+    c = h * z * ml_eval(MLParams(alpha, delta), -math.exp(log_ta) * z) / (2.0j * math.pi)
+    fv, dv = _path_symbols(m, np.concatenate([z, z.conj()]), np.concatenate([c, c.conj()]))
+    lam = m.lam
+    # below r_1: u = r_1/lambda, a_i = (-t^alpha r_1)^i / Gamma(alpha i + delta),
+    # the end is sum_k b_k u^(k+1), b_k = sum_i g_{i+k+1} a_i, with the two
+    # rays' node sums g_p = (h/pi) sin(p theta) / expm1(hp)
+    coef, radii = _series_table(alpha, delta, 0)
+    x1 = math.exp(log_ta + log_r1)
+    nf = int(np.searchsorted(radii, x1, "right"))
+    a = coef[:nf] * (-x1) ** np.arange(nf)
+    k = np.arange(1, math.ceil(_HANKEL_L / (math.log(lo) - log_r1)) + 3)
+    p = k[:, None] + np.arange(nf)
+    b = (h / math.pi) * np.sin(p * theta) / np.expm1(h * p) @ a
+    u = np.vander(math.exp(log_r1) / lam, k.size + 1, increasing=True)[:, 1:]
+    fv += u @ b
+    dv -= u @ (k * b) / lam
+    # at and above r_N: v = lambda/r_N, beta_i = -(-t^alpha r_N)^(-i) /
+    # Gamma(delta - alpha i) for i up to the first term below e^{-L}/|w|,
+    # the end is sum_k c_k v^k, c_k = sum_i g_{i+k} beta_i, with the node
+    # sums g_q = (h/pi) sin(q theta) / -expm1(-hq)
+    rgamma, log_gamma = _asymptotic_table(alpha, delta)
+    log_xn = log_ta + log_rn
+    bound = np.array(log_gamma[1:]) - np.arange(1, len(log_gamma)) * log_xn
+    na = 1 + int(np.argmax(bound <= max(-_HANKEL_L, bound.min())))
+    beta = -np.array(rgamma[:na]) * (-math.exp(-log_xn)) ** np.arange(1, na + 1)
+    k = np.arange(math.ceil(_HANKEL_L / (log_rn - math.log(hi))) + 2)
+    q = k[:, None] + np.arange(1, na + 1)
+    cq = (h / math.pi) * np.sin(q * theta) / -np.expm1(-h * q) @ beta
+    v = np.vander(lam / math.exp(log_rn), k.size, increasing=True)
+    fv += v @ cq
+    dv += v @ (k * cq) / lam
+    return _symbol_apply(m, fv, dv, _check_vector(m, x))

@@ -4,7 +4,8 @@ identities and decay estimates.
 Every propagator handle can evaluate through three representations:
 
 * ``oracle``: exact blockwise spectral form (authoritative in tests),
-* ``gamma-path``: functional-calculus quadrature along Gamma_theta,
+* ``gamma-path``: functional-calculus quadrature along Gamma_theta, its
+  ends summed in closed form,
 * ``hankel-path``: Laplace-inversion path.
 
 Norm sweeps always use the exact blockwise spectral norm, so decay-slope
@@ -18,7 +19,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .contour import HankelSpec, calculus_apply, default_contour, hankel_propagator
+from .contour import HankelSpec, _gamma_propagator, calculus_apply, default_contour, hankel_propagator
 from .fractional import Kernel, TimeGrid, Trajectory, _csv, _trapezoid_weights, rl_integral
 from .mittag_leffler import BoundReport, MLParams, _ml, ml_eval, reciprocal_gamma
 from .operator_model import AlmostSectorialModel, _symbol_apply, _symbol_norms, resolvent_apply
@@ -87,8 +88,12 @@ def _symbol_values(p: MLParams, t, lam):
 
 def _apply(p: PropagatorHandle, t: float, x, delta: float, representation: str) -> np.ndarray:
     """E_{alpha,delta}(-t^alpha A) x as ``prop_apply`` gives it, through
-    ``representation``, on the default Gamma_theta contour or, without
-    ``p.hankel``, the Hankel angle in the middle of (pi/2, (pi - theta)/alpha)."""
+    ``representation``: on Gamma_theta, the lattice of the default contour
+    over the whole line in log r, with both ends summed in closed form
+    (``contour._gamma_propagator``); on the Hankel path, ``p.hankel`` or,
+    without it, the angle in the middle of (pi/2, (pi - theta)/alpha).  A t
+    so small that either path's nodes are not finite, or exceed its node
+    cap, raises ``ValueError``."""
     x = np.asarray(x, dtype=complex).ravel()
     if not 0.0 <= t < math.inf:
         raise ValueError(f"t must be nonnegative and finite, got {t}")
@@ -97,12 +102,9 @@ def _apply(p: PropagatorHandle, t: float, x, delta: float, representation: str) 
     if representation == "hankel-path":
         theta0 = 0.5 * (math.pi / 2.0 + (math.pi - p.model.profile.theta) / p.alpha)
         return hankel_propagator(p.model, p.alpha, t, p.hankel or HankelSpec(theta0), x, delta)
-    ml = MLParams(p.alpha, delta)
     if representation == "oracle":
-        return _symbol_apply(p.model, *_symbol_values(ml, t, p.model.lam), x)
-    ta = t**p.alpha
-    f = lambda z: ml_eval(ml, -ta * z)
-    return calculus_apply(p.model, f, default_contour(p.model, t_alpha_scale=ta), x)
+        return _symbol_apply(p.model, *_symbol_values(MLParams(p.alpha, delta), t, p.model.lam), x)
+    return _gamma_propagator(p.model, p.alpha, t, x, delta)
 
 
 def propagator_snapshots(m: AlmostSectorialModel, alpha: float, delta: float, grid: TimeGrid):

@@ -288,7 +288,8 @@ def solve_semilinear(
     a sweep's arithmetic, bit for bit, and the increments are taken in
     order after the pass, so the result, the sweep count and the history
     are those of one sweep at a time; levels past the converged one are
-    wasted work, never a change.
+    wasted work, never a change.  The first increment that is not finite
+    raises ``PicardError``, its history ending there.
     """
     if p.forcing.kind != "semilinear":
         raise ValueError("semilinear solver requires a semilinear forcing")
@@ -314,6 +315,8 @@ def solve_semilinear(
         for w_next in ws:
             inc = _graph_sup_norm(p.model, w_next - w)
             history.append(inc)
+            if not math.isfinite(inc):
+                raise PicardError(f"sweep {len(history)} diverged (increment {inc})", history)
             w = w_next
             if inc <= tol:
                 return Trajectory(p.grid, w), len(history), history

@@ -202,6 +202,13 @@ class TestCalculusApply:
             ContourSpec(theta, r_min, r_max, nodes_per_decade)
 
 
+class TestDefaultContour:
+    def test_growth_order_near_zero_is_refused(self):
+        # r_max ~ 1e-10^(1/gamma) is past the largest float
+        with pytest.raises(ValueError, match="gamma=-1e-09"):
+            default_contour(build_scalar_model(2.0, gamma=-1e-9))
+
+
 class TestResolventOfPowerSum:
     def test_scalar(self):
         m = build_scalar_model(1.0)
@@ -330,8 +337,9 @@ class TestNodeLoopReference:
         m = ladder()
         x = rand_vec(m)
         f, _ = ml_pair(1.0)
-        want = gamma_path_reference(m, f, default_contour(m, t_alpha_scale=1.0), x)
-        got = prop_apply(make_propagator(m, ALPHA), 1.0, x)
+        c = default_contour(m, t_alpha_scale=1.0)
+        want = gamma_path_reference(m, f, c, x)
+        got = calculus_apply(m, f, c, x)
         assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
 
     def test_hankel_path(self):

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from fracwave.contour import HankelSpec
+from fracwave import contour
+from fracwave.contour import HankelSpec, calculus_apply, default_contour
 from fracwave.fractional import TimeGrid, _trapezoid_weights
 from fracwave.mittag_leffler import MLParams, ml_eval, reciprocal_gamma
 from fracwave.operator_model import _symbol_apply, build_ladder_model, build_scalar_model, resolvent_apply
@@ -125,6 +126,86 @@ class TestRepresentationsAgree:
             want = prop_apply(oracle, t, x)
             got = prop_apply(path, t, x)
             assert np.linalg.norm(got - want) <= 1e-8 * np.linalg.norm(want)
+
+
+# the README ladder's benchmark times
+PATH_TIMES = np.geomspace(0.01, 10.0, 8)
+
+
+class TestGammaPathRoute:
+    """The propagator route on Gamma_theta: the lattice of calculus_apply
+    over the whole line in log r, its two ends summed in closed form."""
+
+    @pytest.mark.parametrize("delta", [1.0, ALPHA, 2.0])
+    def test_ladder_oracle_gap(self, delta):
+        m = ladder()
+        x = rand_vec(m)
+        oracle = make_propagator(m, ALPHA, delta=delta, representation="oracle")
+        path = make_propagator(m, ALPHA, delta=delta, representation="gamma-path")
+        for t in PATH_TIMES:
+            want = prop_apply(oracle, t, x)
+            gap = np.linalg.norm(prop_apply(path, t, x) - want) / np.linalg.norm(want)
+            assert gap <= 1.5e-12, (t, gap)
+
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    def test_time_derivatives(self, n):
+        m = ladder()
+        x = rand_vec(m)
+        oracle = make_propagator(m, ALPHA, representation="oracle")
+        path = make_propagator(m, ALPHA, representation="gamma-path")
+        for t in (1e-3, *PATH_TIMES):
+            want = prop_time_derivative(oracle, t, n, x)
+            gap = np.linalg.norm(prop_time_derivative(path, t, n, x) - want) / np.linalg.norm(want)
+            assert gap <= 1e-8, (t, gap)
+
+    def test_node_count(self, monkeypatch):
+        # the truncated rays of default_contour hold 4962-5826 nodes here
+        m = ladder()
+        x = rand_vec(m)
+        sizes = []
+        path_symbols = contour._path_symbols
+        monkeypatch.setattr(
+            contour, "_path_symbols", lambda m, z, c: sizes.append(z.size) or path_symbols(m, z, c)
+        )
+        path = make_propagator(m, ALPHA, representation="gamma-path")
+        for t in PATH_TIMES:
+            prop_apply(path, t, x)
+        assert len(sizes) == PATH_TIMES.size
+        assert max(sizes) <= 2000, sizes
+
+    @pytest.mark.parametrize("t", [1e8, 1e20])
+    def test_large_time_keeps_the_small_r_end(self, t):
+        # the nodes near r = 1/t^alpha carry a share of order one of
+        # E(-t^alpha A) x ~ A^-1 x / (t^alpha Gamma(1 - alpha)); the truncated
+        # rays of default_contour stop above them and miss 0.7 % (t = 1e8)
+        # and 22 % (t = 1e20)
+        m = ladder()
+        x = rand_vec(m)
+        want = prop_apply(make_propagator(m, ALPHA, representation="oracle"), t, x)
+        got = prop_apply(make_propagator(m, ALPHA), t, x)
+        assert np.linalg.norm(got - want) <= 1e-9 * np.linalg.norm(want)
+
+    def test_close_to_the_truncated_rays(self):
+        # the same lattice step as calculus_apply on default_contour, so
+        # the two differ by their discretization errors only
+        m = ladder()
+        x = rand_vec(m)
+        ml = MLParams(ALPHA, 1.0)
+        want = calculus_apply(m, lambda z: ml_eval(ml, -z), default_contour(m, t_alpha_scale=1.0), x)
+        got = prop_apply(make_propagator(m, ALPHA), 1.0, x)
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("representation", ["gamma-path", "hankel-path"])
+    def test_vanishing_time_is_refused(self, representation):
+        # at t = 1e-300 the Gamma_theta path would need ~88,000 nodes and
+        # the Hankel nodes -lambda^alpha overflow; the oracle has the limit
+        m = ladder()
+        x = rand_vec(m)
+        path = make_propagator(m, ALPHA, delta=2.0, representation=representation)
+        with pytest.raises(ValueError, match="t=1e-300"):
+            prop_apply(path, 1e-300, x)
+        oracle = make_propagator(m, ALPHA, delta=2.0, representation="oracle")
+        assert np.array_equal(prop_apply(oracle, 1e-300, x), x / math.gamma(2.0))
 
 
 class TestSnapshots:

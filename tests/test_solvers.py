@@ -228,6 +228,18 @@ class TestSemilinear:
         assert len(err.value.history) == 15
         assert err.value.history[-1] > err.value.history[0]
 
+    def test_non_finite_increment_stops_the_sweeps(self):
+        # the README scalar with T = 4 and f(w) = 1e6 w overflows at sweep 31
+        # of 60; the norm of that sweep overflows too, so warnings are muted
+        f = ForcingSpec.semilinear(lambda t, w: 1e6 * w, lipschitz=1e6)
+        p = scalar_problem(forcing=f, n=256, T=4.0)
+        with np.errstate(all="ignore"), pytest.raises(PicardError) as err:
+            solve_semilinear(p)
+        history = err.value.history
+        assert len(history) < 60
+        assert not math.isfinite(history[-1])
+        assert all(math.isfinite(inc) for inc in history[:-1])
+
     def test_snapshots_built_once(self, monkeypatch):
         calls = []
         build = solvers.propagator_snapshots
