@@ -37,7 +37,12 @@ for:
 * everything else, in practice orders 2..4 outside the disc and alpha
   outside (1, 2), falls back one point at a time to an arbitrary-precision
   Taylor sum in mpmath, with the working precision chosen from the largest
-  series term.  mpmath is imported on the first such point.
+  series term.  mpmath is imported on the first such point.  A point whose
+  largest term would need more than ~400 digits raises ``ValueError``.
+
+The expansion and the cut also accept a point whose error bound lies below
+the subnormal spacing, whatever its relative error: its rounded value, 0
+included, is then the answer, as far out as the double range holds a point.
 
 All branch powers use the principal argument in ``(-pi, pi]``.
 """
@@ -71,6 +76,19 @@ _NEGLIGIBLE = 2.0**-60
 
 #: the double series is accepted if _SERIES_BOUND * S <= tol * |value|
 _SERIES_BOUND = 8.0 * 2.0**-53
+
+#: the spacing of the subnormal doubles: a lane of the expansion or the cut
+#: whose error bound lies below it is accepted whatever its value, 0 included,
+#: since the value it rounds to is then the answer
+_SUBNORMAL = 2.0**-1074
+
+#: the largest |z|^(1/alpha) the arbitrary-precision sum takes on.  Past
+#: -log(_SUBNORMAL) = 744.4 the expansion's exponentially small remainder lies
+#: below every subnormal, so orders 0 and 1 are the double regimes' there; the
+#: ceiling leaves room for the orders 2..4 this sum serves (E''_{2,1}(6e5),
+#: at 775, overflows to inf).  A sum at the ceiling takes ~15 s (order 2,
+#: alpha 1.5, arg z = 0.95 pi, on a 2-core x86-64 host)
+_MP_MAX_ROOT = 900.0
 
 #: a point's series stops once the next term is 2**-64 below an earlier one
 _TAIL_NATS = 64.0 * math.log(2.0)
@@ -338,8 +356,10 @@ def _asymptotic(alpha: float, delta: float, z: np.ndarray, r: np.ndarray, orders
             values.append(part + (exp_dval if order else exp_val))
             errs.append(smallest_env[i] / (np.abs(values[i]) + np.abs(part)))
             tols.append(10.0 * _ASYMPTOTIC_RTOL if order else _ASYMPTOTIC_RTOL)
-            # every coefficient on a Gamma pole (e.g. alpha = 1): the branches are exact
-            judged.append(~all_poles[i] & (errs[i] <= tols[i]))
+            # every coefficient on a Gamma pole (e.g. alpha = 1): the branches are exact;
+            # a lane whose whole error lies below the subnormal spacing is its rounding
+            ok = (errs[i] <= tols[i]) | (smallest_env[i] < _SUBNORMAL)
+            judged.append(~all_poles[i] & ok)
         if any(ok.any() for ok in judged):
             # the Stokes error, which can only reject those lanes: a branch switches on across
             # |arg s| = pi by (1/2) erfc(sqrt(|s|/2) (pi - |arg s|)) (Berry smoothing), not by a
@@ -353,8 +373,9 @@ def _asymptotic(alpha: float, delta: float, z: np.ndarray, r: np.ndarray, orders
             if derivative:  # the derivative's terms grow by |1 - delta + s| / (alpha |z|)
                 grow = np.hypot(1.0 - delta - mod * cu, mod * np.sin(u)) / (alpha * r[lanes])
             for i, order in enumerate(orders):
-                err = (bound * grow if order else bound).sum(axis=0) / np.abs(values[i][lanes])
-                judged[i][lanes] &= errs[i][lanes] + err <= tols[i]
+                err = (bound * grow if order else bound).sum(axis=0)
+                rel = errs[i][lanes] + err / np.abs(values[i][lanes]) <= tols[i]
+                judged[i][lanes] &= rel | (smallest_env[i][lanes] + err < _SUBNORMAL)
         accepted = [ok | poles for ok, poles in zip(judged, all_poles)]
     return values, accepted
 
@@ -383,12 +404,18 @@ def _series_mp(alpha: float, delta: float, z: complex, order: int = 0) -> comple
 
     Working precision starts a safe margin above the largest-term magnitude
     and is doubled while cancellation still swamps the result; the term
-    count is grown while the last term is not negligible.
+    count is grown while the last term is not negligible.  A ``z`` with
+    |z|^(1/alpha) past ``_MP_MAX_ROOT`` raises ``ValueError`` instead.
     """
-    import mpmath
-
     z = complex(z)
     r = abs(z)
+    if r > 0.0 and math.log(r) > alpha * math.log(_MP_MAX_ROOT):
+        raise ValueError(
+            f"z={z}: |z|^(1/alpha) exceeds {_MP_MAX_ROOT:g}, past the precision "
+            f"of the arbitrary-precision sum (alpha={alpha}, delta={delta}, order {order})"
+        )
+    import mpmath
+
     peak_digits = int(0.4343 * r ** (1.0 / alpha)) + 10
     n_terms = int(3.0 * r ** (1.0 / alpha) / alpha) + 80
     dps = peak_digits + 30
@@ -609,7 +636,8 @@ def _cut(alpha: float, delta: float, z: np.ndarray, r: np.ndarray, order: int):
     on the running bound of ``_series``."""
     values, bounds = _cut_sums(alpha, delta, z, order)
     tol = np.array([1e-13, 1e-11][: order + 1])[:, None]
-    ok = np.isfinite(values) & (_SERIES_BOUND * bounds <= tol * np.abs(values))
+    err = _SERIES_BOUND * bounds
+    ok = np.isfinite(values) & ((err <= tol * np.abs(values)) | (err < _SUBNORMAL))
     return values, ok
 
 

@@ -1,10 +1,14 @@
 import collections
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from fracwave import fractional
+import fracwave
+from fracwave import fractional, mittag_leffler, propagators
 from fracwave.cli import build_parser, config_hash, main, parse_config_text
 from fracwave.mittag_leffler import MLParams, ml_eval
 from fracwave.fractional import TimeGrid, trajectory_from_csv
@@ -69,6 +73,51 @@ class TestMl:
     @pytest.mark.parametrize("extra", [[], ["--derivative", "1"]])
     def test_overflow_domain_error(self, extra):
         assert main(["ml", "--alpha", "1.5", "--z", "1e5", *extra]) == 3
+
+
+def run_python(code: str) -> subprocess.CompletedProcess:
+    """Run ``code`` in a fresh interpreter on this fracwave, failing the
+    test after 60 s instead of waiting for a call that does not return."""
+    src = os.path.dirname(os.path.dirname(fracwave.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+
+
+class TestFloatRangeEnds:
+    """Points far out in the decay sector return or are refused at once;
+    each runs in a subprocess, so that a call that never returns fails."""
+
+    def test_underflowing_derivative_is_zero(self):
+        # E'(z) ~ 3e-329 rounds to 0, which the expansion's error bound,
+        # below the subnormal spacing, accepts
+        done = run_python(
+            "from fracwave.cli import main; raise SystemExit(main(['ml', '--alpha', '1.5', "
+            "'--delta', '1', '--z=-8.7e163,5e163', '--derivative', '1']))"
+        )
+        assert done.returncode == 0, done.stderr
+        assert float(done.stdout) == 0.0
+
+    def test_precision_ceiling_is_a_domain_error(self):
+        # an order-2 point with |z|^(1/alpha) = 1e4 only the mpmath sum takes
+        done = run_python(
+            "from fracwave.cli import main; raise SystemExit(main(['ml', '--alpha', '1.5', "
+            "'--z=-1e6,1e5', '--derivative', '2']))"
+        )
+        assert done.returncode == 3, done.stderr
+        assert "z=(-1000000+100000j)" in done.stderr
+
+    def test_oracle_refuses_an_underflowed_derivative(self):
+        done = run_python(
+            "import math, numpy as np\n"
+            "from fracwave.operator_model import build_ladder_model\n"
+            "from fracwave.propagators import make_propagator, prop_apply\n"
+            "m = build_ladder_model(-0.75, math.pi / 6, 1e-2, 1e4, 4)\n"
+            "prop_apply(make_propagator(m, 1.5, representation='oracle'), 1e110, np.ones(m.dimension))\n"
+        )
+        assert done.returncode == 1
+        assert "ValueError: t=1e+110: the symbol's derivative underflows" in done.stderr
 
 
 class TestConfig:
@@ -237,6 +286,28 @@ class TestVerify:
         body = lines[4:]
         assert len(body) >= 10
         assert all(row.endswith(",pass") for row in body)
+
+    def test_repeated_run_does_the_same_work(self, tmp_path, monkeypatch):
+        # no state outlives a run: a second verify in the same process writes
+        # the same summary and hands the Mittag-Leffler dispatch as many points
+        points = []
+        for module in (mittag_leffler, propagators):
+            dispatch = module._ml
+
+            def counted(p, z, orders, dispatch=dispatch):
+                points[-1] += np.size(z)
+                return dispatch(p, z, orders)
+
+            monkeypatch.setattr(module, "_ml", counted)
+        path = write_config(tmp_path, LADDER_CFG)
+        texts = []
+        for run in ("a", "b"):
+            points.append(0)
+            out = tmp_path / run
+            assert main(["verify", "--config", path, "--out", str(out), "--seed", "1"]) == 0
+            texts.append((out / "verify_summary.csv").read_text())
+        assert texts[0] == texts[1]
+        assert points[0] == points[1] > 0
 
     def test_broken_contour_rejected(self, tmp_path):
         path = write_config(tmp_path, LADDER_CFG + "theta = 0.7\nmu = 0.6\n")

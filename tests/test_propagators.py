@@ -3,11 +3,17 @@ import math
 import numpy as np
 import pytest
 
-from fracwave import contour
+from fracwave import contour, mittag_leffler, propagators
 from fracwave.contour import HankelSpec, calculus_apply, default_contour
 from fracwave.fractional import TimeGrid, _trapezoid_weights
-from fracwave.mittag_leffler import MLParams, ml_eval, reciprocal_gamma
-from fracwave.operator_model import _symbol_apply, build_ladder_model, build_scalar_model, resolvent_apply
+from fracwave.mittag_leffler import MLParams, ml_derivative, ml_eval, reciprocal_gamma
+from fracwave.operator_model import (
+    AlmostSectorialModel,
+    _symbol_apply,
+    build_ladder_model,
+    build_scalar_model,
+    resolvent_apply,
+)
 from fracwave.operator_model import apply as op_apply
 from fracwave.propagators import (
     DecayReport,
@@ -221,6 +227,108 @@ class TestSnapshots:
         x = np.arange(m.dimension) + 0.5j
         for i, t in enumerate(grid.nodes()):
             assert np.array_equal(_symbol_apply(m, fv[i], dv[i], x), prop_apply(p, t, x))
+
+
+def direct_symbol(m, delta, t):
+    """The oracle's symbol pair at the eigenvalues, one ``ml_eval`` and one
+    ``ml_derivative`` call per eigenvalue."""
+    p, ta = MLParams(ALPHA, delta), t**ALPHA
+    f = np.array([ml_eval(p, -ta * lam) for lam in m.lam])
+    df = np.array([-ta * ml_derivative(p, -ta * lam, 1) for lam in m.lam])
+    return f, df
+
+
+class TestConjugatePairs:
+    """The oracle evaluates the symbol once per exact conjugate pair of
+    eigenvalues and conjugates it for the partner."""
+
+    TS = np.geomspace(0.01, 10.0, 8)
+
+    @staticmethod
+    def count_points(monkeypatch) -> list:
+        """Record the number of points of each Mittag-Leffler dispatch the
+        oracle makes."""
+        sizes = []
+        dispatch = propagators._ml
+
+        def counted(p, z, orders):
+            sizes.append(np.size(z))
+            return dispatch(p, z, orders)
+
+        monkeypatch.setattr(propagators, "_ml", counted)
+        return sizes
+
+    def test_one_point_per_pair_and_t(self, monkeypatch):
+        m = ladder()
+        assert np.array_equal(m.lam[25:], m.lam[:25].conj())
+        sizes = self.count_points(monkeypatch)
+        x = rand_vec(m)
+        p = make_propagator(m, ALPHA, representation="oracle")
+        prop_apply(p, 0.5, x)
+        assert sizes == [25]
+        grid = TimeGrid(2.0, 16)
+        sizes.clear()
+        propagator_snapshots(m, ALPHA, 1.0, grid)
+        assert sizes == [25 * 16]
+        sizes.clear()
+        laplace_check(p, 2.0, x, nodes_per_decade=8)
+        assert sizes == [25 * int(8 * math.log10(45.0 / 1e-14))]
+
+    @pytest.mark.parametrize("delta", [1.0, ALPHA, 2.0, 2.5])
+    def test_matches_per_eigenvalue_calls(self, delta):
+        m = ladder()
+        x = rand_vec(m)
+        p = make_propagator(m, ALPHA, delta=delta, representation="oracle")
+        fv, dv = propagator_snapshots(m, ALPHA, delta, TimeGrid(10.0, 8))
+        for i, t in enumerate(TimeGrid(10.0, 8).nodes()[1:], 1):
+            f, df = direct_symbol(m, delta, t)
+            assert np.all(np.abs(fv[i] - f) <= 4e-15 * np.abs(f))
+            assert np.all(np.abs(dv[i] - df) <= 4e-15 * np.abs(df))
+            want = _symbol_apply(m, f, df, x)
+            assert np.max(np.abs(prop_apply(p, t, x) - want)) <= 4e-15 * np.max(np.abs(want))
+
+    def test_nudged_eigenvalue_is_evaluated_directly(self, monkeypatch):
+        # one ulp off its partner's conjugate, block 30 and its former partner
+        # block 5 each get a point of their own, with the bits of a direct call
+        m = ladder()
+        lam = m.lam.copy()
+        lam[30] = complex(lam[30].real, np.nextafter(lam[30].imag, 0.0))
+        nudged = AlmostSectorialModel(lam, m.coupling, m.profile)
+        sizes = self.count_points(monkeypatch)
+        fv, dv = propagator_snapshots(nudged, ALPHA, 1.0, TimeGrid(10.0, 8))
+        assert sizes == [26 * 8]
+        for i, t in enumerate(TimeGrid(10.0, 8).nodes()[1:], 1):
+            f, df = direct_symbol(nudged, 1.0, t)
+            for j in (5, 30):
+                assert fv[i, j] == f[j] and dv[i, j] == df[j]
+
+    @pytest.mark.parametrize(
+        "model", [build_scalar_model(2.0), build_ladder_model(GAMMA, 0.0, 1e-2, 1e4, 4)]
+    )
+    def test_real_spectra_keep_their_bits(self, model):
+        # no pairs: one dispatch over every eigenvalue, as without the pairing
+        grid = TimeGrid(10.0, 8)
+        t = grid.nodes()[1:, None]
+        ta = t**ALPHA
+        e, de = mittag_leffler._ml(MLParams(ALPHA, 1.0), -ta * model.lam, (0, 1))
+        fv, dv = propagator_snapshots(model, ALPHA, 1.0, grid)
+        assert np.array_equal(fv[1:], e) and np.array_equal(dv[1:], -ta * de)
+        x = rand_vec(model)
+        p = make_propagator(model, ALPHA, representation="oracle")
+        for i, ti in enumerate(t[:, 0]):
+            assert np.array_equal(prop_apply(p, ti, x), _symbol_apply(model, e[i], -ta[i] * de[i], x))
+
+    def test_refuses_t_alpha_past_the_float_range(self):
+        m = ladder()
+        p = make_propagator(m, ALPHA, representation="oracle")
+        with pytest.raises(ValueError, match=r"t=1e\+250: t\^alpha is not a finite float"):
+            prop_apply(p, 1e250, np.ones(m.dimension))
+        with pytest.raises(ValueError, match=r"t=1e\+250: t\^alpha is not a finite float"):
+            prop_norm_decay(p, [1.0, 1e250])
+
+    def test_refuses_complex_t(self):
+        with pytest.raises(ValueError, match="t must be real"):
+            propagators._symbol_values(MLParams(ALPHA, 1.0), np.array([1.0 + 0j]), ladder().lam)
 
 
 class TestNormDecay:

@@ -297,7 +297,8 @@ class TestOrderPair:
 
     def test_pairs_hand_each_point_to_the_cut_once(self, monkeypatch):
         # the oracle and the Laplace check on the README ladder: with one
-        # dispatch per order, every cut point went in twice
+        # dispatch per order, every cut point went in twice; with one point
+        # per conjugate pair of eigenvalues, no point goes in with its conjugate
         seen = []
         sums = mittag_leffler._cut_sums
 
@@ -317,8 +318,9 @@ class TestOrderPair:
             call()
             points = np.concatenate(seen) if seen else np.empty(0, dtype=complex)
             assert np.unique(points).size == points.size
+            assert not np.isin(points.conj(), points[points.imag != 0.0]).any()
             counts.append(points.size)
-        assert counts[0] > 1000 and sum(counts[1:]) > 0
+        assert counts[0] > 500 and sum(counts[1:]) > 0
 
 
 @functools.lru_cache(maxsize=64)
