@@ -17,7 +17,9 @@ Two integration paths:
 
 Each is one node sum sum_j c_j (z_j - A)^{-1} x, applied as one symbol
 pair through the model's applicator; on Gamma_theta, f is called once on the
-array of nodes (a scalar result is broadcast).
+array of nodes (a scalar result is broadcast).  Both paths are symmetric
+under conjugation, so the sum is taken once per conjugate pair of
+eigenvalues, half of the path at a time (``_path_symbols``).
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ import numpy as np
 
 from .fractional import _trapezoid_weights
 from .mittag_leffler import MLParams, _asymptotic_table, _series_table, ml_eval
-from .operator_model import AlmostSectorialModel, _check_vector, _symbol_apply
+from .operator_model import AlmostSectorialModel, _check_vector, _conjugate_pairs, _symbol_apply
 
 __all__ = [
     "ContourSpec",
@@ -108,21 +110,71 @@ def default_contour(
     )
 
 
+# eigenvalue points per block of the Cauchy sums: blocks of 4-16 time
+# alike, and a block's nodes x points arrays stay small
+_POINT_BLOCK = 8
+
+
+def _cauchy_sums(z, c, q):
+    """(sum_j c_j r_j, sum_j c_j r_j^2), r_j = 1/(z_j - q), at each point of
+    ``q``, one reciprocal per (node, point), in blocks of ``_POINT_BLOCK``
+    points; a node within 1e-14 |z_j| of a point raises ``ValueError``."""
+    tiny = 1e-14 * np.maximum(np.abs(z), 1e-300)
+    out = np.empty((2, q.size), dtype=complex)
+    for i in range(0, q.size, _POINT_BLOCK):
+        r = z - q[i : i + _POINT_BLOCK, None]
+        hit = np.abs(r) < tiny
+        if np.any(hit):
+            raise ValueError(f"z={complex(z[np.nonzero(hit)[1][0]])} collides with the spectrum")
+        np.divide(1.0, r, out=r)
+        out[0, i : i + _POINT_BLOCK] = r @ c
+        out[1, i : i + _POINT_BLOCK] = (r * r) @ c
+    return out
+
+
+def _conjugate_half(z, c):
+    """The nodes and weights of a path whose second half is, bit for bit,
+    the conjugate of its first (in order, or reversed around a real middle
+    node with a real weight), with the middle weight halved so that the
+    first half and its conjugate sum to the whole path; None for any other
+    path."""
+    h = z.size // 2
+    if z.size % 2 == 0 and np.array_equal(z[h:], z[:h].conj()) and np.array_equal(c[h:], c[:h].conj()):
+        return z[:h], c[:h]
+    if np.array_equal(z[::-1], z.conj()) and np.array_equal(c[::-1], c.conj()):
+        return z[: z.size - h], np.append(c[:h], 0.5 * c[h:z.size - h])
+    return None
+
+
 def _path_symbols(m: AlmostSectorialModel, z, c):
     """The symbol pair (sum_j c_j r_j, sum_j c_j r_j^2) of
     sum_j c_j (z_j - A)^{-1} at the eigenvalues, r_j = 1/(z_j - lambda)
-    (r' = r^2), reduced one eigenvalue at a time (no nodes x blocks array
-    is held)."""
-    tiny = 1e-14 * np.maximum(np.abs(z), 1e-300)
-    fv, dv = np.empty((2, m.n_blocks), dtype=complex)
-    for k, lam in enumerate(m.lam):
-        d = z - lam
-        hit = np.abs(d) < tiny
-        if np.any(hit):
-            raise ValueError(f"z={complex(z[np.argmax(hit)])} collides with the spectrum")
-        cr = c / d
-        fv[k] = np.sum(cr)
-        dv[k] = np.sum(cr / d)
+    (r' = r^2).
+
+    A path that is conjugate-symmetric bit for bit (``_conjugate_half``: the
+    Gamma_theta rays, the Hankel hyperbola) is summed only at one
+    eigenvalue of each exact conjugate pair (``_conjugate_pairs``), whose
+    partner takes the conjugate of its sums, as the sum S over the path's
+    first half plus the sum over its mirror image, the conjugate half; at
+    a real eigenvalue lambda that second sum is conj(S(lambda)), so only
+    the first half is summed there.  Any other path is summed whole at
+    every eigenvalue.  A node within 1e-14 |z_j| of an eigenvalue raises
+    ``ValueError``.
+    """
+    half = _conjugate_half(z, c)
+    if half is None:
+        return _cauchy_sums(z, c, m.lam)
+    zh, ch = half
+    keep, source, flip = _conjugate_pairs(m.lam)
+    p = m.lam[keep]
+    nonreal = p.imag != 0.0
+    lower = _cauchy_sums(zh, ch, p)
+    # the mirrored half at a real point is the conjugate of the first half's sum
+    upper = lower.conj()
+    upper[:, nonreal] = _cauchy_sums(zh.conj(), ch.conj(), p[nonreal])
+    fv, dv = (lower + upper)[:, source]
+    np.conjugate(fv, out=fv, where=flip)
+    np.conjugate(dv, out=dv, where=flip)
     return fv, dv
 
 
@@ -234,7 +286,11 @@ def hankel_propagator(
     e^{lambda t} has fallen to e^{-L}.  The node count grows like
     log(1/phi)/d as theta0 nears either end of its range; a path that would
     need more than ``_PATH_MAX_NODES`` nodes raises ``ValueError``, and so
-    does a t so small that the path's nodes or weights are not finite.
+    does a t so small that the path's nodes or weights are not finite, or
+    so large that t^alpha is not a finite float (as on the other two
+    representations).  The nodes and weights are computed for u >= 0 only:
+    u -> -u conjugates both, so the u < 0 half is their mirror image, and
+    ``_path_symbols`` sums the path once per conjugate pair.
     """
     if not 0.0 < t < math.inf:
         raise ValueError(f"t must be positive and finite, got {t}")
@@ -255,7 +311,10 @@ def hankel_propagator(
             f"theta0={h.theta0} needs {2 * n + 1} Hankel nodes, more than "
             f"{_PATH_MAX_NODES}; move it away from the ends of its range"
         )
-    iu = 1j * step * np.arange(-n, n + 1)
+    if not alpha * math.log(t) < math.log(sys.float_info.max):
+        raise ValueError(f"t={t}: t^alpha is not a finite float")
+    # the nodes and weights for u >= 0; u -> -u conjugates both
+    iu = 1j * step * np.arange(n + 1)
     with np.errstate(over="ignore", invalid="ignore"):
         mu = _HANKEL_MU_T / t
         lam = mu * (1.0 + np.sin(iu - phi))
@@ -267,6 +326,7 @@ def hankel_propagator(
         scale = np.float64(t) ** (1.0 - delta)
     if not (np.all(np.isfinite(z)) and np.all(np.isfinite(c)) and np.isfinite(scale)):
         raise ValueError(f"t={t}: the Hankel path's nodes or weights are not finite")
+    z, c = (np.concatenate([v[:0:-1].conj(), v]) for v in (z, c))
     return scale * _path_apply(m, z, c, x)
 
 

@@ -22,7 +22,7 @@ import numpy as np
 from .contour import HankelSpec, _gamma_propagator, calculus_apply, default_contour, hankel_propagator
 from .fractional import Kernel, TimeGrid, Trajectory, _csv, _trapezoid_weights, rl_integral
 from .mittag_leffler import BoundReport, MLParams, _ml, ml_eval, reciprocal_gamma
-from .operator_model import AlmostSectorialModel, _symbol_apply, _symbol_norms, resolvent_apply
+from .operator_model import AlmostSectorialModel, _conjugate_pairs, _symbol_apply, _symbol_norms, resolvent_apply
 from .operator_model import apply as op_apply
 
 __all__ = [
@@ -70,27 +70,6 @@ class PropagatorHandle:
 
 
 make_propagator = PropagatorHandle
-
-
-def _conjugate_pairs(lam: np.ndarray):
-    """Split the eigenvalues ``lam`` (1-d) into the points to evaluate and
-    their conjugate partners: returns the indices of ``lam`` to evaluate,
-    and for every eigenvalue the position of its point among them and
-    whether it takes that point's conjugate.  An eigenvalue equal, bit for
-    bit, to the conjugate of an earlier evaluated one that has no partner
-    yet takes that one's conjugate; every other eigenvalue, a real one
-    included, is evaluated."""
-    keep, source, flip = [], [], []
-    waiting = {}  # conj of each evaluated, unpaired eigenvalue -> its positions
-    for j, z in enumerate(lam.tolist()):
-        paired = bool(waiting.get(z))
-        if not paired and z.imag != 0.0:
-            waiting.setdefault(z.conjugate(), []).append(len(keep))
-        source.append(waiting[z].pop(0) if paired else len(keep))
-        flip.append(paired)
-        if not paired:
-            keep.append(j)
-    return np.array(keep), np.array(source), np.array(flip)
 
 
 def _symbol_values(p: MLParams, t, lam):

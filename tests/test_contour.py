@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from fracwave.mittag_leffler import MLParams, ml_derivative, ml_eval
 from fracwave.operator_model import (
     AlmostSectorialModel,
     SectorProfile,
+    _symbol_apply,
     build_ladder_model,
     build_scalar_model,
     resolvent_apply,
@@ -351,3 +353,145 @@ class TestNodeLoopReference:
                 want = hankel_reference(m, ALPHA, t, h, x, delta)
                 got = hankel_propagator(m, ALPHA, t, h, x, delta)
                 assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+
+def path_symbols_reference(m, z, c):
+    """The node sums of ``contour._path_symbols`` as a loop over the
+    eigenvalues: the whole path at each one, two divisions per node."""
+    tiny = 1e-14 * np.maximum(np.abs(z), 1e-300)
+    fv, dv = np.empty((2, m.n_blocks), dtype=complex)
+    for k, lam in enumerate(m.lam):
+        d = z - lam
+        hit = np.abs(d) < tiny
+        if np.any(hit):
+            raise ValueError(f"z={complex(z[np.argmax(hit)])} collides with the spectrum")
+        cr = c / d
+        fv[k] = np.sum(cr)
+        dv[k] = np.sum(cr / d)
+    return fv, dv
+
+
+def propagator_paths(monkeypatch, m, delta):
+    """The nodes and weights of the Gamma_theta and Hankel paths of
+    E_{alpha,delta}(-t^alpha A) at the README ladder's benchmark times."""
+    paths = []
+    path_symbols = contour._path_symbols
+    monkeypatch.setattr(
+        contour, "_path_symbols", lambda m, z, c: paths.append((z, c)) or path_symbols(m, z, c)
+    )
+    x = np.ones(m.dimension)
+    for rep in ("gamma-path", "hankel-path"):
+        p = make_propagator(m, ALPHA, delta=delta, representation=rep)
+        for t in np.geomspace(0.01, 10.0, 8):
+            prop_apply(p, t, x)
+    monkeypatch.undo()
+    return paths
+
+
+def symmetric_path(rng, n, layout):
+    """Random nodes and weights, symmetric under conjugation: n nodes, then
+    their conjugates in the same order ("rays", as on Gamma_theta); or the
+    conjugates reversed, a real middle node with a real weight, then the
+    n nodes ("hyperbola", as on the Hankel path)."""
+    z = 10.0 * (rng.standard_normal(n) + 1j * rng.standard_normal(n)) - 5.0
+    c = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    if layout == "rays":
+        return np.concatenate([z, z.conj()]), np.concatenate([c, c.conj()])
+    zm, cm = rng.standard_normal(2) - [20.0, 0.0]
+    return np.concatenate([z[::-1].conj(), [zm], z]), np.concatenate([c[::-1].conj(), [cm], c])
+
+
+def seed_vector(seed, d):
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal(d) + 1j * rng.standard_normal(d)
+
+
+class TestCauchySums:
+    """``_path_symbols`` against the loop over eigenvalues: the sums at an
+    eigenvalue's conjugate partner and over the conjugate half of a
+    symmetric path change only the rounding of the cancelling node sums.
+    The path results are compared relative to their largest entry, for the
+    vector of the benchmark's seed 1 (1.3e-15 at most here)."""
+
+    def check(self, m, z, c):
+        x = seed_vector(1, m.dimension)
+        want = _symbol_apply(m, *path_symbols_reference(m, z, c), x)
+        got = contour._path_apply(m, z, c, x)
+        assert np.max(np.abs(got - want)) <= 2e-15 * np.max(np.abs(want))
+
+    @staticmethod
+    def nudged_ladder():
+        # block 30 one ulp off the conjugate of block 5: no longer a pair
+        m = ladder()
+        lam = m.lam.copy()
+        lam[30] = complex(lam[30].real, np.nextafter(lam[30].imag, 0.0))
+        return AlmostSectorialModel(lam, m.coupling, m.profile)
+
+    @pytest.mark.parametrize("delta", [1.0, ALPHA, 2.0])
+    def test_propagator_paths(self, monkeypatch, delta):
+        m = ladder()
+        paths = propagator_paths(monkeypatch, m, delta)
+        assert [z.size % 2 for z, _ in paths] == [0] * 8 + [1] * 8
+        for z, c in paths:
+            assert contour._conjugate_half(z, c)[0].size == (z.size + 1) // 2
+            self.check(m, z, c)
+
+    @pytest.mark.parametrize("delta", [1.0, ALPHA, 2.0])
+    def test_spectrum_not_closed_under_conjugation(self, monkeypatch, delta):
+        m = self.nudged_ladder()
+        assert contour._conjugate_pairs(m.lam)[0].size == 26
+        for z, c in propagator_paths(monkeypatch, ladder(), delta):
+            self.check(m, z, c)
+
+    @pytest.mark.parametrize("path", ["random", "symmetric-nodes", "calculus"])
+    def test_path_without_symmetry(self, monkeypatch, path):
+        rng = np.random.default_rng(7)
+        if path == "random":
+            z = 100.0 * (rng.standard_normal(501) + 1j * rng.standard_normal(501))
+            c = rng.standard_normal(501) + 1j * rng.standard_normal(501)
+        elif path == "symmetric-nodes":
+            z, c = symmetric_path(rng, 300, "rays")
+            c *= 1j
+        else:
+            # f without real Taylor coefficients: f(conj z) != conj f(z)
+            paths = []
+            path_symbols = contour._path_symbols
+            monkeypatch.setattr(
+                contour, "_path_symbols", lambda m, z, c: paths.append((z, c)) or path_symbols(m, z, c)
+            )
+            calculus_apply(ladder(), lambda z: 1j / (1.0 + z), default_contour(ladder()), np.ones(100))
+            monkeypatch.undo()
+            [(z, c)] = paths
+        assert contour._conjugate_half(z, c) is None
+        self.check(ladder(), z, c)
+
+    @pytest.mark.parametrize("model", ["ladder", "nudged", "one-ray"])
+    def test_odd_path_with_a_middle_node(self, model):
+        m = {
+            "ladder": ladder,
+            "nudged": self.nudged_ladder,
+            "one-ray": lambda: build_ladder_model(-0.75, 0.0, 1e-2, 1e4, 4),
+        }[model]()
+        z, c = symmetric_path(np.random.default_rng(8), 300, "hyperbola")
+        assert contour._conjugate_half(z, c)[0].size == 301
+        self.check(m, z, c)
+
+    @pytest.mark.parametrize(
+        "where, layout",
+        [("lower", "rays"), ("upper", "rays"), ("lower", "hyperbola"), ("upper", "hyperbola"), ("middle", "hyperbola")],
+    )
+    def test_collision_on_either_half_and_the_middle(self, where, layout):
+        # the model's one eigenvalue a has no conjugate partner, so a node
+        # on the mirrored (upper) half can collide with it while its mirror
+        # image on the summed (lower) half does not
+        a = 2.0 if where == "middle" else 3.0 + 1.0j
+        m = build_scalar_model(a)
+        z, c = symmetric_path(np.random.default_rng(10), 40, layout)
+        j = {"lower": 5, "upper": z.size - 6, "middle": 40}[where]
+        z[(j + 40) % 80 if layout == "rays" else z.size - 1 - j] = np.conj(a)
+        z[j] = a
+        assert contour._conjugate_half(z, c) is not None
+        with pytest.raises(ValueError, match=re.escape(f"z={complex(a)} collides with the spectrum")):
+            contour._path_symbols(m, z, c)
+        with pytest.raises(ValueError, match=re.escape(f"z={complex(a)} collides with the spectrum")):
+            path_symbols_reference(m, z, c)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -122,6 +123,14 @@ class TestRepresentationsAgree:
             scale = np.linalg.norm(vals[0])
             for v in vals[1:]:
                 assert np.linalg.norm(v - vals[0]) <= 1e-8 * scale
+
+    @pytest.mark.parametrize("representation", ["oracle", "gamma-path", "hankel-path"])
+    @pytest.mark.parametrize("t", [1e250, 1e300])
+    def test_refuse_t_alpha_past_the_float_range(self, representation, t):
+        m = ladder()
+        p = make_propagator(m, ALPHA, representation=representation)
+        with pytest.raises(ValueError, match=re.escape(f"t={t}: t^alpha is not a finite float")):
+            prop_apply(p, t, np.ones(m.dimension))
 
     def test_delta_two(self):
         m = ladder()
