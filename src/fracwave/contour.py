@@ -1,25 +1,22 @@
 """Holomorphic functional calculus by contour quadrature.
 
-Two integration paths:
+Two integration paths, each its own mirror image under conjugation:
 
-* ``Gamma_theta``: the pair of rays r e^{+/- i theta}, used for f(A)x with
-  f decaying like 1/(1+|z|) on the rays.  Geometric nodes, trapezoid in
-  log r.  ``calculus_apply`` serves any such f on truncated rays, where the
-  integrand is assumed negligible at both ends.  The propagator route
-  (``_gamma_propagator``) serves the entire symbol E_{alpha,delta}(-t^alpha z)
-  on the same lattice in log r, extended to the whole line: the nodes
-  below the spectrum and far above it are summed in closed form, so the
-  nodes it evaluates lie between the two ends only.
+* ``Gamma_theta``: the pair of rays r e^{+/- i theta}, for f(A)x with f
+  decaying like 1/(1+|z|) on the rays; geometric nodes, trapezoid rule in
+  log r.  ``calculus_apply`` serves any such f on truncated rays.  The
+  propagator route (``_gamma_propagator``) serves E_{alpha,delta}(-t^alpha z)
+  on the same lattice over the whole line in log r, and sums the nodes
+  below the spectrum and far above it in closed form.
 * Hankel path ``Gamma_theta0``: the hyperbola with asymptotes at +/- theta0
-  in (pi/2, pi), used for the Laplace-type propagator representation.
-  Trapezoid rule in the hyperbola's parameter, with step and node count set
-  by the target accuracy (Weideman and Trefethen, Math. Comp. 76 (2007)).
+  in (pi/2, pi), for the Laplace-type propagator representation; trapezoid
+  rule in its parameter, with step and node count set by the target
+  accuracy (Weideman and Trefethen, Math. Comp. 76 (2007)).
 
-Each is one node sum sum_j c_j (z_j - A)^{-1} x, applied as one symbol
-pair through the model's applicator; on Gamma_theta, f is called once on the
-array of nodes (a scalar result is broadcast).  Both paths are symmetric
-under conjugation, so the sum is taken once per conjugate pair of
-eigenvalues, half of the path at a time (``_path_symbols``).
+Every node sum sum_j c_j (z_j - A)^{-1} x goes to one kernel,
+``_path_symbols``, as the lower half of its path and the weights of that
+half's mirror image, and comes back as one symbol pair for the model's
+applicator.  On Gamma_theta, f is called once, on the nodes of both rays.
 """
 
 from __future__ import annotations
@@ -34,7 +31,7 @@ import numpy as np
 
 from .fractional import _trapezoid_weights
 from .mittag_leffler import MLParams, _asymptotic_table, _series_table, ml_eval
-from .operator_model import AlmostSectorialModel, _check_vector, _conjugate_pairs, _symbol_apply
+from .operator_model import AlmostSectorialModel, _check_vector, _symbol_apply
 
 __all__ = [
     "ContourSpec",
@@ -115,72 +112,43 @@ def default_contour(
 _POINT_BLOCK = 8
 
 
-def _cauchy_sums(z, c, q):
-    """(sum_j c_j r_j, sum_j c_j r_j^2), r_j = 1/(z_j - q), at each point of
-    ``q``, one reciprocal per (node, point), in blocks of ``_POINT_BLOCK``
-    points; a node within 1e-14 |z_j| of a point raises ``ValueError``."""
+def _cauchy_sums(z, w, q, lam):
+    """(sum_j w_j r_j, sum_j w_j r_j^2), r_j = 1/(z_j - q), for each point of
+    ``q`` and column of ``w``, one reciprocal per (node, point), in blocks of
+    ``_POINT_BLOCK`` points.  A node within 1e-14 |z_j| of a point raises
+    ``ValueError`` naming z_j, or conj(z_j) at a point not in ``lam``."""
     tiny = 1e-14 * np.maximum(np.abs(z), 1e-300)
-    out = np.empty((2, q.size), dtype=complex)
+    out = np.empty((2, q.size, w.shape[1]), dtype=complex)
     for i in range(0, q.size, _POINT_BLOCK):
         r = z - q[i : i + _POINT_BLOCK, None]
         hit = np.abs(r) < tiny
         if np.any(hit):
-            raise ValueError(f"z={complex(z[np.nonzero(hit)[1][0]])} collides with the spectrum")
+            k, j = np.argwhere(hit)[0]
+            node = z[j] if q[i + k] in lam else z[j].conjugate()
+            raise ValueError(f"z={complex(node)} collides with the spectrum")
         np.divide(1.0, r, out=r)
-        out[0, i : i + _POINT_BLOCK] = r @ c
-        out[1, i : i + _POINT_BLOCK] = (r * r) @ c
+        out[0, i : i + _POINT_BLOCK] = r @ w
+        out[1, i : i + _POINT_BLOCK] = (r * r) @ w
     return out
 
 
-def _conjugate_half(z, c):
-    """The nodes and weights of a path whose second half is, bit for bit,
-    the conjugate of its first (in order, or reversed around a real middle
-    node with a real weight), with the middle weight halved so that the
-    first half and its conjugate sum to the whole path; None for any other
-    path."""
-    h = z.size // 2
-    if z.size % 2 == 0 and np.array_equal(z[h:], z[:h].conj()) and np.array_equal(c[h:], c[:h].conj()):
-        return z[:h], c[:h]
-    if np.array_equal(z[::-1], z.conj()) and np.array_equal(c[::-1], c.conj()):
-        return z[: z.size - h], np.append(c[:h], 0.5 * c[h:z.size - h])
-    return None
+def _path_symbols(m: AlmostSectorialModel, z, a, b):
+    """The symbol pair (sum_j c_j r_j, sum_j c_j r_j^2), r_j = 1/(z_j - lambda),
+    of sum_j c_j (z_j - A)^{-1} at the eigenvalues, over the nodes ``z``
+    with weights ``a`` and their mirror images conj(z) with weights ``b``.
 
-
-def _path_symbols(m: AlmostSectorialModel, z, c):
-    """The symbol pair (sum_j c_j r_j, sum_j c_j r_j^2) of
-    sum_j c_j (z_j - A)^{-1} at the eigenvalues, r_j = 1/(z_j - lambda)
-    (r' = r^2).
-
-    A path that is conjugate-symmetric bit for bit (``_conjugate_half``: the
-    Gamma_theta rays, the Hankel hyperbola) is summed only at one
-    eigenvalue of each exact conjugate pair (``_conjugate_pairs``), whose
-    partner takes the conjugate of its sums, as the sum S over the path's
-    first half plus the sum over its mirror image, the conjugate half; at
-    a real eigenvalue lambda that second sum is conj(S(lambda)), so only
-    the first half is summed there.  Any other path is summed whole at
-    every eigenvalue.  A node within 1e-14 |z_j| of an eigenvalue raises
-    ``ValueError``.
+    The mirror half's sum at lambda is the conjugate of the sum over z with
+    weights conj(b) at conj(lambda), so both are sums over z, at each point
+    of the eigenvalues and their conjugates once; one weight column serves
+    both where b is, bit for bit, conj(a).  A node within 1e-14 |z_j| of an
+    eigenvalue raises ``ValueError``.
     """
-    half = _conjugate_half(z, c)
-    if half is None:
-        return _cauchy_sums(z, c, m.lam)
-    zh, ch = half
-    keep, source, flip = _conjugate_pairs(m.lam)
-    p = m.lam[keep]
-    nonreal = p.imag != 0.0
-    lower = _cauchy_sums(zh, ch, p)
-    # the mirrored half at a real point is the conjugate of the first half's sum
-    upper = lower.conj()
-    upper[:, nonreal] = _cauchy_sums(zh.conj(), ch.conj(), p[nonreal])
-    fv, dv = (lower + upper)[:, source]
-    np.conjugate(fv, out=fv, where=flip)
-    np.conjugate(dv, out=dv, where=flip)
-    return fv, dv
-
-
-def _path_apply(m: AlmostSectorialModel, z, c, x) -> np.ndarray:
-    """sum_j c_j (z_j - A)^{-1} x for node and weight arrays z and c."""
-    return _symbol_apply(m, *_path_symbols(m, z, c), _check_vector(m, x))
+    q, at = np.unique(np.concatenate([m.lam, m.lam.conj()]), return_inverse=True)
+    bc = b.conj()
+    w = a[:, None] if np.array_equal(bc, a) else np.stack([a, bc], axis=1)
+    s = _cauchy_sums(z, w, q, m.lam)
+    at = at.reshape(2, -1)
+    return s[:, at[0], 0] + s[:, at[1], -1].conj()
 
 
 def _gamma_path_sum(m, f, c, x, refine=1):
@@ -191,8 +159,8 @@ def _gamma_path_sum(m, f, c, x, refine=1):
     dn = cmath.exp(-1j * c.theta)
     z = np.concatenate([r * dn, r * up])
     fz = np.broadcast_to(f(z), z.shape)
-    coef = fz * np.concatenate([w * dn, -w * up]) / (2.0j * math.pi)
-    return _path_apply(m, z, coef, x), z, fz
+    a, b = np.split(fz * np.concatenate([w * dn, -w * up]) / (2.0j * math.pi), 2)
+    return _symbol_apply(m, *_path_symbols(m, z[: r.size], a, b), _check_vector(m, x)), z, fz
 
 
 def calculus_apply(
@@ -288,9 +256,8 @@ def hankel_propagator(
     need more than ``_PATH_MAX_NODES`` nodes raises ``ValueError``, and so
     does a t so small that the path's nodes or weights are not finite, or
     so large that t^alpha is not a finite float (as on the other two
-    representations).  The nodes and weights are computed for u >= 0 only:
-    u -> -u conjugates both, so the u < 0 half is their mirror image, and
-    ``_path_symbols`` sums the path once per conjugate pair.
+    representations).  u -> -u conjugates the nodes and weights, so only
+    u >= 0 is computed, the u = 0 node, its own mirror image, at half weight.
     """
     if not 0.0 < t < math.inf:
         raise ValueError(f"t must be positive and finite, got {t}")
@@ -313,8 +280,9 @@ def hankel_propagator(
         )
     if not alpha * math.log(t) < math.log(sys.float_info.max):
         raise ValueError(f"t={t}: t^alpha is not a finite float")
-    # the nodes and weights for u >= 0; u -> -u conjugates both
-    iu = 1j * step * np.arange(n + 1)
+    # the nodes and weights for u >= 0, u -> -u conjugates both; from the
+    # far end in, so the sums take the weights that e^{lambda t} shrinks first
+    iu = 1j * step * np.arange(n, -1, -1)
     with np.errstate(over="ignore", invalid="ignore"):
         mu = _HANKEL_MU_T / t
         lam = mu * (1.0 + np.sin(iu - phi))
@@ -326,8 +294,8 @@ def hankel_propagator(
         scale = np.float64(t) ** (1.0 - delta)
     if not (np.all(np.isfinite(z)) and np.all(np.isfinite(c)) and np.isfinite(scale)):
         raise ValueError(f"t={t}: the Hankel path's nodes or weights are not finite")
-    z, c = (np.concatenate([v[:0:-1].conj(), v]) for v in (z, c))
-    return scale * _path_apply(m, z, c, x)
+    c[-1] *= 0.5  # the u = 0 node is its own mirror image
+    return scale * _symbol_apply(m, *_path_symbols(m, z, c, c.conj()), _check_vector(m, x))
 
 
 def _outer_reach(alpha: float, delta: float, theta: float) -> float:
@@ -403,7 +371,7 @@ def _gamma_propagator(m: AlmostSectorialModel, alpha: float, t: float, x, delta:
     # Taylor coefficients, so the upper ray's are their conjugates
     z = np.exp(log_r1 + h * np.arange(n)) * cmath.exp(-1j * theta)
     c = h * z * ml_eval(MLParams(alpha, delta), -math.exp(log_ta) * z) / (2.0j * math.pi)
-    fv, dv = _path_symbols(m, np.concatenate([z, z.conj()]), np.concatenate([c, c.conj()]))
+    fv, dv = _path_symbols(m, z, c, c.conj())
     lam = m.lam
     # below r_1: u = r_1/lambda, a_i = (-t^alpha r_1)^i / Gamma(alpha i + delta),
     # the end is sum_k b_k u^(k+1), b_k = sum_i g_{i+k+1} a_i, with the two

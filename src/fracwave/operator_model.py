@@ -198,27 +198,6 @@ def _check_vector(m: AlmostSectorialModel, x) -> np.ndarray:
     return x
 
 
-def _conjugate_pairs(lam: np.ndarray):
-    """Split the eigenvalues ``lam`` (1-d) into the points to evaluate and
-    their conjugate partners: returns the indices of ``lam`` to evaluate,
-    and for every eigenvalue the position of its point among them and
-    whether it takes that point's conjugate.  An eigenvalue equal, bit for
-    bit, to the conjugate of an earlier evaluated one that has no partner
-    yet takes that one's conjugate; every other eigenvalue, a real one
-    included, is evaluated."""
-    keep, source, flip = [], [], []
-    waiting = {}  # conj of each evaluated, unpaired eigenvalue -> its positions
-    for j, z in enumerate(lam.tolist()):
-        paired = bool(waiting.get(z))
-        if not paired and z.imag != 0.0:
-            waiting.setdefault(z.conjugate(), []).append(len(keep))
-        source.append(waiting[z].pop(0) if paired else len(keep))
-        flip.append(paired)
-        if not paired:
-            keep.append(j)
-    return np.array(keep), np.array(source), np.array(flip)
-
-
 def _symbol_apply(m: AlmostSectorialModel, f, df, x) -> np.ndarray:
     """f(A) x for the symbol pair (f(lambda), f'(lambda)): each block of x
     times [[f, s f'], [0, f]].  ``f`` and ``df`` broadcast against the

@@ -22,7 +22,7 @@ import numpy as np
 from .contour import HankelSpec, _gamma_propagator, calculus_apply, default_contour, hankel_propagator
 from .fractional import Kernel, TimeGrid, Trajectory, _csv, _trapezoid_weights, rl_integral
 from .mittag_leffler import BoundReport, MLParams, _ml, ml_eval, reciprocal_gamma
-from .operator_model import AlmostSectorialModel, _conjugate_pairs, _symbol_apply, _symbol_norms, resolvent_apply
+from .operator_model import AlmostSectorialModel, _symbol_apply, _symbol_norms, resolvent_apply
 from .operator_model import apply as op_apply
 
 __all__ = [
@@ -70,6 +70,27 @@ class PropagatorHandle:
 
 
 make_propagator = PropagatorHandle
+
+
+def _conjugate_pairs(lam: np.ndarray):
+    """Split the eigenvalues ``lam`` (1-d) into the points to evaluate and
+    their conjugate partners: returns the indices of ``lam`` to evaluate,
+    and for every eigenvalue the position of its point among them and
+    whether it takes that point's conjugate.  An eigenvalue equal, bit for
+    bit, to the conjugate of an earlier evaluated one that has no partner
+    yet takes that one's conjugate; every other eigenvalue, a real one
+    included, is evaluated."""
+    keep, source, flip = [], [], []
+    waiting = {}  # conj of each evaluated, unpaired eigenvalue -> its positions
+    for j, z in enumerate(lam.tolist()):
+        paired = bool(waiting.get(z))
+        if not paired and z.imag != 0.0:
+            waiting.setdefault(z.conjugate(), []).append(len(keep))
+        source.append(waiting[z].pop(0) if paired else len(keep))
+        flip.append(paired)
+        if not paired:
+            keep.append(j)
+    return np.array(keep), np.array(source), np.array(flip)
 
 
 def _symbol_values(p: MLParams, t, lam):
@@ -236,13 +257,17 @@ def a_prop_apply(
     ``via='apply'`` composes A with prop_apply; ``via='contour'`` applies
     the calculus directly to the symbol z * E_{alpha,delta}(-t^alpha z)
     (which still decays on the contour since E(..) falls like 1/|t^alpha z|^2
-    for the delta = alpha - n family).
+    for the delta = alpha - n family).  Either way t = 0 gives the limit
+    A x / Gamma(delta), and a t that is negative or not finite, or whose
+    t^alpha is not a finite float, raises ``ValueError``.
     """
     x = np.asarray(x, dtype=complex).ravel()
-    if via == "apply":
-        return op_apply(p.model, prop_apply(p, t, x))
-    if via != "contour":
+    if via not in ("apply", "contour"):
         raise ValueError(f"unknown via={via!r}")
+    if via == "apply" or t == 0.0:
+        return op_apply(p.model, prop_apply(p, t, x))
+    if not (0.0 < t < math.inf and p.alpha * math.log(t) < math.log(np.finfo(float).max)):
+        raise ValueError(f"t={t}: t must be nonnegative and finite, and t^alpha a finite float")
     ml, ta = MLParams(p.alpha, p.delta), t**p.alpha
     g = lambda z: z * ml_eval(ml, -ta * z)
     return calculus_apply(p.model, g, default_contour(p.model, t_alpha_scale=ta), x)
@@ -257,8 +282,10 @@ def laplace_check(p: PropagatorHandle, lam: float, x, nodes_per_decade: int = 48
     gamma = p.model.profile.gamma
     if p.alpha * (1.0 + gamma) >= 1.0:
         raise ValueError("laplace check requires alpha * (1 + gamma) < 1")
-    if lam <= 0:
-        raise ValueError(f"lam must be positive, got {lam}")
+    if not 0.0 < lam < math.inf:
+        raise ValueError(f"lam must be positive and finite, got {lam}")
+    if not (nodes_per_decade >= 1 and float(nodes_per_decade).is_integer()):
+        raise ValueError(f"nodes_per_decade must be an integer >= 1, got {nodes_per_decade!r}")
     x = np.asarray(x, dtype=complex).ravel()
     nx = np.linalg.norm(x)
     if nx == 0.0:

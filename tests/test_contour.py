@@ -28,7 +28,7 @@ from fracwave.operator_model import (
     resolvent_norm,
     spectral_apply,
 )
-from fracwave.propagators import make_propagator, prop_apply
+from fracwave.propagators import _conjugate_pairs, make_propagator, prop_apply
 
 RNG = np.random.default_rng(314159)
 ALPHA = 1.5
@@ -243,19 +243,20 @@ class TestResolventOfPowerSum:
 class TestHankelPropagator:
     def test_node_cap(self, monkeypatch):
         # theta0 = pi/2 + 1e-4 would need ~1.55 million nodes: refused before
-        # any is built; the default theta0 (2319 nodes) is unaffected
+        # any is built; the default theta0 (2319 nodes, of which the kernel
+        # is handed the u >= 0 half, 1160) is unaffected
         m = ladder()
         x = rand_vec(m)
         built = []
-        path_apply = contour._path_apply
+        path_symbols = contour._path_symbols
         monkeypatch.setattr(
-            contour, "_path_apply", lambda m, z, c, x: built.append(z.size) or path_apply(m, z, c, x)
+            contour, "_path_symbols", lambda m, z, a, b: built.append(z.size) or path_symbols(m, z, a, b)
         )
         with pytest.raises(ValueError):
             hankel_propagator(m, ALPHA, 1.0, HankelSpec(theta0=math.pi / 2.0 + 1e-4), x)
         assert built == []
         hankel_propagator(m, ALPHA, 1.0, HankelSpec(theta0=mid_theta0(m)), x)
-        assert built == [2319]
+        assert built == [1160]
 
     def test_scalar_oracle(self):
         m = build_scalar_model(2.0)
@@ -371,34 +372,51 @@ def path_symbols_reference(m, z, c):
     return fv, dv
 
 
-def propagator_paths(monkeypatch, m, delta):
-    """The nodes and weights of the Gamma_theta and Hankel paths of
-    E_{alpha,delta}(-t^alpha A) at the README ladder's benchmark times."""
+def recorded_halves(monkeypatch, run):
+    """The (nodes, weights, mirror weights) triples that ``run()`` hands
+    ``contour._path_symbols``."""
     paths = []
     path_symbols = contour._path_symbols
     monkeypatch.setattr(
-        contour, "_path_symbols", lambda m, z, c: paths.append((z, c)) or path_symbols(m, z, c)
+        contour, "_path_symbols", lambda m, z, a, b: paths.append((z, a, b)) or path_symbols(m, z, a, b)
     )
-    x = np.ones(m.dimension)
-    for rep in ("gamma-path", "hankel-path"):
-        p = make_propagator(m, ALPHA, delta=delta, representation=rep)
-        for t in np.geomspace(0.01, 10.0, 8):
-            prop_apply(p, t, x)
+    run()
     monkeypatch.undo()
     return paths
 
 
-def symmetric_path(rng, n, layout):
-    """Random nodes and weights, symmetric under conjugation: n nodes, then
-    their conjugates in the same order ("rays", as on Gamma_theta); or the
-    conjugates reversed, a real middle node with a real weight, then the
-    n nodes ("hyperbola", as on the Hankel path)."""
+def propagator_paths(monkeypatch, m, delta):
+    """The half paths of the Gamma_theta and Hankel representations of
+    E_{alpha,delta}(-t^alpha A) at the README ladder's benchmark times."""
+    x = np.ones(m.dimension)
+
+    def run():
+        for rep in ("gamma-path", "hankel-path"):
+            p = make_propagator(m, ALPHA, delta=delta, representation=rep)
+            for t in np.geomspace(0.01, 10.0, 8):
+                prop_apply(p, t, x)
+
+    return recorded_halves(monkeypatch, run)
+
+
+def calculus_path(monkeypatch, f):
+    """The half path that ``calculus_apply`` hands the kernel for ``f`` on
+    the README ladder's default contour."""
+    m = ladder()
+    [path] = recorded_halves(monkeypatch, lambda: calculus_apply(m, f, default_contour(m), np.ones(m.dimension)))
+    return path
+
+
+def half_path(rng, n, real_node=False):
+    """Random nodes and weights, with the conjugate weights for the mirror
+    image; with ``real_node``, a real node first, at half of a real weight,
+    as the Hankel path's u = 0 node."""
     z = 10.0 * (rng.standard_normal(n) + 1j * rng.standard_normal(n)) - 5.0
-    c = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    if layout == "rays":
-        return np.concatenate([z, z.conj()]), np.concatenate([c, c.conj()])
-    zm, cm = rng.standard_normal(2) - [20.0, 0.0]
-    return np.concatenate([z[::-1].conj(), [zm], z]), np.concatenate([c[::-1].conj(), [cm], c])
+    a = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    if real_node:
+        zm, am = rng.standard_normal(2) - [20.0, 0.0]
+        z, a = np.append(zm, z), np.append(0.5 * am, a)
+    return z, a, a.conj()
 
 
 def seed_vector(seed, d):
@@ -407,16 +425,17 @@ def seed_vector(seed, d):
 
 
 class TestCauchySums:
-    """``_path_symbols`` against the loop over eigenvalues: the sums at an
-    eigenvalue's conjugate partner and over the conjugate half of a
-    symmetric path change only the rounding of the cancelling node sums.
-    The path results are compared relative to their largest entry, for the
-    vector of the benchmark's seed 1 (1.3e-15 at most here)."""
+    """``_path_symbols`` on a half path against the loop over eigenvalues
+    on the whole path (the nodes and their conjugates, the weights and the
+    mirror weights): the sums at the conjugate eigenvalues change only the
+    rounding of the cancelling node sums.  The path results are compared
+    relative to their largest entry, for the vector of the benchmark's seed
+    1 (1.6e-15 at most here)."""
 
-    def check(self, m, z, c):
+    def check(self, m, z, a, b):
         x = seed_vector(1, m.dimension)
-        want = _symbol_apply(m, *path_symbols_reference(m, z, c), x)
-        got = contour._path_apply(m, z, c, x)
+        want = _symbol_apply(m, *path_symbols_reference(m, np.concatenate([z, z.conj()]), np.concatenate([a, b])), x)
+        got = _symbol_apply(m, *contour._path_symbols(m, z, a, b), x)
         assert np.max(np.abs(got - want)) <= 2e-15 * np.max(np.abs(want))
 
     @staticmethod
@@ -431,67 +450,65 @@ class TestCauchySums:
     def test_propagator_paths(self, monkeypatch, delta):
         m = ladder()
         paths = propagator_paths(monkeypatch, m, delta)
-        assert [z.size % 2 for z, _ in paths] == [0] * 8 + [1] * 8
-        for z, c in paths:
-            assert contour._conjugate_half(z, c)[0].size == (z.size + 1) // 2
-            self.check(m, z, c)
+        assert len(paths) == 16
+        for z, a, b in paths:
+            assert np.array_equal(b, a.conj())
+            self.check(m, z, a, b)
 
     @pytest.mark.parametrize("delta", [1.0, ALPHA, 2.0])
     def test_spectrum_not_closed_under_conjugation(self, monkeypatch, delta):
         m = self.nudged_ladder()
-        assert contour._conjugate_pairs(m.lam)[0].size == 26
-        for z, c in propagator_paths(monkeypatch, ladder(), delta):
-            self.check(m, z, c)
-
-    @pytest.mark.parametrize("path", ["random", "symmetric-nodes", "calculus"])
-    def test_path_without_symmetry(self, monkeypatch, path):
-        rng = np.random.default_rng(7)
-        if path == "random":
-            z = 100.0 * (rng.standard_normal(501) + 1j * rng.standard_normal(501))
-            c = rng.standard_normal(501) + 1j * rng.standard_normal(501)
-        elif path == "symmetric-nodes":
-            z, c = symmetric_path(rng, 300, "rays")
-            c *= 1j
-        else:
-            # f without real Taylor coefficients: f(conj z) != conj f(z)
-            paths = []
-            path_symbols = contour._path_symbols
-            monkeypatch.setattr(
-                contour, "_path_symbols", lambda m, z, c: paths.append((z, c)) or path_symbols(m, z, c)
-            )
-            calculus_apply(ladder(), lambda z: 1j / (1.0 + z), default_contour(ladder()), np.ones(100))
-            monkeypatch.undo()
-            [(z, c)] = paths
-        assert contour._conjugate_half(z, c) is None
-        self.check(ladder(), z, c)
+        assert _conjugate_pairs(m.lam)[0].size == 26
+        for z, a, b in propagator_paths(monkeypatch, ladder(), delta):
+            self.check(m, z, a, b)
 
     @pytest.mark.parametrize("model", ["ladder", "nudged", "one-ray"])
-    def test_odd_path_with_a_middle_node(self, model):
+    def test_half_path_with_a_real_node(self, model):
         m = {
             "ladder": ladder,
             "nudged": self.nudged_ladder,
             "one-ray": lambda: build_ladder_model(-0.75, 0.0, 1e-2, 1e4, 4),
         }[model]()
-        z, c = symmetric_path(np.random.default_rng(8), 300, "hyperbola")
-        assert contour._conjugate_half(z, c)[0].size == 301
-        self.check(m, z, c)
+        self.check(m, *half_path(np.random.default_rng(8), 300, real_node=True))
 
-    @pytest.mark.parametrize(
-        "where, layout",
-        [("lower", "rays"), ("upper", "rays"), ("lower", "hyperbola"), ("upper", "hyperbola"), ("middle", "hyperbola")],
-    )
-    def test_collision_on_either_half_and_the_middle(self, where, layout):
+    @pytest.mark.parametrize("weights", ["random", "calculus", "calculus-ml"])
+    def test_mirror_weights_not_conjugate(self, monkeypatch, weights):
+        if weights == "random":
+            rng = np.random.default_rng(7)
+            z, a, _ = half_path(rng, 501)
+            b = rng.standard_normal(501) + 1j * rng.standard_normal(501)
+        elif weights == "calculus":
+            # f without real Taylor coefficients: f(conj z) != conj f(z)
+            z, a, b = calculus_path(monkeypatch, lambda z: 1j / (1.0 + z))
+        else:
+            # E_1.5(-z), conjugate-symmetric up to the last bit of ml_eval
+            z, a, b = calculus_path(monkeypatch, ml_pair(1.0)[0])
+        assert not np.array_equal(b, a.conj())
+        self.check(ladder(), z, a, b)
+
+    @pytest.mark.parametrize("f", ["1/(1+z)", "1j/(1+z)", "ml"])
+    def test_calculus_sums_half_the_nodes(self, monkeypatch, f):
+        # f is called once on both rays; the kernel sums the lower one
+        f = {"1/(1+z)": lambda z: 1.0 / (1.0 + z), "1j/(1+z)": lambda z: 1j / (1.0 + z), "ml": ml_pair(1.0)[0]}[f]
+        m = ladder()
+        c = default_contour(m)
+        calls, sizes = [], []
+        cauchy_sums = contour._cauchy_sums
+        monkeypatch.setattr(contour, "_cauchy_sums", lambda z, *rest: sizes.append(z.size) or cauchy_sums(z, *rest))
+        calculus_apply(m, lambda z: calls.append(z.size) or f(z), c, np.ones(m.dimension))
+        assert calls == [2 * c.radii().size]
+        assert sizes and set(sizes) == {c.radii().size}
+
+    @pytest.mark.parametrize("where", ["summed", "mirrored", "real"])
+    def test_collision_on_either_half_and_the_real_node(self, where):
         # the model's one eigenvalue a has no conjugate partner, so a node
-        # on the mirrored (upper) half can collide with it while its mirror
-        # image on the summed (lower) half does not
-        a = 2.0 if where == "middle" else 3.0 + 1.0j
+        # on the mirrored half can collide with it while its mirror image
+        # on the summed half does not; it is named as conj(z_j)
+        a = 2.0 if where == "real" else 3.0 + 1.0j
         m = build_scalar_model(a)
-        z, c = symmetric_path(np.random.default_rng(10), 40, layout)
-        j = {"lower": 5, "upper": z.size - 6, "middle": 40}[where]
-        z[(j + 40) % 80 if layout == "rays" else z.size - 1 - j] = np.conj(a)
-        z[j] = a
-        assert contour._conjugate_half(z, c) is not None
+        z, w, wb = half_path(np.random.default_rng(10), 40, real_node=True)
+        z[{"summed": 5, "mirrored": 5, "real": 0}[where]] = np.conj(a) if where == "mirrored" else a
         with pytest.raises(ValueError, match=re.escape(f"z={complex(a)} collides with the spectrum")):
-            contour._path_symbols(m, z, c)
+            contour._path_symbols(m, z, w, wb)
         with pytest.raises(ValueError, match=re.escape(f"z={complex(a)} collides with the spectrum")):
-            path_symbols_reference(m, z, c)
+            path_symbols_reference(m, np.concatenate([z, z.conj()]), np.concatenate([w, wb]))

@@ -174,19 +174,20 @@ class TestGammaPathRoute:
             assert gap <= 1e-8, (t, gap)
 
     def test_node_count(self, monkeypatch):
-        # the truncated rays of default_contour hold 4962-5826 nodes here
+        # the truncated rays of default_contour hold 4962-5826 nodes here;
+        # the kernel is handed the lower ray, half of the evaluated nodes
         m = ladder()
         x = rand_vec(m)
         sizes = []
         path_symbols = contour._path_symbols
         monkeypatch.setattr(
-            contour, "_path_symbols", lambda m, z, c: sizes.append(z.size) or path_symbols(m, z, c)
+            contour, "_path_symbols", lambda m, z, a, b: sizes.append(z.size) or path_symbols(m, z, a, b)
         )
         path = make_propagator(m, ALPHA, representation="gamma-path")
         for t in PATH_TIMES:
             prop_apply(path, t, x)
         assert len(sizes) == PATH_TIMES.size
-        assert max(sizes) <= 2000, sizes
+        assert max(sizes) <= 1000, sizes
 
     @pytest.mark.parametrize("t", [1e8, 1e20])
     def test_large_time_keeps_the_small_r_end(self, t):
@@ -467,6 +468,21 @@ class TestAProp:
         with pytest.raises(ValueError):
             a_prop_apply(p, 1.0, rand_vec(p.model), via="dense")
 
+    @pytest.mark.parametrize("t", [-1.0, math.nan, math.inf, 1e250])
+    def test_contour_rejects_bad_t(self, t):
+        # negative, not finite, and t^alpha not a finite float
+        p = make_propagator(ladder(), ALPHA, delta=ALPHA, representation="oracle")
+        with pytest.raises(ValueError, match=re.escape(f"t={t}: t must be nonnegative and finite")):
+            a_prop_apply(p, t, rand_vec(p.model), via="contour")
+
+    def test_contour_at_t_zero_is_the_limit(self):
+        # A x / Gamma(delta), as via="apply" gives it
+        p = make_propagator(ladder(), ALPHA, delta=ALPHA, representation="oracle")
+        x = rand_vec(p.model)
+        want = op_apply(p.model, reciprocal_gamma(ALPHA) * x)
+        assert np.array_equal(a_prop_apply(p, 0.0, x, via="apply"), want)
+        assert np.array_equal(a_prop_apply(p, 0.0, x, via="contour"), want)
+
 
 class TestIdentities:
     def test_laplace_transform(self):
@@ -495,6 +511,17 @@ class TestIdentities:
         p = make_propagator(ladder(), ALPHA, representation="oracle")
         with pytest.raises(ValueError):
             laplace_check(p, -1.0, rand_vec(p.model))
+        # NaN and inf are refused before they reach the node count
+        for lam in [0.0, math.nan, math.inf]:
+            with pytest.raises(ValueError, match="lam must be positive and finite"):
+                laplace_check(p, lam, rand_vec(p.model))
+
+    @pytest.mark.parametrize("npd", [0, -5, 2.5])
+    def test_laplace_rejects_bad_nodes_per_decade(self, npd):
+        # not clamped to the minimum of 16 nodes, nor taken as a fraction
+        p = make_propagator(ladder(), ALPHA, representation="oracle")
+        with pytest.raises(ValueError, match="nodes_per_decade must be an integer >= 1"):
+            laplace_check(p, 2.0, rand_vec(p.model), nodes_per_decade=npd)
 
     def test_laplace_rejects_outside_regime(self):
         # alpha (1 + gamma) = 1.125 >= 1
