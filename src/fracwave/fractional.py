@@ -12,10 +12,12 @@ SIAM J. Sci. Comput. 24 (2002)).  The engine (``_Modes``) is resumable:
 it steps one tile of nodes at a time, all of a set's modes in one block on
 the contiguous axis and at most max(``_CHUNK_BYTES``, half the data) of
 history, or one node, per tile, and contracts the histories with the
-weights itself, in real arithmetic for real modes.  A tile's coefficients,
-e^{zh} and the phi functions, depend on the grid and the modes only and
-are computed apart from the histories, which each data stream carries from
-tile to tile; so the sweeps of a Picard iteration
+weights itself, in real arithmetic for real modes.  A tile's data terms,
+the panel weights times [u_{i-1}, u_i] for every node, column and mode,
+are one batched matrix product.  A tile's coefficients, e^{zh} and the
+phi functions, depend on the grid and the modes only and are computed
+apart from the histories, which each data stream carries from tile to
+tile; so the sweeps of a Picard iteration
 (``solvers.solve_semilinear``) advance together over a pass of the grid,
 and ``_DuhamelSteps.tiles`` hands each tile's coefficients to all of them.
 ``_mode_sums`` is the whole-grid loop over one stream.  ``rl_integral``
@@ -29,9 +31,11 @@ exact tail mode; E_alpha(-tau^alpha A) is one on [0, T] through its
 residues and its real-axis integral, whose quadrature error from the roots
 near the branch cut is added back exactly as modes of their own
 (``mittag_leffler._Cut``, also the third of ``ml_eval``'s four regimes, at
-tau = 1).  Each sum is built to a fixed accuracy and checked against the
-exact kernel at log-spaced lags; a sum that misses ``_SUM_TOL`` raises
-``ValueError`` instead of returning degraded numbers.
+tau = 1), its small-rate end closed by one tail mode per block that
+matches the moments of the nodes it replaces.  Each sum is built to a
+fixed accuracy and checked against the exact kernel at log-spaced lags; a
+sum that misses ``_SUM_TOL`` raises ``ValueError`` instead of returning
+degraded numbers.
 """
 
 from __future__ import annotations
@@ -218,6 +222,14 @@ class _Modes:
     data with them, so several data streams on one grid share that work.
     The histories between tiles are each state's own; the tile arrays they
     are stepped in are shared by every state.
+
+    The data terms of a tile are one ``np.matmul``: the pairs [u_{i-1},
+    u_i], (c, g, columns/g, 2) for the g rows of ``zt`` (1 when the modes
+    are shared by the columns, one per column otherwise), times the panel
+    weights, (c, g, 2, modes), into the histories' rows.  Each node's
+    product has the same shape whatever the tile size, and every operand is
+    C-contiguous, a slice along the node axis of a C-contiguous array, so
+    each takes the same BLAS path and no bit depends on the tile.
     """
 
     def __init__(self, z, w, t, shape, lagged: bool = False, derivative: bool = False):
@@ -240,52 +252,62 @@ class _Modes:
 
     def coefficients(self, i0: int, c: int) -> list:
         """e^{zh} (a list of rows) and the panel weights of the data,
-        h (phi_1 - phi_2)(zh) and h phi_2(zh), for the nodes
-        i0 <= i < i0 + c; with ``derivative`` also those of the z-derivatives
-        and h."""
+        h (phi_1 - phi_2)(zh) and h phi_2(zh) stacked as (c, g, 2, modes),
+        for the nodes i0 <= i < i0 + c; with ``derivative`` also those of the
+        z-derivatives, stacked alike, and h."""
         hc = self.h[i0 - 1 : i0 - 1 + c, None, None]
         a, (p1, p2, *p3) = _phi(hc * self.zt, 3 if self.derivative else 2)
         # e^{zh} per node, one (columns, modes) row each: the step's per-node
         # products then broadcast nothing
         a = list(np.broadcast_to(a, (c, self.cols, a.shape[2])).copy())
-        co = [a, hc * (p1 - p2), hc * p2]
+        # the weights of u_{i-1} and u_i stacked per node, (c, g, 2, modes)
+        # for the g rows of zt: the right operand of the step's matmul
+        c01 = np.stack((p1 - p2, p2), axis=2)
+        c01 *= hc[..., None]
+        co = [a, c01]
         if self.derivative:
             (p3,) = p3
-            hh = hc * hc
-            co += [hh * (p1 - 2.0 * p2 + 2.0 * p3), hh * (p2 - 2.0 * p3), hc]
+            d01 = np.stack((p1 - 2.0 * p2 + 2.0 * p3, p2 - 2.0 * p3), axis=2)
+            d01 *= (hc * hc)[..., None]
+            co += [d01, hc]
         return co
 
     @functools.cached_property
     def _tile(self):
         # histories, their products with e^{zh}, the z-derivatives (tile
-        # nodes, columns, modes), and the histories' rows
+        # nodes, columns, modes), the histories' rows, and the data pairs
+        # [u_{i-1}, u_i] (tile nodes, columns, 2)
+        dtype = float if self.real else complex
         shape = (3 if self.derivative else 2, self.size + 1, self.cols, self.zt.shape[1])
-        y, ay, *dy = np.empty(shape, float if self.real else complex)
-        return y, ay, dy[0] if dy else None, list(y), list(ay)
+        y, ay, *dy = np.empty(shape, dtype)
+        pairs = np.empty((self.size, self.cols, 2), dtype)
+        return y, ay, dy[0] if dy else None, list(y), list(ay), pairs
 
     def step(self, state: np.ndarray, coefs: list, u: np.ndarray, out: np.ndarray) -> None:
         """Advance ``state`` over the c nodes of a tile with their
         ``coefficients`` and add the tile's sums into ``out``, complex (c, d)
         and C-ordered.  ``u`` is the complex data, (c + 1, d), the node
         before the tile first.  Real modes step its real and imaginary parts
-        as separate real columns."""
+        as separate real columns.  The data terms are one matrix product per
+        tile, the recurrence one node at a time."""
         c = out.shape[0]
         v = np.ascontiguousarray(u).view(float) if self.real else u
         reim = out.view(float).reshape(c, -1, 2)
-        prev, cur = v[:c, :, None], v[1 : c + 1, :, None]
-        y, ay, dy, rows_y, rows_ay = self._tile
-        a, c0, c1, *dc = coefs
+        g, k = self.zt.shape
+        y, ay, dy, rows_y, rows_ay, pairs = self._tile
+        pairs = pairs[:c]
+        pairs[:, :, 0], pairs[:, :, 1] = v[:c], v[1 : c + 1]
+        data = pairs.reshape(c, g, -1, 2)  # the columns by the rows of zt
+        a, c01, *dc = coefs
         y[0] = state[0]
-        np.multiply(c0, prev, out=y[1 : c + 1])
-        y[1 : c + 1] += c1 * cur
+        np.matmul(data, c01, out=y[1 : c + 1].reshape(c, g, -1, k))
         for aj, yj, ayj, yn in zip(a, rows_y, rows_ay, rows_y[1:]):
             np.multiply(aj, yj, out=ayj)
             yn += ayj
         if self.derivative:
-            d0, d1, hc = dc
+            d01, hc = dc
             dy[0] = state[1]
-            np.multiply(d0, prev, out=dy[1 : c + 1])
-            dy[1 : c + 1] += d1 * cur
+            np.matmul(data, d01, out=dy[1 : c + 1].reshape(c, g, -1, k))
             for j in range(c):
                 dy[j + 1] += a[j] * (dy[j] + hc[j] * y[j])
             state[1] = dy[c]
@@ -319,13 +341,16 @@ def _mode_sums(z, w, t, u, lagged: bool = False, derivative: bool = False) -> np
     row i is sum_k w_k dy_k(t_i).
 
     This is the whole-grid loop of ``_Modes.step``: tiles of consecutive
-    nodes i0 <= i < i0 + c by all the modes are stepped one node at a time;
-    every tile array is (nodes, columns, modes), the modes on the contiguous
-    axis.  Real exponents act on the real and imaginary parts of u as
-    separate real columns, weighed in real arithmetic (``_real_blocks``).  A
-    tile holds at most max(``_CHUNK_BYTES``, half the size of u) of history,
-    or one node of all the modes when that is more.  Each row is one dot
-    product over the modes, so no bit depends on the tile.
+    nodes i0 <= i < i0 + c by all the modes are stepped one node at a time,
+    after the data terms h[...] of the whole tile, one batched matrix
+    product; every tile array is (nodes, columns, modes), the modes on the
+    contiguous axis.  Real exponents act on the real and imaginary parts of
+    u as separate real columns, weighed in real arithmetic
+    (``_real_blocks``).  A tile holds at most max(``_CHUNK_BYTES``, half
+    the size of u) of history, or one node of all the modes when that is
+    more.  Each node's data terms are one matrix product of a fixed shape
+    and each row is one dot product over the modes, so no bit depends on
+    the tile.
     """
     modes = _Modes(z, w, t, u.shape, lagged, derivative)
     out = np.zeros(u.shape, dtype=complex)
@@ -475,7 +500,7 @@ def _propagator_sum(m: AlmostSectorialModel, alpha: float, tau_min: float, T: fl
     checked on [tau_min, T]: the rate set (-r, w, cw) of the modes
     e^{-r_j tau}, -r (K, 1) shared by the blocks and w, cw (K, nb), and the
     pole set (sigma, W, cW) of the modes e^{sigma tau}, each (P, nb), W 0
-    where a root is left out.
+    where a root is left out, its last row the tail mode when there is one.
 
     On a block [[lambda, s], [0, lambda]] the diagonal is the residue and
     cut modes of ``mittag_leffler._Cut`` at delta = 1, on one lattice shared
@@ -490,6 +515,22 @@ def _propagator_sum(m: AlmostSectorialModel, alpha: float, tau_min: float, T: fl
     against the algebraic tail |E(T)| ~ 1/(T^alpha |lambda| |Gamma(1 - alpha)|)
     of a stiff block, whose small values the Duhamel integral accumulates
     over [0, T].
+
+    Below a cut r_c the nodes are one tail mode per block, A_0 e^{-rho tau}
+    with rho = A_1/A_0, matching their moments A_k = sum_j w_j r_j^k in
+    tau^0 and tau^1, as ``_power_sum`` closes g_beta.  For r^alpha <=
+    |lambda|/2 a node's weight is at most 4 h sin(pi (alpha - 1)) r^alpha /
+    (pi |lambda|), so the nodes below r_c have sum_j |w_j| r_j^2 <=
+    K r_c^(alpha+2)/|lambda|, K = 4 h sin(pi (alpha - 1)) / (pi (1 -
+    e^{-(alpha+2) h})).  Their weights share one phase to O(r_c^alpha /
+    |lambda|), so the mode is off them by at most tau^2 times that on the
+    diagonal and, through cw, by 2 |s|/(alpha |lambda|) times as much on the
+    superdiagonal.  Against the block's scale min(1, 1/(|lambda| T^alpha))
+    over [0, T], as for the range above, that sets r_c^(alpha+2) =
+    eps min(|lambda|, T^-alpha) / (K T^2 (1 + 2 |s|/(alpha |lambda|))), the
+    least over the blocks, with r_c^alpha <= min |lambda|/2: the first term
+    holds the small |lambda| to E(0) = 1, the second a stiff block over a
+    long T to its tail.
     """
     if not (1.0 < alpha < 2.0):
         raise ValueError(f"alpha must lie in (1, 2), got {alpha}")
@@ -506,6 +547,18 @@ def _propagator_sum(m: AlmostSectorialModel, alpha: float, tau_min: float, T: fl
     j = np.arange(_mode_count(x0, x_hi, _CUT_STEP, f"E_{alpha}"))[:, None]
     r, weights, poles, pole_weights = cut.modes(1.0, x0, j)
     ds = m.coupling / (alpha * lam)
+    # the nodes below the cut x_c = log r_c as one tail mode per block
+    q = alpha + 2.0
+    k = 4.0 * math.sin(math.pi * (alpha - 1.0)) * _CUT_STEP
+    k /= -math.pi * math.expm1(-q * _CUT_STEP)
+    scale = np.minimum(log_lam, -alpha * math.log(T)) - np.log1p(2.0 * np.abs(ds))
+    x_c = (log_eps - math.log(k) + float(np.min(scale)) - 2.0 * math.log(T)) / q
+    x_c = min(x_c, (float(np.min(log_lam)) - math.log(2.0)) / alpha)
+    n = int(np.count_nonzero(r[:, 0] < math.exp(x_c)))
+    if n:
+        a0, a1 = weights[:n].sum(axis=0), (r[:n] * weights[:n]).sum(axis=0)
+        poles, pole_weights = np.vstack((poles, -a1 / a0)), np.vstack((pole_weights, a0))
+        r, weights = r[n:], weights[n:]
     sets = (-r, weights, -r * weights * ds), (poles, pole_weights, poles * pole_weights * ds)
     _check_propagator_sum(sets, m, alpha, np.geomspace(tau_min, T, _SUM_CHECK_LAGS))
     return sets

@@ -75,11 +75,12 @@ class TestMl:
         assert main(["ml", "--alpha", "1.5", "--z", "1e5", *extra]) == 3
 
 
-def run_python(code: str) -> subprocess.CompletedProcess:
-    """Run ``code`` in a fresh interpreter on this fracwave, failing the
-    test after 60 s instead of waiting for a call that does not return."""
+def run_python(code: str, **env_vars: str) -> subprocess.CompletedProcess:
+    """Run ``code`` in a fresh interpreter on this fracwave, with the
+    environment variables ``env_vars`` set, failing the test after 60 s
+    instead of waiting for a call that does not return."""
     src = os.path.dirname(os.path.dirname(fracwave.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
+    env = dict(os.environ, PYTHONPATH=src, **env_vars)
     return subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
     )
@@ -337,6 +338,21 @@ class TestSolve:
         for d in ["a", "b"]:
             out = tmp_path / d
             assert main(["solve", "--config", path, "--seed", "7", "--out", str(out)]) == 0
+            outs.append((out / "solution.csv").read_bytes())
+        assert outs[0] == outs[1]
+
+    def test_semilinear_output_does_not_depend_on_blas_threads(self, tmp_path):
+        # the engine's panel data terms are matrix products: the README
+        # semilinear solve writes the same bytes on one BLAS thread or two
+        cfg = SCALAR_CFG + "problem = semilinear\nforcing = sin-w\nforcing_value = 1\n"
+        path = write_config(tmp_path, cfg)
+        outs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads-{threads}"
+            argv = ["solve", "--config", path, "--seed", "1", "--out", str(out)]
+            code = f"from fracwave.cli import main; raise SystemExit(main({argv!r}))"
+            proc = run_python(code, OPENBLAS_NUM_THREADS=threads)
+            assert proc.returncode == 0, proc.stderr
             outs.append((out / "solution.csv").read_bytes())
         assert outs[0] == outs[1]
 

@@ -475,6 +475,13 @@ class TestAProp:
         with pytest.raises(ValueError, match=re.escape(f"t={t}: t must be nonnegative and finite")):
             a_prop_apply(p, t, rand_vec(p.model), via="contour")
 
+    def test_contour_refuses_t_whose_path_leaves_the_floats(self):
+        # t^alpha = 1e-300: the symbol decays only past |z| ~ 1e300, which the
+        # contour's r_max would have to exceed
+        p = make_propagator(ladder(), ALPHA, delta=ALPHA, representation="oracle")
+        with pytest.raises(ValueError, match=r"^t=1e-200: .*t\^-alpha.*beyond the floats"):
+            a_prop_apply(p, 1e-200, rand_vec(p.model), via="contour")
+
     def test_contour_at_t_zero_is_the_limit(self):
         # A x / Gamma(delta), as via="apply" gives it
         p = make_propagator(ladder(), ALPHA, delta=ALPHA, representation="oracle")
