@@ -510,11 +510,13 @@ def _propagator_sum(m: AlmostSectorialModel, alpha: float, tau_min: float, T: fl
     s z w/(alpha lambda); unlike d rho/d lambda, whose terms cancel to
     O(lambda) of their size when |lambda| T^alpha << 1, this keeps the
     coupling's relative accuracy.  The range is set by the tails:
-    |lambda| r^-alpha at large r, so the sum holds down to tau = 0; at small
-    r both r^alpha/|lambda| against E(0) = 1 and (r T)^alpha/Gamma(alpha + 1)
-    against the algebraic tail |E(T)| ~ 1/(T^alpha |lambda| |Gamma(1 - alpha)|)
-    of a stiff block, whose small values the Duhamel integral accumulates
-    over [0, T].
+    |lambda| r^-alpha at large r, so the diagonal holds down to tau = 0,
+    but the superdiagonal's terms cw tau e^{-r tau}, |cw| ~ s h r^(1-alpha),
+    fall with r only through e^{-r tau}, so a coupled model's lattice also
+    reaches r tau_min = -log eps; at small r both r^alpha/|lambda| against
+    E(0) = 1 and (r T)^alpha/Gamma(alpha + 1) against the algebraic tail
+    |E(T)| ~ 1/(T^alpha |lambda| |Gamma(1 - alpha)|) of a stiff block, whose
+    small values the Duhamel integral accumulates over [0, T].
 
     Below a cut r_c the nodes are one tail mode per block, A_0 e^{-rho tau}
     with rho = A_1/A_0, matching their moments A_k = sum_j w_j r_j^k in
@@ -541,6 +543,8 @@ def _propagator_sum(m: AlmostSectorialModel, alpha: float, tau_min: float, T: fl
     x_lo = min(float(np.min(log_lam)) + spread, math.lgamma(alpha + 1.0) - alpha * math.log(T))
     x_lo = (x_lo + log_eps) / alpha
     x_hi = float(np.max(log_lam - spread - log_eps)) / alpha
+    if np.any(m.coupling):
+        x_hi = max(x_hi, math.log(-log_eps / tau_min))
     cut = _Cut(alpha, lam)
     shifts, gaps = cut.gaps(x_lo)
     x0 = float(shifts[int(np.argmax(np.min(gaps, axis=1)))])

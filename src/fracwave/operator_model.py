@@ -290,7 +290,8 @@ def verify_resolvent_bound(
         raise ValueError("need a nonempty list of moduli")
     moduli = np.asarray(moduli, dtype=float)
     zs = moduli * cmath.exp(1j * arg_z)
-    norms = np.array([resolvent_norm(m, z) for z in zs])
+    inv = 1.0 / (zs[:, None] - m.lam)
+    norms = _symbol_norms(m, inv, inv * inv)
     slope = float(np.polyfit(np.log(moduli), np.log(norms), 1)[0])
     c_mu = float(np.max(norms / moduli**m.profile.gamma))
     m.profile.c_mu = c_mu

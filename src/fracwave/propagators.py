@@ -72,27 +72,6 @@ class PropagatorHandle:
 make_propagator = PropagatorHandle
 
 
-def _conjugate_pairs(lam: np.ndarray):
-    """Split the eigenvalues ``lam`` (1-d) into the points to evaluate and
-    their conjugate partners: returns the indices of ``lam`` to evaluate,
-    and for every eigenvalue the position of its point among them and
-    whether it takes that point's conjugate.  An eigenvalue equal, bit for
-    bit, to the conjugate of an earlier evaluated one that has no partner
-    yet takes that one's conjugate; every other eigenvalue, a real one
-    included, is evaluated."""
-    keep, source, flip = [], [], []
-    waiting = {}  # conj of each evaluated, unpaired eigenvalue -> its positions
-    for j, z in enumerate(lam.tolist()):
-        paired = bool(waiting.get(z))
-        if not paired and z.imag != 0.0:
-            waiting.setdefault(z.conjugate(), []).append(len(keep))
-        source.append(waiting[z].pop(0) if paired else len(keep))
-        flip.append(paired)
-        if not paired:
-            keep.append(j)
-    return np.array(keep), np.array(source), np.array(flip)
-
-
 def _symbol_values(p: MLParams, t, lam):
     """The symbol E_{alpha,delta}(-t^alpha z) and its z-derivative
     -t^alpha E'_{alpha,delta}(-t^alpha z) at the eigenvalues ``lam``, as two
@@ -100,18 +79,17 @@ def _symbol_values(p: MLParams, t, lam):
     at the same points, and the expansion and cut sums of the derivative
     hold the value's.
 
-    ``lam`` is the eigenvalue array as (nb,) or (nb, 1), and ``t`` a real
-    scalar or array shaped to broadcast against it (``ts[:, None]`` against
-    (nb,), ``ts`` against (nb, 1)), giving one value per (t, z) pair.  The
-    symbol is an entire function with real Taylor coefficients, so for real
-    t its value and derivative at a conjugate eigenvalue are the conjugates
-    of those at the eigenvalue: the dispatch evaluates one member of each
-    exact conjugate pair (``_conjugate_pairs``) and conjugates it for the
-    other.  A t that is not real, or whose t^alpha is not a finite float,
-    raises ``ValueError``; so does a t > 1 at which E' falls below the
-    normal range (t = 1e110 on the README ladder), where it carries an
-    absolute error of up to half the subnormal spacing that t^alpha would
-    lift into the result.
+    ``lam`` is the (nb,) eigenvalue array and ``t`` a real scalar or an
+    (n, 1) column, giving (nb,) or (n, nb) arrays.  The symbol is an entire
+    function with real Taylor coefficients, so for real t its value and
+    derivative at conj(z) are the conjugates of those at z: an eigenvalue
+    below the real axis whose exact conjugate is in the spectrum takes the
+    conjugates of its partner's, and the dispatch evaluates each distinct
+    remaining point once.  A t that is not real, or whose t^alpha is not a
+    finite float, raises ``ValueError``; so does a t > 1 at which E' falls
+    below the normal range (t = 1e110 on the README ladder), where it
+    carries an absolute error of up to half the subnormal spacing that
+    t^alpha would lift into the result.
     """
     if np.iscomplexobj(t):
         raise ValueError(f"t must be real, got {t}")
@@ -122,14 +100,13 @@ def _symbol_values(p: MLParams, t, lam):
         ta = math.inf
     # a negative t gives a complex power (a Python float) or NaN (an array)
     _refuse_t(t, ~(np.isfinite(ta) & (not np.iscomplexobj(ta))), "t^alpha is not a finite float")
-    keep, source, flip = _conjugate_pairs(lam.ravel())
-    axis = lam.shape.index(lam.size)  # the eigenvalue axis of lam
-    e, de = _ml(p, -ta * np.take(lam, keep, axis=axis), (0, 1))
+    flip = (lam.imag < 0) & np.isin(lam.conj(), lam)
+    q, at = np.unique(np.where(flip, lam.conj(), lam), return_inverse=True)
+    e, de = _ml(p, -ta * q, (0, 1))
     _refuse_t(t, (np.abs(de) < _NORMAL_MIN) & (ta > 1.0), "the symbol's derivative underflows")
-    if keep.size < lam.size:
-        e, de = (np.take(v, source, axis=axis - lam.ndim) for v in (e, de))
-        for v in (e, de):
-            np.conjugate(v, out=v, where=flip.reshape(lam.shape))
+    e, de = e[..., at], de[..., at]
+    for v in (e, de):
+        np.conjugate(v, out=v, where=flip)
     return e, -ta * de
 
 
@@ -308,7 +285,8 @@ def laplace_check(p: PropagatorHandle, lam: float, x, nodes_per_decade: int = 48
     # the t integral is the symbol sum_j q_j E_alpha(-t_j^alpha z), one row
     # of t nodes per eigenvalue
     q = _trapezoid_weights(np.log(ts)) * ts * np.exp(-lam * ts)
-    e, de = _symbol_values(MLParams(p.alpha, 1.0), ts, p.model.lam[:, None])
+    e, de = _symbol_values(MLParams(p.alpha, 1.0), ts[:, None], p.model.lam)
+    e, de = np.ascontiguousarray(e.T), np.ascontiguousarray(de.T)
     integral = _symbol_apply(p.model, np.sum(q * e, axis=1), np.sum(q * de, axis=1), x)
     rhs = lam ** (p.alpha - 1.0) * (-resolvent_apply(p.model, -(lam**p.alpha), x))
     return float(np.linalg.norm(integral - rhs) / nx)

@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from fracwave import contour
+from fracwave import contour, propagators
 from fracwave.contour import (
     ContourSpec,
     HankelSpec,
@@ -28,7 +28,7 @@ from fracwave.operator_model import (
     resolvent_norm,
     spectral_apply,
 )
-from fracwave.propagators import _conjugate_pairs, make_propagator, prop_apply
+from fracwave.propagators import make_propagator, prop_apply
 
 RNG = np.random.default_rng(314159)
 ALPHA = 1.5
@@ -458,7 +458,17 @@ class TestCauchySums:
     @pytest.mark.parametrize("delta", [1.0, ALPHA, 2.0])
     def test_spectrum_not_closed_under_conjugation(self, monkeypatch, delta):
         m = self.nudged_ladder()
-        assert _conjugate_pairs(m.lam)[0].size == 26
+        # the oracle evaluates 26 points: 24 pairs, block 30 and block 5
+        sizes, dispatch = [], propagators._ml
+
+        def counted(p, z, orders):
+            sizes.append(np.size(z))
+            return dispatch(p, z, orders)
+
+        with monkeypatch.context() as mp:
+            mp.setattr(propagators, "_ml", counted)
+            prop_apply(make_propagator(m, ALPHA, delta=delta, representation="oracle"), 1.0, np.ones(m.dimension))
+        assert sizes == [26]
         for z, a, b in propagator_paths(monkeypatch, ladder(), delta):
             self.check(m, z, a, b)
 

@@ -491,6 +491,18 @@ class TestExponentialHistory:
         sets = fractional._propagator_sum(m, alpha, T / 4096**2, T)
         fractional._check_propagator_sum(sets, m, alpha, np.geomspace(T / 4096**2, T, 200))
 
+    @pytest.mark.parametrize("T", [1.0, 1e-3])
+    @pytest.mark.parametrize("phi", [0.0, 0.2, 0.5])
+    def test_propagator_sum_of_a_strongly_coupled_small_block(self, phi, T):
+        # s/|lambda| = 1e4: the superdiagonal's tail tau sum cw e^{-r tau}
+        # sets the top of the lattice, not |lambda| (6.0e-8 r_hi = 1.2 when it
+        # did, 12 % off the coupling at the smallest lag)
+        lam = 1e-4 * cmath.exp(1j * phi)
+        profile = build_scalar_model(lam, gamma=-0.75).profile
+        m = AlmostSectorialModel(np.array([lam]), np.array([1.0]), profile)
+        sets = fractional._propagator_sum(m, 1.5, T / 4096**2, T)
+        fractional._check_propagator_sum(sets, m, 1.5, np.geomspace(T / 4096**2, T, 200))
+
     def test_power_sum_matches_kernel(self):
         # the trapezoid nodes and the tail mode over beta, the horizon and the
         # shortest lag, at many more lags than the sum's own check

@@ -249,8 +249,8 @@ def direct_symbol(m, delta, t):
 
 
 class TestConjugatePairs:
-    """The oracle evaluates the symbol once per exact conjugate pair of
-    eigenvalues and conjugates it for the partner."""
+    """The oracle evaluates the symbol once per distinct eigenvalue, and once
+    per exact conjugate pair, whose lower member takes the conjugate."""
 
     TS = np.geomspace(0.01, 10.0, 8)
 
@@ -311,6 +311,22 @@ class TestConjugatePairs:
             f, df = direct_symbol(nudged, 1.0, t)
             for j in (5, 30):
                 assert fv[i, j] == f[j] and dv[i, j] == df[j]
+
+    def test_lower_member_first_and_a_repeat(self, monkeypatch):
+        # blocks 0 and 1 a pair listed lower member first, blocks 2 and 3 one
+        # eigenvalue twice, block 4 on its own: three conjugate classes
+        m = ladder()
+        a, b, c = m.lam[3], m.lam[7], m.lam[40]
+        lam = np.array([a.conjugate(), a, b, b, c])
+        model = AlmostSectorialModel(lam, m.coupling[:5], m.profile)
+        sizes = self.count_points(monkeypatch)
+        grid = TimeGrid(10.0, 8)
+        fv, dv = propagator_snapshots(model, ALPHA, 1.0, grid)
+        assert sizes == [3 * 8]
+        for i, t in enumerate(grid.nodes()[1:], 1):
+            f, df = direct_symbol(model, 1.0, t)
+            assert np.all(np.abs(fv[i] - f) <= 4e-15 * np.abs(f))
+            assert np.all(np.abs(dv[i] - df) <= 4e-15 * np.abs(df))
 
     @pytest.mark.parametrize(
         "model", [build_scalar_model(2.0), build_ladder_model(GAMMA, 0.0, 1e-2, 1e4, 4)]
