@@ -545,7 +545,7 @@ def _propagator_sum(m: AlmostSectorialModel, alpha: float, tau_min: float, T: fl
     x_hi = float(np.max(log_lam - spread - log_eps)) / alpha
     if np.any(m.coupling):
         x_hi = max(x_hi, math.log(-log_eps / tau_min))
-    cut = _Cut(alpha, lam)
+    cut = _Cut(alpha, np.angle(lam), log_lam)
     shifts, gaps = cut.gaps(x_lo)
     x0 = float(shifts[int(np.argmax(np.min(gaps, axis=1)))])
     j = np.arange(_mode_count(x0, x_hi, _CUT_STEP, f"E_{alpha}"))[:, None]

@@ -33,7 +33,8 @@ for:
   tau = 1, the representation the Duhamel term's exponential sums are built
   from, accepted on the running bound of the series.  One pass over the
   points either order left serves both, since the first derivative's sums
-  hold the value's.
+  hold the value's.  The node weights depend on a point only through arg z,
+  so they are built once per distinct arg z of the chunk.
 * everything else, in practice orders 2..4 outside the disc and alpha
   outside (1, 2), falls back one point at a time to an arbitrary-precision
   Taylor sum in mpmath, with the working precision chosen from the largest
@@ -116,9 +117,10 @@ _OFFSETS = 16
 #: the cut sums sum their nodes below log r = _CUT_TAIL in closed form, one
 #: row per term in (r^alpha / lambda)^m r^p, m < _TAIL_Q, p < _TAIL_R
 _CUT_TAIL, _TAIL_Q, _TAIL_R = math.log(1e-4), 4, 5
-_TAIL_M, _TAIL_P = (k[:, None] for k in np.divmod(np.arange(float(_TAIL_Q * _TAIL_R)), _TAIL_R))
+_TAIL_M, _TAIL_P = np.divmod(np.arange(float(_TAIL_Q * _TAIL_R)), _TAIL_R)
 
-#: a tile of the cut sums, nodes times points, holds about this many bytes
+#: a tile of the cut sums, nodes times points, and a table of their weights,
+#: nodes times rays, hold about this many bytes per complex array
 _CUT_TILE_BYTES = 1 << 16
 
 
@@ -453,7 +455,8 @@ def _sin_pi(x: float) -> float:
 class _Cut:
     """``E_{alpha,delta}`` by its residues and the integral along its branch cut.
 
-    For 1 < alpha < 2, delta < alpha + 1 and each entry lambda of ``lam`` (a
+    For 1 < alpha < 2, delta < alpha + 1 and each column's lambda, of
+    argument ``arg`` and log-modulus ``log_modulus`` (a scalar serves every
     column), tau^(delta-1) E_{alpha,delta}(-tau^alpha lambda) is
 
         (1/alpha) sum_sigma sigma^(1-delta) e^{sigma tau} + int_0^inf e^{-r tau} rho(r) dr,
@@ -475,9 +478,9 @@ class _Cut:
     the cut.  ``gaps`` measures how far the poles stay from the nodes.
     """
 
-    def __init__(self, alpha: float, lam: np.ndarray):
-        self.alpha, self.arg = alpha, np.angle(lam)
-        self.log_sigma = np.log(np.abs(lam)) / alpha
+    def __init__(self, alpha: float, arg: np.ndarray, log_modulus):
+        self.alpha, self.arg = alpha, arg
+        self.log_sigma = log_modulus / alpha
         # the roots on the sheets -2..1 and Im x_p of their poles
         theta = (self.arg + math.pi + 2.0 * math.pi * np.arange(-2, 2)[:, None]) / alpha
         sign = np.array([-1.0, -1.0, 1.0, 1.0])[:, None]
@@ -485,7 +488,7 @@ class _Cut:
         # the two factors of the density's denominator, each through its pole
         # nearest the axis: r^alpha + lambda e^{-+i pi alpha}
         # = |lambda| e^{i phi} expm1(alpha (x - log|sigma|) - i phi), phi = alpha Im x_p
-        self.cols = np.arange(lam.size)
+        self.cols = np.arange(arg.size)
         self.phi = [
             alpha * v[np.argmin(np.abs(v), axis=0), self.cols] for v in (im_p[:2], im_p[2:])
         ]
@@ -542,27 +545,41 @@ class _Cut:
         return r, weights, sigma_kept, np.where(self.keep, w, 0.0)
 
 
-def _cut_tail(alpha: float, delta: float, z: np.ndarray, r_c: np.ndarray):
+@functools.lru_cache(maxsize=64)
+def _tail_table(alpha: float, delta: float, order: int):
+    """The powers s of ``_cut_tail``'s terms, one per (m, p) of ``_TAIL_M``,
+    ``_TAIL_P``, their coefficients and the factor of the bound on the terms
+    left out, row k of both for the k-th derivative, k <= ``order``."""
+    s = alpha - delta + 1.0 + alpha * _TAIL_M + _TAIL_P
+    # U_m(-cos(pi alpha)) = sin((m + 1) t) / sin(t), t = pi (alpha - 1)
+    t, sd, sad = math.pi * (alpha - 1.0), _sin_pi(delta), _sin_pi(alpha - delta)
+    cm = [math.sin(m * t) * sd - math.sin((m + 1) * t) * sad for m in range(_TAIL_Q)]
+    c = [x * (-1.0) ** p / math.factorial(p) for x in cm for p in range(_TAIL_R)]
+    coef = _CUT_STEP / (math.pi * math.sin(t)) * np.array(c) / np.expm1(s * _CUT_STEP)
+    # the k-th derivative's tail terms r^p by 1 - delta + p, its rest by at
+    # most (|1 - delta| + P) / alpha, as |z| >= 1
+    k = np.arange(order + 1)[:, None]
+    rest = (2 * _TAIL_Q + 2) / (3.0 * (alpha - delta + 1.0)) * ((abs(1.0 - delta) + _TAIL_R) / alpha) ** k
+    return s, (coef * (1.0 - delta + _TAIL_P) ** k)[:, None], rest
+
+
+def _cut_tail(alpha: float, delta: float, z: np.ndarray, r_c: np.ndarray, order: int):
     """The nodes x_c - j h, j >= 1, below each point's lowest node r_c <= 1e-4,
-    in closed form (delta < alpha, |z| >= 1): the terms, one row per (m, p)
-    of ``_TAIL_M``, ``_TAIL_P``, and a bound on those left out.  With
-    lambda = -z and a = alpha - delta + 1, a node's h r rho(r) e^{-r} is
+    in closed form (delta < alpha, |z| >= 1): the terms, one row per point
+    and one column per (m, p) of ``_TAIL_M``, ``_TAIL_P``, and a bound on
+    those left out, row k of each for the k-th derivative, k <= ``order``,
+    the terms less their factor 1 / (alpha z).  With lambda = -z and
+    a = alpha - delta + 1, a node's h r rho(r) e^{-r} is
     h sum_{m,p} C_m lambda^(-m-1) (-1)^p / p! r^s, s = a + m alpha + p,
     C_m = (U_{m-1} sin(pi delta) - U_m sin(pi (alpha - delta))) / pi, U_m the
     Chebyshev polynomials of the second kind at -cos(pi alpha), U_{-1} = 0,
     and the nodes sum r^s to r_c^s / expm1(s h).  As |C_m| <= (2m + 1) / pi,
     h / expm1(s h) <= 1 / a and |r^alpha / lambda| <= r, the terms m >= M or
     p >= P (``_TAIL_Q``, ``_TAIL_R``) sum to below (2M + 2) r_c^(a+M) / (3 a)."""
-    a = alpha - delta + 1.0
-    s = a + alpha * _TAIL_M + _TAIL_P
-    # U_m(-cos(pi alpha)) = sin((m + 1) t) / sin(t), t = pi (alpha - 1)
-    t, sd, sad = math.pi * (alpha - 1.0), _sin_pi(delta), _sin_pi(alpha - delta)
-    cm = [math.sin(m * t) * sd - math.sin((m + 1) * t) * sad for m in range(_TAIL_Q)]
-    c = [x * (-1.0) ** p / math.factorial(p) for x in cm for p in range(_TAIL_R)]
-    coef = _CUT_STEP / (math.pi * math.sin(t)) * np.array(c)[:, None] / np.expm1(s * _CUT_STEP)
+    s, coef, rest = _tail_table(alpha, delta, order)
     log_rc = np.log(r_c)
-    terms = coef * np.exp(s * log_rc - (_TAIL_M + 1.0) * np.log(-z))
-    return terms, (2 * _TAIL_Q + 2) / (3.0 * a) * np.exp((a + _TAIL_Q) * log_rc)
+    terms = coef * np.exp(s * log_rc[:, None] - (_TAIL_M + 1.0) * np.log(-z)[:, None])
+    return terms, rest * np.exp((alpha - delta + 1.0 + _TAIL_Q) * log_rc)
 
 
 def _cut_sums(alpha: float, delta: float, z: np.ndarray, order: int):
@@ -574,51 +591,81 @@ def _cut_sums(alpha: float, delta: float, z: np.ndarray, order: int):
     where the cut decays slowly at r = 0, E_{alpha,delta}(z) =
     (E_{alpha,delta-alpha}(z) - 1/Gamma(delta-alpha)) / z, without
     cancellation in the decay sector, where E_{alpha,delta-alpha} tends to 0.
-    Each point has its own lattice offset and a fixed number of terms per
-    sum, so its bits do not depend on the other points.  The lattice starts
-    within a step below x_c = ``_CUT_TAIL``; ``_cut_tail`` sums the nodes
-    below it in closed form, and its terms and its bound on those it leaves
-    out join the nodes' terms and moduli.  At the top e^{-r} is below eps^2.
+
+    A point's nodes lie at the offsets d = h (j - 1/2) from log|sigma|,
+    |sigma| = |z|^(1/alpha), so its poles all sit half a step off them, where
+    |1 - rho e^{-+2 pi i o}|, rho <= 1, is largest.  Their weights depend on
+    the point only through arg z and d, times |sigma|^(1-delta): they are
+    built once per ray, a ``_Cut`` column at |lambda| = 1 for each distinct
+    arg z, on a window of j holding its points' nodes and j = 0, from which
+    ``modes`` weights the poles.  Each point sums a fixed number of nodes of
+    that window on its own row, so its bits do not depend on the other
+    points.  The lattice starts within a step below x_c = ``_CUT_TAIL``;
+    ``_cut_tail`` sums the nodes below it in closed form, its terms and its
+    bound on those it leaves out joining the nodes'.  At the top e^{-r} is
+    below eps^2.
     """
     ladder = []  # the deltas above alpha, reached from delta - k alpha
     while delta >= alpha:
         ladder.append(delta)
         delta -= alpha
-    # the first node lies within a step below x_c
-    n = int(math.ceil((math.log(-2.0 * math.log(_CUT_EPS)) - _CUT_TAIL) / _CUT_STEP)) + 2
-    steps = np.arange(n)[:, None]
+    step = _CUT_STEP
+    n = int(math.ceil((math.log(-2.0 * math.log(_CUT_EPS)) - _CUT_TAIL) / step)) + 2
+    # the points sorted by ray, arg lambda = arg(-z): ray k holds edges[k] to edges[k + 1]
+    arg = np.angle(-z)
+    perm = np.argsort(arg, kind="stable")
+    zs, arg = z[perm], arg[perm]
+    heads = np.flatnonzero(np.concatenate(([True], arg[1:] != arg[:-1])))
+    ray, edges = np.searchsorted(arg[heads], arg), heads.tolist() + [z.size]
+    log_sigma = np.log(np.abs(zs)) / alpha
+    modulus, scale = np.exp(log_sigma), np.exp((1.0 - delta) * log_sigma)
+    # each point's lowest node j, within a step below x_c, and each ray's
+    # window of j, from its lowest node to its highest and to j = 0
+    first = np.floor((_CUT_TAIL + 0.5 * step - log_sigma) / step).astype(int)
+    lo = np.minimum.reduceat(first, heads)
+    width = int((np.maximum(np.maximum.reduceat(first, heads), 1 - n) - lo).max()) + n
+    group = max(1, _CUT_TILE_BYTES // (16 * width))  # rays per table
+    col = ray % group
+    pos = col * width + first - lo[ray]  # each point's lowest node in its table
+    tile = max(1, _CUT_TILE_BYTES // (16 * (n + _TAIL_Q * _TAIL_R)))  # points per tile
+    nodes = np.arange(n)
     values, bounds = np.empty((order + 1, z.size), dtype=complex), np.empty((order + 1, z.size))
-    tile = max(1, _CUT_TILE_BYTES // (16 * (n + _TAIL_Q * _TAIL_R)))
     with np.errstate(over="ignore", invalid="ignore"):
-        for lo in range(0, z.size, tile):
-            zt = z[lo : lo + tile]
-            cut = _Cut(alpha, -zt)
-            # each point's lattice has its origin next to log|sigma|, so that
-            # the nodes by its poles carry the rounding of a few steps, not of
-            # |x_c| steps, which the poles' nearly singular terms amplify; its
-            # poles all sit one fraction o of a step off the nodes, and each
-            # |1 - rho e^{-+2 pi i o}|, rho <= 1, is largest at o = 1/2
-            x0 = cut.log_sigma - 0.5 * _CUT_STEP
-            j = np.floor((_CUT_TAIL - x0) / _CUT_STEP).astype(int) + steps
-            rates, w, sigma, pw = cut.modes(delta, x0, j)
-            tail, rest = _cut_tail(alpha, delta, zt, rates[0])
-            nodes, poles = np.concatenate((w * np.exp(-rates), tail)), pw * np.exp(sigma)
-            for k in range(order + 1):
-                if k:
-                    # the tail's r^p by 1 - delta + p, its rest by <= |1 - delta| + P
-                    nodes[:n] *= (1.0 - delta - rates) / (alpha * zt)
-                    nodes[n:] *= (1.0 - delta + _TAIL_P) / (alpha * zt)
-                    poles *= (1.0 - delta + sigma) / (alpha * zt)
-                    rest *= (abs(1.0 - delta) + _TAIL_R) / alpha
-                # points by rows, each summed over its own contiguous row
-                terms = np.ascontiguousarray(nodes.T)
-                v, b = terms.sum(axis=1), np.abs(terms).sum(axis=1) + rest
-                # one root at a time, in sheet order; e^{sigma} inherits the
-                # rounding of sigma, a few ulps of |sigma|
-                for row, root in zip(poles, sigma):
-                    v += row
-                    b += np.abs(row) * (1.0 + np.abs(root))
-                values[k, lo : lo + tile], bounds[k, lo : lo + tile] = v, b
+        for g in range(0, heads.size, group):
+            cut = _Cut(alpha, arg[heads[g : g + group]], 0.0)
+            j = lo[g : g + group] + np.arange(width)[:, None]
+            unit, w, sigma, pw = cut.modes(delta, -0.5 * step, j)
+            # a row per ray of each: the rates at |sigma| = 1, Re w, Im w, |w|
+            table = np.concatenate((unit, w.real, w.imag, np.abs(w)), axis=1).T.reshape(4, -1)
+            sigma, pw = sigma.T.copy(), pw.T.copy()
+            a, b = edges[g], edges[min(g + group, heads.size)]
+            tiles = max(1, round((b - a) / tile))
+            for i in range(tiles):
+                sl = slice(a + (b - a) * i // tiles, a + (b - a) * (i + 1) // tiles)
+                t = np.take(table, pos[sl, None] + nodes, axis=1)
+                sig, c = modulus[sl], col[sl]
+                rates, roots = t[0] * sig[:, None], sigma[c] * sig[:, None]
+                f, poles = np.exp(-rates)[None], (pw[c] * np.exp(roots))[None]
+                if order:
+                    f = np.concatenate((f, f * (1.0 - delta - rates)))
+                    poles = np.concatenate((poles, poles * (1.0 - delta + roots)))
+                # each point summed over its own contiguous rows, in reals
+                terms = t[1:, None] * f
+                np.abs(terms[2], out=terms[2])
+                re, im, mod = terms.sum(axis=3)
+                # the closed tail and the poles, a row per point; e^{sigma}
+                # inherits the rounding of sigma, a few ulps of |sigma|
+                tail, rest = _cut_tail(alpha, delta, zs[sl], rates[:, 0], order)
+                sc = scale[sl]
+                v = sc * (re + 1j * im + poles.sum(axis=2)) + tail.sum(axis=2)
+                e = sc * (mod + (1.0 + sig) * np.abs(poles).sum(axis=2)) + np.abs(tail).sum(axis=2)
+                if order:
+                    # not in place: numpy's in-place complex arithmetic on one
+                    # element rounds differently from its array loop
+                    v[1] = v[1] / (alpha * zs[sl])
+                    e[1] /= alpha * np.abs(zs[sl])
+                p = perm[sl]
+                values[:, p], bounds[:, p] = v, e + rest
     r = np.abs(z)
     for d in reversed(ladder):
         c = reciprocal_gamma(d - alpha)

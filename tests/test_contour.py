@@ -481,19 +481,24 @@ class TestCauchySums:
         }[model]()
         self.check(m, *half_path(np.random.default_rng(8), 300, real_node=True))
 
-    @pytest.mark.parametrize("weights", ["random", "calculus", "calculus-ml"])
+    @pytest.mark.parametrize("weights", ["random", "calculus"])
     def test_mirror_weights_not_conjugate(self, monkeypatch, weights):
         if weights == "random":
             rng = np.random.default_rng(7)
             z, a, _ = half_path(rng, 501)
             b = rng.standard_normal(501) + 1j * rng.standard_normal(501)
-        elif weights == "calculus":
+        else:
             # f without real Taylor coefficients: f(conj z) != conj f(z)
             z, a, b = calculus_path(monkeypatch, lambda z: 1j / (1.0 + z))
-        else:
-            # E_1.5(-z), conjugate-symmetric up to the last bit of ml_eval
-            z, a, b = calculus_path(monkeypatch, ml_pair(1.0)[0])
         assert not np.array_equal(b, a.conj())
+        self.check(ladder(), z, a, b)
+
+    def test_ml_mirror_weights(self, monkeypatch):
+        # E_1.5(-z): ml_eval gives the conjugate nodes of the README ladder's
+        # default contour the conjugate bits, its cut nodes included, whose
+        # node weights are built once per ray from arg z
+        z, a, b = calculus_path(monkeypatch, ml_pair(1.0)[0])
+        assert np.array_equal(b, a.conj())
         self.check(ladder(), z, a, b)
 
     @pytest.mark.parametrize("f", ["1/(1+z)", "1j/(1+z)", "ml"])

@@ -555,40 +555,114 @@ class TestCutRegime:
                     total += z.size
         assert accepted >= 0.95 * total
 
+    @staticmethod
+    def on_ray(r, arg):
+        """Points z of modulus about ``r`` with np.angle(-z) == ``arg`` exactly:
+        -z = r e^{i arg}, the nearest point within a few ulps of each part."""
+        z = []
+        ulps = np.arange(-6, 7)
+        for lam in r * np.exp(1j * arg):
+            near = (lam.real + ulps * np.spacing(lam.real))[:, None] + 1j * (
+                lam.imag + ulps * np.spacing(lam.imag)
+            )
+            hit = np.angle(near) == arg
+            assert hit.any()
+            near, hit = near.ravel(), hit.ravel()
+            z.append(-near[hit][np.argmin(np.abs(near[hit] - lam))])
+        return np.array(z)
+
     @pytest.mark.parametrize("alpha", [1.05, 1.5, 1.95])
     def test_closed_tail_equals_the_nodes_it_replaces(self, monkeypatch, alpha):
-        # 300 lattice nodes below each point's lowest node, by ``_Cut.modes``,
-        # against the closed sum that stands for them and all the nodes below
+        # 300 lattice nodes below each point's lowest node, by ``_Cut.modes``
+        # on the point's ray, against the closed sum that stands for them and
+        # all the nodes below
         rng = np.random.default_rng(20261104)
         lattices = self.record_lattices(monkeypatch)
         for d in (0.0, 1.0, alpha, 2.0, alpha + 1.0):
             while d >= alpha:  # the delta of the sums the lattice serves
                 d -= alpha
-            z = self.sample(rng, alpha, 4, 1.0, 200.0)
-            lattices.clear()
-            _, bounds = mittag_leffler._cut_sums(alpha, d, z, 1)
-            ((cut, x0, j),) = lattices  # one tile
-            below = j[0] - np.arange(300, 0, -1)[:, None]
-            rates, w, _, _ = cut.modes(d, x0, np.vstack([j[:1], below]))
-            tail, _ = mittag_leffler._cut_tail(alpha, d, z, rates[0])
-            rates, nodes = rates[1:], w[1:] * np.exp(-rates[1:])
-            for k in (0, 1):
-                if k:
-                    nodes = nodes * (1.0 - d - rates) / (alpha * z)
-                    tail = tail * (1.0 - d + mittag_leffler._TAIL_P) / (alpha * z)
-                gap = np.abs(nodes.sum(axis=0) - tail.sum(axis=0))
-                assert np.all(gap <= 1e-14 * bounds[k]), (d, k)
-                assert np.all(gap <= 1e-13 * np.abs(tail).sum(axis=0)), (d, k)
+            for z in self.sample(rng, alpha, 4, 1.0, 200.0):
+                z = np.array([z])
+                lattices.clear()
+                _, bounds = mittag_leffler._cut_sums(alpha, d, z, 1)
+                ((cut, x0, j),) = lattices  # a lone point's ray starts at its lowest node
+                below = j[0] - np.arange(300, 0, -1)[:, None]
+                unit, w, _, _ = cut.modes(d, x0, np.vstack([j[:1], below]))
+                sigma = np.abs(z) ** (1.0 / alpha)
+                rates = sigma * unit
+                tail, _ = mittag_leffler._cut_tail(alpha, d, z, rates[0], 1)
+                rates, nodes = rates[1:], sigma ** (1.0 - d) * w[1:] * np.exp(-rates[1:])
+                for k in (0, 1):
+                    if k:
+                        nodes = nodes * (1.0 - d - rates)
+                    gap = np.abs(nodes.sum(axis=0) - tail[k].sum(axis=1)) / np.abs(alpha * z) ** k
+                    assert np.all(gap <= 1e-14 * bounds[k]), (d, k, z)
+                    tail_sum = np.abs(tail[k]).sum(axis=1) / np.abs(alpha * z) ** k
+                    assert np.all(gap <= 1e-13 * tail_sum), (d, k, z)
 
     def test_nodes_per_point(self, monkeypatch):
         # the lattice starts within a step below x_c = log 1e-4 for every
-        # delta, so each point sums 62 nodes before the closed tail
+        # delta, so each point sums 62 nodes before the closed tail: alone on
+        # its ray, the point's window is those nodes
         lattices = self.record_lattices(monkeypatch)
         z = self.sample(np.random.default_rng(20261105), 1.5, 20, 1.0, 200.0)
         for d in (0.0, 1.0, 1.5, 2.0, 2.5):
+            for zi in z:
+                lattices.clear()
+                mittag_leffler._cut_sums(1.5, d, np.array([zi]), 1)
+                ((_, _, j),) = lattices
+                assert j.shape == (j.shape[0], 1) and j.shape[0] <= 70
+
+    def test_weights_once_per_ray(self, monkeypatch):
+        # 500 points of one ray share one window of node weights, ~78 nodes
+        # for |z| on [1, 200], instead of 62 nodes built for each point
+        lattices = self.record_lattices(monkeypatch)
+        rng = np.random.default_rng(20261107)
+        r = np.exp(rng.uniform(0.0, math.log(200.0), 500))
+        z = self.on_ray(r, float(np.angle(-cmath.exp(0.9j * math.pi))))
+        mittag_leffler._cut_sums(1.5, 1.0, z, 1)
+        assert sum(j.size for _, _, j in lattices) <= 2 * 80
+
+    @pytest.mark.parametrize("alpha", [1.2, 1.5, 1.95])
+    def test_shared_rays(self, monkeypatch, alpha):
+        # a few rays with many points each, two of them one ulp apart, and
+        # moduli past the top of a lone point's window, where the ray's window
+        # is stretched up to the node nearest the poles: the array call gives
+        # each point the bits of its scalar call, and the values the cut
+        # accepts hold its tolerances
+        rng = np.random.default_rng(20261106)
+        args = [float(np.angle(-cmath.exp(1j * a * math.pi))) for a in (0.9, -0.7, 0.3)]
+        args.insert(1, float(np.nextafter(args[0], math.inf)))
+        z = np.concatenate([self.on_ray(np.exp(rng.uniform(0.0, math.log(5e3), 6)), a) for a in args])
+        assert np.unique(np.angle(-z)).size == len(args)
+        lattices = self.record_lattices(monkeypatch)
+        accepted = []
+        regime = mittag_leffler._cut
+
+        def recorded(alpha, delta, z, r, order):
+            values, oks = regime(alpha, delta, z, r, order)
+            for k in range(order + 1):
+                accepted.extend((delta, zi, k, v) for zi, v in zip(z[oks[k]], values[k][oks[k]]))
+            return values, oks
+
+        monkeypatch.setattr(mittag_leffler, "_cut", recorded)
+        for d in (0.0, 1.0, alpha, 2.0, alpha + 1.0):
+            got = mittag_leffler._cut_sums(alpha, d, z, 1)
             lattices.clear()
-            mittag_leffler._cut_sums(1.5, d, z, 1)
-            assert lattices and max(j.shape[0] for _, _, j in lattices) <= 70
+            want = [mittag_leffler._cut_sums(alpha, d, z[i : i + 1], 1) for i in range(z.size)]
+            assert np.array_equal(got[0], np.hstack([v for v, _ in want]))
+            assert np.array_equal(got[1], np.hstack([b for _, b in want]))
+            # below alpha = 1.5 some lone points' windows reach up past their
+            # own nodes (|z| > e^(4.57 alpha)), to the node nearest the poles
+            assert alpha > 1.5 or len({j.shape[0] for _, _, j in lattices}) > 1
+            p = MLParams(alpha, d)
+            e, de = mittag_leffler._ml(p, z, (0, 1))
+            want = np.array([mittag_leffler._ml(p, complex(zi), (0, 1)) for zi in z])
+            assert np.array_equal(e, want[:, 0]) and np.array_equal(de, want[:, 1])
+        assert accepted
+        for d, zi, k, v in accepted:
+            ref = reference_series_mp(alpha, d, complex(zi), k)
+            assert abs(v - ref) <= (1e-11 if k else 1e-13) * abs(ref), (d, zi, k)
 
     def test_half_step_keeps_every_pole_off_the_nodes(self):
         # relative to an origin o/16 of a step below log|sigma|, all of a
@@ -600,7 +674,7 @@ class TestCutRegime:
         for a in (1.05, 1.2, 1.5, 1.8, 1.95):
             r = np.exp(rng.uniform(0.0, math.log(1e4), 200))
             for z in r * np.exp(1j * rng.uniform(-math.pi, math.pi, 200)):
-                cut = mittag_leffler._Cut(a, np.array([-z]))
+                cut = mittag_leffler._Cut(a, np.angle([-z]), np.log(np.abs([z])))
                 shifts, gaps = cut.gaps(float(cut.log_sigma[0]))
                 assert shifts[half] == cut.log_sigma[0] - 0.5 * mittag_leffler._CUT_STEP
                 assert gaps[half, 0] >= (1.0 - 1e-15) * np.max(gaps[:, 0]), (a, z)
