@@ -74,11 +74,7 @@ _CONTOUR_MARGIN = 1e2
 _CONTOUR_TAIL_TOL = 1e-10
 
 
-def default_contour(
-    m: AlmostSectorialModel,
-    t_alpha_scale: float = 1.0,
-    nodes_per_decade: int = 96,
-) -> ContourSpec:
+def default_contour(m: AlmostSectorialModel, t_alpha_scale: float = 1.0) -> ContourSpec:
     """Contour covering the model's spectral range with truncation margin.
 
     ``t_alpha_scale`` is the factor multiplying z inside f (typically
@@ -99,12 +95,7 @@ def default_contour(
             f"contour's r_max beyond the floats"
         )
     r_max = max(hi * _CONTOUR_MARGIN, math.exp(log_tail), r_min * 1e4)
-    return ContourSpec(
-        theta=m.profile.theta,
-        r_min=r_min,
-        r_max=r_max,
-        nodes_per_decade=nodes_per_decade,
-    )
+    return ContourSpec(theta=m.profile.theta, r_min=r_min, r_max=r_max)
 
 
 # eigenvalue points per block of the Cauchy sums: blocks of 4-16 time
@@ -159,6 +150,9 @@ def _gamma_path_sum(m, f, c, x, refine=1):
     dn = cmath.exp(-1j * c.theta)
     z = np.concatenate([r * dn, r * up])
     fz = np.broadcast_to(f(z), z.shape)
+    bad = ~np.isfinite(fz)
+    if np.any(bad):
+        raise ValueError(f"f is not finite at the node z={complex(z[bad][0])}")
     a, b = np.split(fz * np.concatenate([w * dn, -w * up]) / (2.0j * math.pi), 2)
     return _symbol_apply(m, *_path_symbols(m, z[: r.size], a, b), _check_vector(m, x)), z, fz
 
@@ -174,7 +168,8 @@ def calculus_apply(
 
     The path runs in along the upper ray and out along the lower one, so
     the spectral sector lies to the left.  ``f`` is called once, on the
-    array of path nodes, and may return a scalar, which is broadcast.  With
+    array of path nodes, and may return a scalar, which is broadcast; a
+    value that is not finite raises ``ValueError`` naming its node.  With
     ``return_error=True`` also returns the two-grid difference against half
     the node density (an estimate, not a bound; it calls ``f`` once more).
     """

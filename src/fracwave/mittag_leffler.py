@@ -727,6 +727,9 @@ def _ml_chunk(p: MLParams, z: np.ndarray, orders: tuple) -> np.ndarray:
     for i, order in enumerate(orders):
         for j in np.flatnonzero(rest[i]):
             out[i, j] = _series_mp(p.alpha, p.delta, complex(z[j]), order)
+    # the Taylor coefficients are real, so a real z has a real value; the
+    # cut sums' complex factors leave rounding in its imaginary part
+    out.imag[:, z.imag == 0] = 0.0
     return out
 
 

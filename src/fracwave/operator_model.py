@@ -178,12 +178,12 @@ def build_ladder_model(
     return AlmostSectorialModel(lam=lam, coupling=s, profile=profile)
 
 
-def build_scalar_model(a: complex, gamma: float = -0.5, omega: float | None = None) -> AlmostSectorialModel:
-    """Single diagonal block (s = 0): the scalar operator x -> a*x."""
+def build_scalar_model(a: complex, gamma: float = -0.5) -> AlmostSectorialModel:
+    """Single diagonal block (s = 0): the scalar operator x -> a*x, with
+    sector half-angle omega just above |arg a|."""
     a = complex(a)
     ang = abs(math.atan2(a.imag, a.real))
-    if omega is None:
-        omega = min(ang + 1e-9, math.pi - 1e-6) if ang > 0 else 0.0
+    omega = min(ang + 1e-9, math.pi - 1e-6) if ang > 0 else 0.0
     theta, mu = _default_angles(omega)
     profile = SectorProfile(omega=omega, gamma=gamma, mu=mu, theta=theta)
     return AlmostSectorialModel(

@@ -19,9 +19,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .contour import HankelSpec, _gamma_propagator, calculus_apply, default_contour, hankel_propagator
+from .contour import HankelSpec, _gamma_propagator, hankel_propagator
 from .fractional import Kernel, TimeGrid, Trajectory, _csv, _trapezoid_weights, rl_integral
-from .mittag_leffler import BoundReport, MLParams, _ml, ml_eval, reciprocal_gamma
+from .mittag_leffler import BoundReport, MLParams, _ml, reciprocal_gamma
 from .operator_model import AlmostSectorialModel, _symbol_apply, _symbol_norms, resolvent_apply
 from .operator_model import apply as op_apply
 
@@ -226,39 +226,12 @@ def prop_time_derivative(p: PropagatorHandle, t: float, n: int, x) -> np.ndarray
     return t ** (p.delta - n - 1.0) * _apply(p, t, x, p.delta - n, p.representation)
 
 
-def a_prop_apply(
-    p: PropagatorHandle, t: float, x, via: str = "apply"
-) -> np.ndarray:
-    """A E_{alpha,delta}(-t^alpha A) x.
-
-    ``via='apply'`` composes A with prop_apply; ``via='contour'`` applies
-    the calculus directly to the symbol z * E_{alpha,delta}(-t^alpha z)
-    (which still decays on the contour since E(..) falls like 1/|t^alpha z|^2
-    for the delta = alpha - n family).  Either way t = 0 gives the limit
-    A x / Gamma(delta), and a t that is negative or not finite, or whose
-    t^alpha is not a finite float, raises ``ValueError``.
-
-    ``via='contour'`` loses accuracy as t falls: the symbol grows like z
-    out to |z| ~ t^-alpha before it decays, and the rounding of those terms
-    stays in the sum.  At delta = alpha on the README ladder its relative
-    gap to ``via='apply'`` is about 9e-17 t^-alpha (2.4e-13 at t = 1e-2,
-    9.0e-5 at 1e-8, 90 at 1e-12).  A t whose contour would reach past the
-    floats (t^alpha ~ 1e-300 there) raises ``ValueError`` naming t.
-    """
-    x = np.asarray(x, dtype=complex).ravel()
-    if via not in ("apply", "contour"):
-        raise ValueError(f"unknown via={via!r}")
-    if via == "apply" or t == 0.0:
-        return op_apply(p.model, prop_apply(p, t, x))
-    if not (0.0 < t < math.inf and p.alpha * math.log(t) < math.log(np.finfo(float).max)):
-        raise ValueError(f"t={t}: t must be nonnegative and finite, and t^alpha a finite float")
-    ml, ta = MLParams(p.alpha, p.delta), t**p.alpha
-    try:
-        contour = default_contour(p.model, t_alpha_scale=ta)
-    except ValueError as e:
-        raise ValueError(f"t={t}: the symbol decays only past |z| ~ t^-alpha, and {e}") from None
-    g = lambda z: z * ml_eval(ml, -ta * z)
-    return calculus_apply(p.model, g, contour, x)
+def a_prop_apply(p: PropagatorHandle, t: float, x) -> np.ndarray:
+    """A E_{alpha,delta}(-t^alpha A) x: A applied to ``prop_apply``'s
+    vector, through the handle's own representation.  t = 0 gives the limit
+    A x / Gamma(delta); a t that is negative or not finite, or whose route
+    refuses it, raises ``ValueError`` as ``prop_apply`` does."""
+    return op_apply(p.model, prop_apply(p, t, x))
 
 
 def laplace_check(p: PropagatorHandle, lam: float, x, nodes_per_decade: int = 48) -> float:
@@ -292,47 +265,40 @@ def laplace_check(p: PropagatorHandle, lam: float, x, nodes_per_decade: int = 48
     return float(np.linalg.norm(integral - rhs) / nx)
 
 
-def _g_conv(p: PropagatorHandle, t: float, beta: float, x, method: str, n_grid: int):
-    """(g_beta * E_alpha)(t) x through the oracle: ``method='oracle'`` by the
-    series identity t^beta E_{alpha,1+beta}(-t^alpha A) x, ``method='grid'``
-    by product integration of snapshots on a graded grid (grid-order
-    accurate)."""
-    if method == "oracle":
-        return t**beta * _apply(p, t, x, 1.0 + beta, "oracle")
-    if method != "grid":
-        raise ValueError(f"unknown method {method!r}")
-    grid = TimeGrid(t, n_grid, grading=2.0)
-    snaps = _symbol_apply(p.model, *propagator_snapshots(p.model, p.alpha, 1.0, grid), x)
-    return rl_integral(Kernel(beta), Trajectory(grid, snaps)).values[-1]
-
-
 def derivative_identity_check(
     p: PropagatorHandle, t: float, x, method: str = "grid", n_grid: int = 2048
 ) -> float:
     """Relative residual of d/dt E_alpha(-t^alpha A)x = -A (g_{alpha-1} * E_alpha)(t) x.
 
-    ``method='grid'`` evaluates the convolution by product integration on a
-    graded grid (grid-order accurate); ``method='oracle'`` uses the exact
-    series identity (g_{alpha-1} * E_alpha)(t) = t^{alpha-1} E_{alpha,alpha}.
+    The left side is the oracle's shift rule t^-1 E_{alpha,0}(-t^alpha A) x.
+    ``method='grid'`` forms the convolution by product integration of
+    oracle snapshots on a graded grid of ``n_grid`` steps (grid-order
+    accurate); ``method='oracle'`` by the exact series identity
+    (g_{alpha-1} * E_alpha)(t) = t^{alpha-1} E_{alpha,alpha}(-t^alpha A).
     """
+    if method not in ("grid", "oracle"):
+        raise ValueError(f"unknown method {method!r}")
     x = np.asarray(x, dtype=complex).ravel()
     if np.all(x == 0):
         return 0.0
     lhs = prop_time_derivative(replace(p, delta=1.0, representation="oracle"), t, 1, x)
-    rhs = -op_apply(p.model, _g_conv(p, t, p.alpha - 1.0, x, method, n_grid))
+    beta = p.alpha - 1.0
+    if method == "oracle":
+        conv = t**beta * _apply(p, t, x, p.alpha, "oracle")
+    else:
+        grid = TimeGrid(t, n_grid, grading=2.0)
+        snaps = _symbol_apply(p.model, *propagator_snapshots(p.model, p.alpha, 1.0, grid), x)
+        conv = rl_integral(Kernel(beta), Trajectory(grid, snaps)).values[-1]
+    rhs = -op_apply(p.model, conv)
     scale = np.linalg.norm(lhs) + np.linalg.norm(rhs) + 1e-300
     return float(np.linalg.norm(lhs - rhs) / scale)
 
 
-def uno_identity_check(
-    p: PropagatorHandle, t: float, x, method: str = "oracle", n_grid: int = 2048
-) -> float:
+def uno_identity_check(p: PropagatorHandle, t: float, x) -> float:
     """Relative residual of A (g_alpha * E_alpha)(t) x = x - E_alpha(-t^alpha A) x.
 
-    The convolution uses the exact series identity
-    (g_alpha * E_alpha)(t) = t^alpha E_{alpha,1+alpha}(-t^alpha A) by default
-    ('oracle'); 'grid' uses product integration instead (grid-order accurate,
-    amplified by ||A|| on stiff models, so best reserved for scalar checks).
+    Both sides go through the oracle, the convolution by the exact series
+    identity (g_alpha * E_alpha)(t) = t^alpha E_{alpha,1+alpha}(-t^alpha A).
     """
     gamma = p.model.profile.gamma
     if p.alpha * (1.0 + gamma) >= 1.0:
@@ -341,7 +307,7 @@ def uno_identity_check(
     nx = np.linalg.norm(x)
     if nx == 0.0:
         return 0.0
-    lhs = op_apply(p.model, _g_conv(p, t, p.alpha, x, method, n_grid))
+    lhs = op_apply(p.model, t**p.alpha * _apply(p, t, x, 1.0 + p.alpha, "oracle"))
     rhs = x - _apply(p, t, x, 1.0, "oracle")
     return float(np.linalg.norm(lhs - rhs) / nx)
 

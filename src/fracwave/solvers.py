@@ -389,6 +389,8 @@ class HoelderEstimate:
 
 #: values of f per block of node pairs in ``hoelder_modulus``
 _PAIR_BLOCK = 1 << 16
+#: log-gap bins of ``hoelder_modulus``
+_HOELDER_BINS = 24
 
 
 def _node_pairs(f: Trajectory, floor: float):
@@ -408,7 +410,7 @@ def _node_pairs(f: Trajectory, floor: float):
         yield gaps[good], diffs[good]
 
 
-def hoelder_modulus(f: Trajectory, n_bins: int = 24) -> HoelderEstimate:
+def hoelder_modulus(f: Trajectory) -> HoelderEstimate:
     """Empirical Hoelder exponent from the worst-case modulus of continuity.
 
     Node pairs are binned by log gap; the fit runs on the per-bin maximum
@@ -427,10 +429,10 @@ def hoelder_modulus(f: Trajectory, n_bins: int = 24) -> HoelderEstimate:
         lo, hi = min(lo, gaps.min(initial=math.inf)), max(hi, gaps.max(initial=-math.inf))
     if n_good < n * (n - 1) // 4:
         return HoelderEstimate(nu=1.0, degenerate=True)
-    edges = np.geomspace(lo, hi * (1 + 1e-12), n_bins + 1)
-    peak = np.zeros(n_bins)  # every distance kept exceeds floor > 0
+    edges = np.geomspace(lo, hi * (1 + 1e-12), _HOELDER_BINS + 1)
+    peak = np.zeros(_HOELDER_BINS)  # every distance kept exceeds floor > 0
     for gaps, diffs in _node_pairs(f, floor):
-        which = np.clip(np.searchsorted(edges, gaps, side="right") - 1, 0, n_bins - 1)
+        which = np.clip(np.searchsorted(edges, gaps, side="right") - 1, 0, _HOELDER_BINS - 1)
         np.maximum.at(peak, which, diffs)
     filled = np.flatnonzero(peak)
     if filled.size < 4:

@@ -70,6 +70,12 @@ class TestMl:
         assert main(["ml", "--alpha", "1.5", "--delta", "1", "--z=-2,0.5"]) == 0
         assert complex(capsys.readouterr().out.strip()) == ml_eval(MLParams(1.5, 1), -2 + 0.5j)
 
+    def test_real_argument_prints_a_real_value(self, capsys):
+        assert main(["ml", "--alpha", "1.5", "--z=-2"]) == 0
+        out = capsys.readouterr().out.strip()
+        assert "j" not in out
+        assert float(out) == ml_eval(MLParams(1.5, 1), -2.0).real
+
     @pytest.mark.parametrize("extra", [[], ["--derivative", "1"]])
     def test_overflow_domain_error(self, extra):
         assert main(["ml", "--alpha", "1.5", "--z", "1e5", *extra]) == 3

@@ -131,9 +131,9 @@ class TestCalculusApply:
         x = rand_vec(m)
         want = spectral_apply(m, f, fp, x)
         gaps = []
+        c = default_contour(m, t_alpha_scale=1.0)
         for npd in [24, 48]:
-            c = default_contour(m, t_alpha_scale=1.0, nodes_per_decade=npd)
-            got = calculus_apply(m, f, c, x)
+            got = calculus_apply(m, f, ContourSpec(c.theta, c.r_min, c.r_max, npd), x)
             gaps.append(np.linalg.norm(got - want))
         assert gaps[0] / gaps[1] >= 10.0
 
@@ -155,6 +155,14 @@ class TestCalculusApply:
             m, f, default_contour(m, t_alpha_scale=1.0), x, return_error=True
         )
         assert est >= 0.0 and est <= 1e-4 * np.linalg.norm(val)
+
+    def test_refuses_a_symbol_not_finite_on_the_path(self):
+        # NaN past |z| = 1e3 would otherwise reach every entry of the result
+        m = ladder()
+        f = lambda z: np.where(np.abs(z) > 1e3, np.nan, 1.0 / (1.0 + z))
+        with pytest.raises(ValueError, match="^f is not finite at the node z=") as e:
+            calculus_apply(m, f, default_contour(m), rand_vec(m))
+        assert abs(complex(str(e.value).split("z=")[1])) > 1e3
 
     def test_decay_warning(self):
         m = build_scalar_model(2.0)

@@ -1,5 +1,6 @@
 import math
 import re
+from functools import partial
 
 import numpy as np
 import pytest
@@ -471,40 +472,37 @@ class TestTimeDerivative:
 
 class TestAProp:
     def test_dual_forms_agree(self):
+        # A f(A) = (z f)(A): the composed form against the calculus applied
+        # to the symbol z E_{alpha,delta}(-t^alpha z)
         m = ladder()
         x = rand_vec(m)
         p = make_propagator(m, ALPHA, delta=ALPHA, representation="oracle")
         for t in [0.5, 1.0, 3.0]:
-            composed = a_prop_apply(p, t, x, via="apply")
-            direct = a_prop_apply(p, t, x, via="contour")
+            composed = a_prop_apply(p, t, x)
+            g = lambda z: z * ml_eval(MLParams(ALPHA, ALPHA), -(t**ALPHA) * z)
+            direct = calculus_apply(m, g, default_contour(m, t_alpha_scale=t**ALPHA), x)
             assert np.linalg.norm(direct - composed) <= 1e-8 * np.linalg.norm(composed)
 
-    def test_rejects_unknown_via(self):
-        p = make_propagator(ladder(), ALPHA, representation="oracle")
-        with pytest.raises(ValueError):
-            a_prop_apply(p, 1.0, rand_vec(p.model), via="dense")
-
-    @pytest.mark.parametrize("t", [-1.0, math.nan, math.inf, 1e250])
-    def test_contour_rejects_bad_t(self, t):
-        # negative, not finite, and t^alpha not a finite float
+    @pytest.mark.parametrize(
+        "t, why",
+        [
+            (-1.0, "t must be nonnegative and finite"),
+            (math.nan, "t must be nonnegative and finite"),
+            (math.inf, "t must be nonnegative and finite"),
+            (1e250, "t^alpha is not a finite float"),
+        ],
+    )
+    def test_rejects_bad_t(self, t, why):
         p = make_propagator(ladder(), ALPHA, delta=ALPHA, representation="oracle")
-        with pytest.raises(ValueError, match=re.escape(f"t={t}: t must be nonnegative and finite")):
-            a_prop_apply(p, t, rand_vec(p.model), via="contour")
+        with pytest.raises(ValueError, match=re.escape(why)):
+            a_prop_apply(p, t, rand_vec(p.model))
 
-    def test_contour_refuses_t_whose_path_leaves_the_floats(self):
-        # t^alpha = 1e-300: the symbol decays only past |z| ~ 1e300, which the
-        # contour's r_max would have to exceed
-        p = make_propagator(ladder(), ALPHA, delta=ALPHA, representation="oracle")
-        with pytest.raises(ValueError, match=r"^t=1e-200: .*t\^-alpha.*beyond the floats"):
-            a_prop_apply(p, 1e-200, rand_vec(p.model), via="contour")
-
-    def test_contour_at_t_zero_is_the_limit(self):
-        # A x / Gamma(delta), as via="apply" gives it
+    def test_at_t_zero_is_the_limit(self):
+        # A x / Gamma(delta)
         p = make_propagator(ladder(), ALPHA, delta=ALPHA, representation="oracle")
         x = rand_vec(p.model)
         want = op_apply(p.model, reciprocal_gamma(ALPHA) * x)
-        assert np.array_equal(a_prop_apply(p, 0.0, x, via="apply"), want)
-        assert np.array_equal(a_prop_apply(p, 0.0, x, via="contour"), want)
+        assert np.array_equal(a_prop_apply(p, 0.0, x), want)
 
 
 class TestIdentities:
@@ -553,12 +551,11 @@ class TestIdentities:
         with pytest.raises(ValueError, match="laplace check requires"):
             laplace_check(p, 1.0, np.ones(m.dimension))
 
-    @pytest.mark.parametrize("check", [derivative_identity_check, uno_identity_check])
-    def test_identities_reject_unknown_method(self, check):
+    def test_derivative_identity_rejects_unknown_method(self):
         m = ladder()
         p = make_propagator(m, ALPHA, representation="oracle")
         with pytest.raises(ValueError, match="unknown method 'dense'"):
-            check(p, 1.0, np.ones(m.dimension), method="dense")
+            derivative_identity_check(p, 1.0, np.ones(m.dimension), method="dense")
 
     def test_derivative_identity_oracle(self):
         m = ladder()
@@ -585,18 +582,9 @@ class TestIdentities:
         x = rand_vec(m)
         reps = ("oracle", "gamma-path", "hankel-path")
         handles = [make_propagator(m, ALPHA, representation=r) for r in reps]
-        for check in (uno_identity_check, derivative_identity_check):
-            got = {check(p, 1.0, x, method="oracle") for p in handles}
-            assert len(got) == 1, (check.__name__, got)
-
-    def test_uno_identity_grid_scalar(self):
-        m = build_scalar_model(2.0)
-        x = np.array([1.0, 0.0], dtype=complex)
-        p = make_propagator(m, ALPHA, representation="oracle")
-        coarse = uno_identity_check(p, 1.0, x, method="grid", n_grid=512)
-        fine = uno_identity_check(p, 1.0, x, method="grid", n_grid=2048)
-        assert fine <= 1e-6
-        assert fine <= coarse
+        for check in (uno_identity_check, partial(derivative_identity_check, method="oracle")):
+            got = {check(p, 1.0, x) for p in handles}
+            assert len(got) == 1, (check, got)
 
 
 class TestStrongContinuity:

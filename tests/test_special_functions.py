@@ -491,6 +491,16 @@ class TestCutRegime:
             z.extend(r * np.exp(1j * rng.uniform(lo, hi, n) * rng.choice((-1.0, 1.0), n)))
         return np.array(z)
 
+    @pytest.mark.parametrize("alpha", [1.2, 1.5, 1.95])
+    @pytest.mark.parametrize("delta", [0.0, 1.0, "alpha", 2.0, "alpha+1"])
+    def test_real_axis_gives_real_values(self, alpha, delta):
+        # the Taylor coefficients are real; the cut's complex factors must
+        # not leave rounding in the imaginary part
+        delta = {"alpha": alpha, "alpha+1": alpha + 1.0}.get(delta, delta)
+        z = -np.geomspace(1.0, 300.0, 400)
+        for v in mittag_leffler._ml(MLParams(alpha, delta), z, (0, 1)):
+            assert np.count_nonzero(v.imag) == 0
+
     @staticmethod
     def record_fallback(monkeypatch) -> list:
         """Record the arguments of every ``_series_mp`` call in the list returned."""
