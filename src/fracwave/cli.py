@@ -416,7 +416,7 @@ def cmd_model_check(args) -> int:
     m = build_model_from_config(cfg)
     lo, hi = m.spectral_radius_range()
     rep = verify_resolvent_bound(m, moduli=np.geomspace(lo, hi, 33))
-    tol = args.tol if args.tol is not None else 0.1
+    tol = args.tol if args.tol is not None else _get(cfg, "tol", 0.1)
     ok = abs(rep.slope - m.profile.gamma) <= tol
     print(
         f"{'pass' if ok else 'FAIL'}  resolvent slope {rep.slope:.4f} "

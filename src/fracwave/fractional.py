@@ -22,7 +22,8 @@ tile; so the sweeps of a Picard iteration
 and ``_DuhamelSteps.tiles`` hands each tile's coefficients to all of them.
 ``_mode_sums`` is the whole-grid loop over one stream.  ``rl_integral``
 asks for the lagged sum, the histories carried across the last panel
-without its data, and adds that panel, integrated exactly against g_beta;
+without its data, of g_beta, or of tau g_{beta-1}(tau)/(beta - 1) for
+1 < beta < 2, and adds that panel, integrated exactly against g_beta;
 the Duhamel term's second stage does the same per tile.  Both sums are
 trapezoid rules in log r on the step ``mittag_leffler._CUT_STEP``.
 g_beta, 0 < beta < 1, is one on [min h, T] (Jiang, Zhang, Zhang and Zhang,
@@ -130,26 +131,6 @@ class Trajectory:
     @property
     def dimension(self) -> int:
         return self.values.shape[1]
-
-
-def _panel_moments(
-    beta: float, a: np.ndarray, b: np.ndarray, pa: np.ndarray, pb: np.ndarray
-):
-    """Exact integrals of g_beta against piecewise-linear hat pieces.
-
-    For a panel [t_j, t_{j+1}] contributing to the value at t_i, with
-    a = t_i - t_{j+1}, b = t_i - t_j and their powers pa = a**beta and
-    pb = b**beta, returns
-
-        M0 = int_a^b g_beta(tau) dtau
-        M1 = int_a^b (b - tau) g_beta(tau) dtau
-
-    so the panel contributes u_j*M0 + (u_{j+1}-u_j)*M1/h.
-    """
-    rg = reciprocal_gamma(beta)
-    m0 = (pb - pa) / beta * rg
-    m1 = (b * (pb - pa) / beta - (b * pb - a * pa) / (beta + 1.0)) * rg
-    return m0, m1
 
 
 # an exponential sum is built for the relative error _CUT_EPS and must pass
@@ -274,14 +255,14 @@ class _Modes:
 
     @functools.cached_property
     def _tile(self):
-        # histories, their products with e^{zh}, the z-derivatives (tile
-        # nodes, columns, modes), the histories' rows, and the data pairs
-        # [u_{i-1}, u_i] (tile nodes, columns, 2)
+        # histories, their products with e^{zh}, with ``derivative`` the
+        # z-derivatives and e^{zh} (dy + h y) (tile nodes, columns, modes);
+        # their rows, and the data pairs [u_{i-1}, u_i] (tile nodes, columns, 2)
         dtype = float if self.real else complex
-        shape = (3 if self.derivative else 2, self.size + 1, self.cols, self.zt.shape[1])
-        y, ay, *dy = np.empty(shape, dtype)
+        shape = (4 if self.derivative else 2, self.size + 1, self.cols, self.zt.shape[1])
+        y, ay, *d = np.empty(shape, dtype)
         pairs = np.empty((self.size, self.cols, 2), dtype)
-        return y, ay, dy[0] if dy else None, list(y), list(ay), pairs
+        return y, ay, d, list(y), list(ay), pairs
 
     def step(self, state: np.ndarray, coefs: list, u: np.ndarray, out: np.ndarray) -> None:
         """Advance ``state`` over the c nodes of a tile with their
@@ -289,12 +270,13 @@ class _Modes:
         and C-ordered.  ``u`` is the complex data, (c + 1, d), the node
         before the tile first.  Real modes step its real and imaginary parts
         as separate real columns.  The data terms are one matrix product per
-        tile, the recurrence one node at a time."""
+        tile, the recurrence one node at a time.  The sums are those of
+        ``_mode_sums``, of either kernel, current or ``lagged``."""
         c = out.shape[0]
         v = np.ascontiguousarray(u).view(float) if self.real else u
         reim = out.view(float).reshape(c, -1, 2)
         g, k = self.zt.shape
-        y, ay, dy, rows_y, rows_ay, pairs = self._tile
+        y, ay, d, rows_y, rows_ay, pairs = self._tile
         pairs = pairs[:c]
         pairs[:, :, 0], pairs[:, :, 1] = v[:c], v[1 : c + 1]
         data = pairs.reshape(c, g, -1, 2)  # the columns by the rows of zt
@@ -304,19 +286,21 @@ class _Modes:
         for aj, yj, ayj, yn in zip(a, rows_y, rows_ay, rows_y[1:]):
             np.multiply(aj, yj, out=ayj)
             yn += ayj
+        state[0] = y[c]
         if self.derivative:
-            d01, hc = dc
+            (d01, hc), (dy, ady) = dc, d
             dy[0] = state[1]
             np.matmul(data, d01, out=dy[1 : c + 1].reshape(c, g, -1, k))
             for j in range(c):
-                dy[j + 1] += a[j] * (dy[j] + hc[j] * y[j])
+                np.multiply(a[j], dy[j] + hc[j] * y[j], out=ady[j])
+                dy[j + 1] += ady[j]
             state[1] = dy[c]
-        sums = dy[1 : c + 1] if self.derivative else ay[:c] if self.lagged else y[1 : c + 1]
+            y, ay = dy, ady  # the m = 1 kernel's
+        sums = ay[:c] if self.lagged else y[1 : c + 1]
         # as (c, d, 2k) reals, one row per column of u: [Re y, Im y] for
         # real modes, (re, im) per mode for complex ones
         sums = sums.reshape(c, -1, 2 * sums.shape[2]) if self.real else sums.view(float)
         reim += np.vecdot(sums[:, :, None], self.block)
-        state[0] = y[c]
 
 
 def _mode_sums(z, w, t, u, lagged: bool = False, derivative: bool = False) -> np.ndarray:
@@ -333,12 +317,12 @@ def _mode_sums(z, w, t, u, lagged: bool = False, derivative: bool = False) -> np
 
         y_i = e^{z h} y_{i-1} + h [(phi_1 - phi_2)(z h) u_{i-1} + phi_2(z h) u_i],
 
-    and row i is sum_k w_k y_k(t_i), or with ``lagged`` (m = 0 only)
-    sum_k w_k e^{z_k h_i} y_k(t_{i-1}): the histories carried across the
-    last panel without its data, which the caller integrates exactly.  With
-    ``derivative`` the z-derivatives dy_k(t_i) = int_0^{t_i} (t_i - s)
-    e^{z_k (t_i - s)} u(s) ds advance too, by the next phi-function, and
-    row i is sum_k w_k dy_k(t_i).
+    and row i is sum_k w_k y_k(t_i).  With ``derivative`` the z-derivatives
+    dy_k(t_i) = int_0^{t_i} (t_i - s) e^{z_k (t_i - s)} u(s) ds advance
+    too, by the next phi-function, and row i is sum_k w_k dy_k(t_i).
+    ``lagged`` (both kernels) carries the histories across the last panel
+    without its data, which the caller integrates exactly: row i is sum_k
+    w_k e^{z_k h_i} y_k(t_{i-1}), or e^{z_k h_i} (dy_k + h_i y_k)(t_{i-1}).
 
     This is the whole-grid loop of ``_Modes.step``: tiles of consecutive
     nodes i0 <= i < i0 + c by all the modes are stepped one node at a time,
@@ -408,38 +392,41 @@ def _check_power_sum(beta, rates, weights, lags) -> None:
 
 
 def _last_panel(beta: float, h: np.ndarray):
-    """Columns of the weights of u_{i-1} and u_i in the integral of g_beta
-    against the panel [t_{i-1}, t_i] that ends at t_i, i >= 1."""
-    m0, m1 = _panel_moments(beta, 0.0, h, 0.0, h**beta)
+    """Columns of the weights M0 - M1/h of u_{i-1} and M1/h of u_i in the
+    integral of g_beta against the panel [t_{i-1}, t_i] that ends at t_i,
+    M0 = int_0^h g_beta and M1 = int_0^h (h - tau) g_beta(tau) dtau."""
+    rg = reciprocal_gamma(beta)
+    pb = h**beta
+    m0 = pb / beta * rg
+    m1 = (h * pb / beta - h * pb / (beta + 1.0)) * rg
     return (m0 - m1 / h)[:, None], (m1 / h)[:, None]
 
 
 def rl_integral(k: Kernel, u: Trajectory) -> Trajectory:
-    """(g_beta * u)(t_i) at every node, exact for piecewise-linear u.
-
-    For 0 < beta < 1 the last panel is integrated exactly against g_beta and
-    the earlier ones through the exponential sum of g_beta on [min h, T],
-    in O(n K) work; for beta >= 1 every panel is summed exactly, in O(n^2).
+    """(g_beta * u)(t_i) at every node for 0 < beta < 2 (``ValueError``
+    from 2), u linear between nodes: beta = 1 is the cumulative trapezoid,
+    exact; otherwise the last panel is integrated exactly and the earlier
+    ones, in O(n K) work and to ``_SUM_TOL``, through the exponential sum
+    of g_beta on [min h, T], for 1 < beta < 2 the m = 1 kernel
+    g_beta(tau) = tau g_{beta-1}(tau) / (beta - 1) on g_{beta-1}'s modes.
     """
-    t = u.grid.nodes()
-    n = u.grid.n_steps
-    vals = u.values
     beta = k.beta
+    if not beta < 2.0:
+        raise ValueError(f"Riemann-Liouville order beta must lie in (0, 2), got {beta}")
+    t = u.grid.nodes()
+    vals = u.values
     h = np.diff(t)
-    if beta < 1.0:
-        rates, weights = _power_sum(beta, float(h.min()), float(t[-1]))
-        out = _mode_sums(-rates[:, None], weights[:, None], t, vals, lagged=True)
-        left, right = _last_panel(beta, h)
-        out[1:] += left * vals[:-1] + right * vals[1:]
+    left, right = _last_panel(beta, h)
+    panels = left * vals[:-1] + right * vals[1:]
+    if beta == 1.0:
+        out = np.zeros_like(vals)
+        out[1:] = np.cumsum(panels, axis=0)
         return Trajectory(u.grid, out)
-    out = np.zeros_like(vals)
-    for i in range(1, n + 1):
-        lag = t[i] - t[: i + 1]
-        p = lag**beta
-        m0, m1 = _panel_moments(beta, lag[1:], lag[:-1], p[1:], p[:-1])
-        w_left = m0 - m1 / h[:i]
-        w_right = m1 / h[:i]
-        out[i] = w_left @ vals[:i] + w_right @ vals[1 : i + 1]
+    m = beta > 1.0
+    rates, weights = _power_sum(beta - 1.0 if m else beta, float(h.min()), float(t[-1]))
+    w = weights[:, None] / (beta - 1.0) if m else weights[:, None]
+    out = _mode_sums(-rates[:, None], w, t, vals, lagged=True, derivative=m)
+    out[1:] += panels
     return Trajectory(u.grid, out)
 
 

@@ -147,6 +147,14 @@ class BoundReport:
     n_samples: int
 
 
+def _loglog_slope(x: np.ndarray, y: np.ndarray) -> float:
+    """Least-squares slope of log y against log x; ``ValueError`` unless
+    every x and y is positive and finite and two x are distinct."""
+    if not (np.all((0 < x) & (x < np.inf) & (0 < y) & (y < np.inf)) and np.unique(x).size > 1):
+        raise ValueError("a log-log slope needs positive finite values at two distinct abscissae")
+    return float(np.polyfit(np.log(x), np.log(y), 1)[0])
+
+
 def reciprocal_gamma(x: float) -> float:
     """1/Gamma(x) for real scalar x: 0 at the poles 0, -1, -2, ... and where
     Gamma overflows, +-inf where it underflows."""
@@ -799,7 +807,5 @@ def ml_sector_bound_check(p: MLParams, mu: float, samples) -> BoundReport:
     vals = np.hypot(values.real, values.imag)
     constant = float(np.max(vals * (1.0 + mags)))
     pos = vals > 0
-    if np.count_nonzero(pos) < 2:
-        raise ValueError("not enough nonzero values for a slope fit")
-    slope = float(np.polyfit(np.log(mags[pos]), np.log(vals[pos]), 1)[0])
+    slope = _loglog_slope(mags[pos], vals[pos])
     return BoundReport(constant=constant, slope=slope, n_samples=samples.size)

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .mittag_leffler import BoundReport
+from .mittag_leffler import BoundReport, _loglog_slope
 
 __all__ = [
     "SectorProfile",
@@ -292,7 +292,7 @@ def verify_resolvent_bound(
     zs = moduli * cmath.exp(1j * arg_z)
     inv = 1.0 / (zs[:, None] - m.lam)
     norms = _symbol_norms(m, inv, inv * inv)
-    slope = float(np.polyfit(np.log(moduli), np.log(norms), 1)[0])
+    slope = _loglog_slope(moduli, norms)
     c_mu = float(np.max(norms / moduli**m.profile.gamma))
     m.profile.c_mu = c_mu
     return BoundReport(constant=c_mu, slope=slope, n_samples=moduli.size)

@@ -21,7 +21,7 @@ import numpy as np
 
 from .contour import HankelSpec, _gamma_propagator, hankel_propagator
 from .fractional import Kernel, TimeGrid, Trajectory, _csv, _trapezoid_weights, rl_integral
-from .mittag_leffler import BoundReport, MLParams, _ml, reciprocal_gamma
+from .mittag_leffler import BoundReport, MLParams, _loglog_slope, _ml, reciprocal_gamma
 from .operator_model import AlmostSectorialModel, _symbol_apply, _symbol_norms, resolvent_apply
 from .operator_model import apply as op_apply
 
@@ -171,7 +171,7 @@ class DecayReport:
 def _fit_decay(ts, norms) -> DecayReport:
     ts = np.asarray(ts, dtype=float)
     norms = np.asarray(norms, dtype=float)
-    slope = float(np.polyfit(np.log(ts), np.log(norms), 1)[0])
+    slope = _loglog_slope(ts, norms)
     c = float(np.max(norms / ts**slope))
     return DecayReport(t_values=ts, norms=norms, fitted_slope=slope, c_empirical=c)
 
@@ -245,6 +245,10 @@ def laplace_check(p: PropagatorHandle, lam: float, x, nodes_per_decade: int = 48
         raise ValueError("laplace check requires alpha * (1 + gamma) < 1")
     if not 0.0 < lam < math.inf:
         raise ValueError(f"lam must be positive and finite, got {lam}")
+    try:
+        lam_alpha = float(lam) ** p.alpha
+    except OverflowError:
+        raise ValueError(f"lam={lam}: lam^alpha is not a finite float") from None
     if not (nodes_per_decade >= 1 and float(nodes_per_decade).is_integer()):
         raise ValueError(f"nodes_per_decade must be an integer >= 1, got {nodes_per_decade!r}")
     x = np.asarray(x, dtype=complex).ravel()
@@ -261,7 +265,7 @@ def laplace_check(p: PropagatorHandle, lam: float, x, nodes_per_decade: int = 48
     e, de = _symbol_values(MLParams(p.alpha, 1.0), ts[:, None], p.model.lam)
     e, de = np.ascontiguousarray(e.T), np.ascontiguousarray(de.T)
     integral = _symbol_apply(p.model, np.sum(q * e, axis=1), np.sum(q * de, axis=1), x)
-    rhs = lam ** (p.alpha - 1.0) * (-resolvent_apply(p.model, -(lam**p.alpha), x))
+    rhs = lam ** (p.alpha - 1.0) * (-resolvent_apply(p.model, -lam_alpha, x))
     return float(np.linalg.norm(integral - rhs) / nx)
 
 

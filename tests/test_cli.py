@@ -218,6 +218,11 @@ class TestExitCodes:
                 "error: config key tol: expected a finite number",
             ),
             ("solve", SCALAR_CFG + "grading = 1e6\n", 3, "error: grading 1000000.0 puts the first node"),
+            # one block: every resolvent modulus is the same, so no slope
+            *(
+                (command, SCALAR_CFG, 3, "error: a log-log slope needs positive finite values")
+                for command in ("verify", "model check")
+            ),
             ("regions", "n = 3\naxis = mu\n", 3, "error: unknown axis"),
             ("regions", "n = 1\n", 3, "error: raster needs n >= 2"),
             ("model check", "model_file = /nonexistent/model.txt\n", 2, "usage error: model file not found"),
@@ -256,6 +261,7 @@ class TestExitCodes:
             "forcing-value-inf",
             "tol-nan",
             "grading-underflow",
+            *(f"one-modulus-slope-{c}" for c in ("verify", "model-check")),
             "unknown-axis",
             "regions-n-1",
             "missing-model-file",
@@ -508,6 +514,14 @@ class TestModel:
     def test_check_passes(self, tmp_path):
         path = write_config(tmp_path, LADDER_CFG)
         assert main(["model", "check", "--config", path]) == 0
+
+    def test_check_reads_tol_from_the_config(self, tmp_path, capsys):
+        # --tol > config tol > 0.1, as for solve
+        path = write_config(tmp_path, LADDER_CFG + "tol = 1e-9\n")
+        assert main(["model", "check", "--config", path]) == 1
+        assert "+- 1e-09)" in capsys.readouterr().err
+        assert main(["model", "check", "--config", path, "--tol", "0.1"]) == 0
+        assert "+- 0.1)" in capsys.readouterr().err
 
     def test_check_flags_wrong_gamma(self, tmp_path):
         path = write_config(tmp_path, LADDER_CFG)

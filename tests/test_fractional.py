@@ -88,8 +88,16 @@ class TestRLIntegral:
     def test_zero_input(self):
         grid = TimeGrid(1.0, 16)
         u = make_traj(grid, lambda t: 0.0)
-        out = rl_integral(Kernel(2.0), u)
+        out = rl_integral(Kernel(1.5), u)
         assert np.all(out.values == 0.0)
+
+    @pytest.mark.parametrize("beta", [2.0, 2.5])
+    def test_rejects_orders_from_two(self, beta):
+        # Kernel(beta) is valid for any beta > 0; the integral is not
+        u = make_traj(TimeGrid(1.0, 16), lambda t: 1.0)
+        assert Kernel(beta)(1.0) > 0.0
+        with pytest.raises(ValueError, match="beta must lie in"):
+            rl_integral(Kernel(beta), u)
 
     @pytest.mark.parametrize("beta", [0.5, 1.5])
     def test_kernel_values(self, beta):
@@ -220,6 +228,16 @@ class TestDuhamel:
             duhamel_convolve(build_scalar_model(1.0), 1.5, f)
 
 
+def panel_moments(beta, a, b):
+    """M0 = int_a^b g_beta and M1 = int_a^b (b - tau) g_beta(tau) dtau, the
+    weights of a panel [t_j, t_{j+1}] in the value at t_i, a = t_i - t_{j+1}
+    and b = t_i - t_j: it contributes u_j M0 + (u_{j+1} - u_j) M1 / h."""
+    pa, pb = a**beta, b**beta
+    m0 = (pb - pa) / beta / gamma(beta)
+    m1 = (b * (pb - pa) / beta - (b * pb - a * pa) / (beta + 1.0)) / gamma(beta)
+    return m0, m1
+
+
 def direct_rl(beta, u):
     """(g_beta * u)(t_i) by the O(n^2) exact sum over every panel."""
     t = u.grid.nodes()
@@ -227,8 +245,7 @@ def direct_rl(beta, u):
     out = np.zeros_like(u.values)
     for i in range(1, u.grid.n_steps + 1):
         lag = t[i] - t[: i + 1]
-        p = lag**beta
-        m0, m1 = fractional._panel_moments(beta, lag[1:], lag[:-1], p[1:], p[:-1])
+        m0, m1 = panel_moments(beta, lag[1:], lag[:-1])
         out[i] = (m0 - m1 / h[:i]) @ u.values[:i] + (m1 / h[:i]) @ u.values[1 : i + 1]
     return out
 
@@ -297,7 +314,8 @@ def reference_mode_sums(z, w, t, u, lagged=False, derivative=False):
     """What ``fractional._mode_sums`` returns, by one scalar recurrence per mode
     and column: y_i = e^{zh} y_{i-1} + h[(phi_1 - phi_2) u_{i-1} + phi_2 u_i]
     and, for the tau e^{z tau} kernel, its z-derivative dy_i = e^{zh}(dy_{i-1} + h y_{i-1})
-    + h^2[(phi_1 - 2 phi_2 + 2 phi_3) u_{i-1} + (phi_2 - 2 phi_3) u_i]."""
+    + h^2[(phi_1 - 2 phi_2 + 2 phi_3) u_{i-1} + (phi_2 - 2 phi_3) u_i].  The
+    lagged rows are w e^{zh} y_{i-1}, or w e^{zh}(dy_{i-1} + h y_{i-1})."""
     n1, d = u.shape
     zz, ww = np.broadcast_to(z, (z.shape[0], d)), np.broadcast_to(w, (z.shape[0], d))
     out = np.zeros((n1, d), dtype=complex)
@@ -308,7 +326,7 @@ def reference_mode_sums(z, w, t, u, lagged=False, derivative=False):
                 h = t[i] - t[i - 1]
                 e, p1, p2, p3 = reference_phi(complex(zz[k, j]) * h)
                 if lagged:
-                    out[i, j] += ww[k, j] * e * y
+                    out[i, j] += ww[k, j] * e * (dy + h * y if derivative else y)
                 data = (p1 - 2 * p2 + 2 * p3) * u[i - 1, j] + (p2 - 2 * p3) * u[i, j]
                 dy = e * (dy + h * y) + h * h * data
                 y = e * y + h * ((p1 - p2) * u[i - 1, j] + p2 * u[i, j])
@@ -335,6 +353,10 @@ def mode_sum_case(name, n, modes, d=4):
         "complex-per-column": dict(z=poles, w=cplx(modes, d)),
         "complex-derivative-per-column": dict(z=poles, w=cplx(modes, d), derivative=True),
         "complex-per-column-lagged": dict(z=poles, w=cplx(modes, d), lagged=True),
+        # rl_integral's m = 1 kernel for 1 < beta < 2
+        "real-derivative-shared-lagged": dict(
+            z=rates, w=rng.uniform(0.1, 1.0, (modes, 1)), derivative=True, lagged=True
+        ),
     }[name]
 
 
@@ -347,6 +369,7 @@ MODE_SUM_CASES = [
     "complex-per-column",
     "complex-derivative-per-column",
     "complex-per-column-lagged",
+    "real-derivative-shared-lagged",
 ]
 
 
@@ -430,7 +453,7 @@ class TestExponentialHistory:
         assert np.array_equal(rl_integral(Kernel(0.5), f).values, rl_integral(Kernel(0.5), u).values)
         assert np.array_equal(duhamel_convolve(m, 1.5, f).values, duhamel_convolve(m, 1.5, u).values)
 
-    @pytest.mark.parametrize("beta", [0.02, 0.1, 0.5, 0.9, 0.98])
+    @pytest.mark.parametrize("beta", [0.02, 0.1, 0.5, 0.9, 0.98, 1.02, 1.5, 1.98])
     @pytest.mark.parametrize("grading", [1.0, 2.0])
     def test_rl_integral_matches_direct_sum(self, beta, grading):
         grid = TimeGrid(1.0, 2048, grading=grading)

@@ -170,6 +170,13 @@ class TestResolventBound:
         with pytest.raises(ValueError):
             verify_resolvent_bound(m, math.pi, [])
 
+    @pytest.mark.parametrize("moduli", [[10.0] * 25, [0.0, 1.0, 10.0]])
+    def test_rejects_moduli_without_a_slope(self, moduli):
+        # one distinct modulus, or one whose log is not finite
+        m = build_scalar_model(2.0)
+        with pytest.raises(ValueError, match="positive finite values at two distinct abscissae"):
+            verify_resolvent_bound(m, math.pi, moduli)
+
     def test_norm_matches_dense(self):
         m = build_ladder_model(-0.6, math.pi / 8, 0.1, 10.0, 3)
         for z in [-1.0, -20.0 + 4.0j]:

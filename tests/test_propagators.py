@@ -394,6 +394,9 @@ class TestNormDecay:
             prop_norm_decay(p, [1.0])
         with pytest.raises(ValueError):
             prop_norm_decay(p, [0.0, 1.0])
+        # two equal times leave the log-log fit without a slope
+        with pytest.raises(ValueError, match="positive finite values at two distinct abscissae"):
+            prop_norm_decay(p, [1.0, 1.0])
 
 
 class TestTimeDerivative:
@@ -535,6 +538,10 @@ class TestIdentities:
         # NaN and inf are refused before they reach the node count
         for lam in [0.0, math.nan, math.inf]:
             with pytest.raises(ValueError, match="lam must be positive and finite"):
+                laplace_check(p, lam, rand_vec(p.model))
+        # finite, but lam^alpha is not
+        for lam in [1e300, np.float64(1e300)]:
+            with pytest.raises(ValueError, match=r"lam\^alpha is not a finite float"):
                 laplace_check(p, lam, rand_vec(p.model))
 
     @pytest.mark.parametrize("npd", [0, -5, 2.5])

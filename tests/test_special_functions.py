@@ -783,6 +783,12 @@ class TestSectorBound:
         with pytest.raises(ValueError):
             ml_sector_bound_check(MLParams(1.5, 1.0), 0.8 * math.pi, [])
 
+    def test_rejects_samples_of_one_modulus(self):
+        # five points on one circle: the log-log fit has no slope
+        samples = 10.0 * np.exp(1j * np.linspace(0.85, 1.0, 5) * math.pi)
+        with pytest.raises(ValueError, match="positive finite values at two distinct abscissae"):
+            ml_sector_bound_check(MLParams(1.5, 1.0), 0.8 * math.pi, samples)
+
 
 class TestValidation:
     def test_alpha_positive(self):
