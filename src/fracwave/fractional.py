@@ -42,7 +42,6 @@ degraded numbers.
 from __future__ import annotations
 
 import functools
-import io
 import math
 import operator
 from dataclasses import dataclass, field
@@ -717,21 +716,25 @@ def duhamel_convolve(m: AlmostSectorialModel, alpha: float, f: Trajectory) -> Tr
 
 def _csv(header_lines, columns, rows) -> str:
     """``# `` header lines, the column row, then one line per row: numbers
-    as ``.17g``, strings verbatim.  ``rows`` is consumed lazily."""
-    buf = io.StringIO()
-    for line in header_lines:
-        buf.write(f"# {line}\n")
-    buf.write(",".join(columns) + "\n")
+    as ``.17g``, strings verbatim, each column holding the kind of cell its
+    first row holds.  One ``%`` format serves every row; rows of Python
+    floats (``ndarray.tolist()``) format fastest."""
+    lines = [f"# {line}" for line in header_lines]
+    lines.append(",".join(columns))
+    fmt = None
     for row in rows:
-        buf.write(",".join(v if isinstance(v, str) else f"{v:.17g}" for v in row) + "\n")
-    return buf.getvalue()
+        if fmt is None:
+            fmt = ",".join("%s" if isinstance(v, str) else "%.17g" for v in row)
+        lines.append(fmt % tuple(row))
+    lines.append("")
+    return "\n".join(lines)
 
 
 def trajectory_to_csv(w: Trajectory, header_lines=()) -> str:
     """Serialize to CSV with header ``t,re_0,im_0,...`` at full precision."""
     cols = ["t"] + [f"{part}_{j}" for j in range(w.dimension) for part in ("re", "im")]
     reim = np.ascontiguousarray(w.values).view(float)  # re_0, im_0, re_1, ...
-    return _csv(header_lines, cols, ((t, *r) for t, r in zip(w.grid.nodes(), reim)))
+    return _csv(header_lines, cols, np.column_stack((w.grid.nodes(), reim)).tolist())
 
 
 def trajectory_from_csv(text: str) -> Trajectory:

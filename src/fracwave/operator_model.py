@@ -289,6 +289,9 @@ def verify_resolvent_bound(
     if moduli is None or len(moduli) == 0:
         raise ValueError("need a nonempty list of moduli")
     moduli = np.asarray(moduli, dtype=float)
+    bad = ~((0.0 < moduli) & (moduli < np.inf))
+    if bad.any():
+        raise ValueError(f"moduli must be positive and finite, got {moduli[bad][0]}")
     zs = moduli * cmath.exp(1j * arg_z)
     inv = 1.0 / (zs[:, None] - m.lam)
     norms = _symbol_norms(m, inv, inv * inv)

@@ -331,5 +331,6 @@ def strong_continuity_check(p: PropagatorHandle, t_values) -> BoundReport:
 
 
 def decay_report_to_csv(rep: DecayReport, header_lines=()) -> str:
-    rows = ((t, n, rep.fitted_slope, rep.c_empirical) for t, n in zip(rep.t_values, rep.norms))
+    ts, norms = rep.t_values.tolist(), rep.norms.tolist()
+    rows = ((t, n, rep.fitted_slope, rep.c_empirical) for t, n in zip(ts, norms))
     return _csv(header_lines, ["t", "norm", "fitted_slope", "C_empirical"], rows)

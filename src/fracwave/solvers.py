@@ -444,4 +444,4 @@ def hoelder_modulus(f: Trajectory) -> HoelderEstimate:
 
 
 def residual_report_to_csv(rep: ResidualReport, header_lines=()) -> str:
-    return _csv(header_lines, ["t", "residual"], zip(rep.t_values, rep.residuals))
+    return _csv(header_lines, ["t", "residual"], zip(rep.t_values.tolist(), rep.residuals.tolist()))

@@ -562,6 +562,21 @@ class TestSerialization:
         with pytest.raises(ValueError, match="no data rows"):
             trajectory_from_csv(text)
 
+    def test_csv_bytes(self):
+        # numbers as .17g, strings verbatim, NumPy and Python numbers alike
+        rows = [
+            (np.float64(-0.0), math.inf, -math.inf, math.nan, "pass"),
+            (0.1, np.float64(1e-300), 1, np.int64(7), "FAIL"),
+        ]
+        assert fractional._csv(["seed: 1"], ["a", "b", "c", "d", "s"], rows) == (
+            "# seed: 1\na,b,c,d,s\n-0,inf,-inf,nan,pass\n0.10000000000000001,1e-300,1,7,FAIL\n"
+        )
+        values = [complex(-0.0, math.inf), complex(math.nan, -0.0), complex(1.0 / 3.0, -math.inf)]
+        w = Trajectory(TimeGrid(1.0, 2), np.array(values)[:, None])
+        assert trajectory_to_csv(w, ["x"]) == (
+            "# x\nt,re_0,im_0\n0,-0,inf\n0.25,nan,-0\n1,0.33333333333333331,-inf\n"
+        )
+
     def test_header(self):
         grid = TimeGrid(1.0, 2, grading=1.0)
         w = make_traj(grid, lambda t: t)

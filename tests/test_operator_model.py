@@ -170,11 +170,21 @@ class TestResolventBound:
         with pytest.raises(ValueError):
             verify_resolvent_bound(m, math.pi, [])
 
-    @pytest.mark.parametrize("moduli", [[10.0] * 25, [0.0, 1.0, 10.0]])
+    @pytest.mark.parametrize("moduli", [[10.0] * 25])
     def test_rejects_moduli_without_a_slope(self, moduli):
-        # one distinct modulus, or one whose log is not finite
+        # one distinct modulus
         m = build_scalar_model(2.0)
         with pytest.raises(ValueError, match="positive finite values at two distinct abscissae"):
+            verify_resolvent_bound(m, math.pi, moduli)
+
+    @pytest.mark.parametrize(
+        "moduli", [[0.0, 1.0, 10.0], [1.0, math.inf], [-1.0, 1.0], [math.nan, 1.0]]
+    )
+    def test_rejects_moduli_off_the_positive_axis(self, moduli):
+        # refused on entry, before z = modulus e^{i arg} is formed, from which
+        # an infinite modulus leaked a RuntimeWarning (an error in this suite)
+        m = build_scalar_model(2.0)
+        with pytest.raises(ValueError, match="moduli must be positive and finite"):
             verify_resolvent_bound(m, math.pi, moduli)
 
     def test_norm_matches_dense(self):

@@ -244,9 +244,9 @@ class TestArrayInput:
 
 class TestOrderPair:
     """One dispatch for orders (0, 1), as the spectral symbols ask for them,
-    gives the bits of ``ml_eval`` and ``ml_derivative(., 1)``, runs the
-    expansion and the cut sums once per chunk, and hands the cut each point
-    at most once."""
+    gives the bits of ``ml_eval`` and ``ml_derivative(., 1)``, runs the cut
+    sums once per chunk and the expansion at most once, on what the cut
+    rejected, and hands the cut each point at most once."""
 
     @staticmethod
     def count_calls(monkeypatch, names) -> dict:
@@ -260,6 +260,26 @@ class TestOrderPair:
 
             monkeypatch.setattr(mittag_leffler, name, counted)
         return counts
+
+    @staticmethod
+    def record_routes(monkeypatch):
+        """Record the points the cut rejects for some order it is asked
+        for, and the points the expansion gets, in the two lists returned."""
+        rejected, expanded = [], []
+        cut, expansion = mittag_leffler._cut, mittag_leffler._asymptotic
+
+        def recorded_cut(alpha, delta, z, r, order):
+            values, oks = cut(alpha, delta, z, r, order)
+            rejected.extend(z[~oks.all(axis=0)])
+            return values, oks
+
+        def recorded_expansion(alpha, delta, z, r, orders):
+            expanded.extend(z)
+            return expansion(alpha, delta, z, r, orders)
+
+        monkeypatch.setattr(mittag_leffler, "_cut", recorded_cut)
+        monkeypatch.setattr(mittag_leffler, "_asymptotic", recorded_expansion)
+        return rejected, expanded
 
     @staticmethod
     def check_pair(p, z):
@@ -284,10 +304,13 @@ class TestOrderPair:
             r = np.exp(rng.uniform(math.log(r_lo), math.log(r_hi), n))
             z = r * np.exp(1j * rng.uniform(lo, hi, n) * rng.choice((-1.0, 1.0), n))
             counts = self.count_calls(monkeypatch, regimes)
+            rejected, expanded = self.record_routes(monkeypatch)
             mittag_leffler._ml(p, z, (0, 1))
             if alpha == 1.5:
-                # one expansion and at most one cut pass per chunk, both orders
-                assert counts["_asymptotic"] == 2 and 1 <= counts["_cut_sums"] <= 2
+                # one cut pass per chunk, both orders, and at most one
+                # expansion pass, which sees only the cut's rejects
+                assert counts["_cut_sums"] == 2 and counts["_asymptotic"] <= 2
+                assert np.isin(expanded, rejected).all()
                 assert counts["_series"] == 4
             else:
                 assert counts["_series_mp"] == 2 * n
@@ -547,6 +570,77 @@ class TestCutRegime:
                     ml_derivative(MLParams(a, d), z, order)
         assert accepted >= 0.95 * total
         assert fallback == []
+
+    def test_accuracy_map_far_out(self):
+        # |z| from 200 to min(1e5, 300^alpha), where the cut now serves what
+        # the expansion used to; the cap keeps the reference below
+        # _MP_MAX_ROOT.  Decay and growth sectors and the band of roots on
+        # the cut
+        rng = np.random.default_rng(20261108)
+        accepted = total = 0
+        for a in self.ALPHAS:
+            for d in (0.0, 1.0, a, 2.0, a + 1.0):
+                z = self.sample(rng, a, 2, 200.0, min(1e5, 300.0**a))
+                for order, tol in ((0, 1e-13), (1, 1e-11)):
+                    value, ok = (rows[order] for rows in mittag_leffler._cut(a, d, z, np.abs(z), order))
+                    for zi, v in zip(z[ok], value[ok]):
+                        ref = reference_series_mp(a, d, complex(zi), order)
+                        assert abs(v - ref) <= tol * abs(ref), (a, d, zi, order)
+                    accepted += int(np.count_nonzero(ok))
+                    total += z.size
+        # the bound counts each pole's phase rounding, (1 + |sigma|) ulps, so
+        # past |sigma| ~ 100 the cut leaves some values a pole dominates to
+        # the expansion: 200 of the 240 are accepted
+        assert accepted >= 0.8 * total
+
+    def test_readme_ladder_rays_skip_the_expansion(self, monkeypatch):
+        # the oracle sweep of ``fracwave verify`` on one conjugate of each
+        # eigenvalue pair, one chunk per delta: the cut accepts every point
+        # the series disc leaves, so the expansion is not run
+        m = build_ladder_model(-0.75, math.pi / 6, 1e-2, 1e4, 4)
+        z = -np.geomspace(0.01, 10.0, 12)[:, None] ** 1.5 * m.lam[m.lam.imag > 0]
+        assert np.count_nonzero(np.abs(z) > 8.0) > 100
+        rejected, expanded = TestOrderPair.record_routes(monkeypatch)
+        for d in (1.0, 2.0, 1.5, 2.5):
+            mittag_leffler._ml(MLParams(1.5, d), z, (0, 1))
+        assert rejected == [] and expanded == []
+
+    # points of the ``fracwave verify`` battery on arg z = 47 pi / 60, |z| from
+    # 935 to 1308, where E_{1.5}(z) nears a zero: the cut's bound lies 1.2 to
+    # 24 times 1e-13 of the value, so the cut rejects them for order 0
+    CUT_REJECTS = {
+        "935": -726.7068766206352 + 588.4756255004044j,
+        "1029": -799.8820233052323 + 647.7316909122936j,
+        "1106": -859.5594839772968 + 696.0575457061545j,
+        "1133": -880.4254807414925 + 712.9544967224988j,
+        "1217": -946.1121138583668 + 766.146483414882j,
+        "1308": -1016.6994840218304 + 823.3070087184803j,
+    }
+
+    @pytest.mark.parametrize("conj", [False, True])
+    @pytest.mark.parametrize(
+        "r",
+        [
+            "935",
+            "1029",
+            "1106",
+            "1133",
+            # the expansion accepts this one 3.9e-13 off: its estimate does not
+            # count the rounding of the branch phase Im s, |s| = 114, which the
+            # near-zero value amplifies 23-fold (ROADMAP item 5)
+            pytest.param("1217", marks=pytest.mark.xfail(strict=True, reason="ROADMAP item 5")),
+            "1308",
+        ],
+    )
+    def test_cut_rejects_reach_the_expansion(self, monkeypatch, r, conj):
+        z = self.CUT_REJECTS[r]
+        z = np.array([z.conjugate() if conj else z])
+        rejected, expanded = TestOrderPair.record_routes(monkeypatch)
+        fallback = self.record_fallback(monkeypatch)
+        value = ml_eval(MLParams(1.5, 1.0), z)[0]
+        assert rejected == expanded == list(z) and fallback == []
+        ref = reference_series_mp(1.5, 1.0, complex(z[0]))
+        assert abs(value - ref) <= 1e-13 * abs(ref)
 
     def test_accuracy_on_the_gate(self):
         # |z| on [1, 2], the cut's r >= 1 gate, where |q_c| = r_c^alpha / |z|
