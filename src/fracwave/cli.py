@@ -323,6 +323,11 @@ def cmd_solve(args) -> int:
     m = build_model_from_config(cfg)
     rng = np.random.default_rng(args.seed)
     grid = TimeGrid(_get(cfg, "T", 1.0), _get(cfg, "n_steps", 512), grading=_get(cfg, "grading", 2.0))
+    if grid.n_steps < 3:  # refused before the solve, not after it by the residual check
+        raise ValueError(
+            f"solve needs n_steps >= 3: its residual check takes second differences "
+            f"on 4 nodes, got n_steps = {grid.n_steps}"
+        )
     prob = WaveProblem(
         model=m,
         alpha=_get(cfg, "alpha", 1.5),

@@ -25,16 +25,18 @@ asks for the lagged sum, the histories carried across the last panel
 without its data, of g_beta, or of tau g_{beta-1}(tau)/(beta - 1) for
 1 < beta < 2, and adds that panel, integrated exactly against g_beta;
 the Duhamel term's second stage does the same per tile.  Both sums are
-trapezoid rules in log r on the step ``mittag_leffler._CUT_STEP``.
-g_beta, 0 < beta < 1, is one on [min h, T] (Jiang, Zhang, Zhang and Zhang,
-Commun. Comput. Phys. 21 (2017)), its small-rate end closed by one
-exact tail mode; E_alpha(-tau^alpha A) is one on [0, T] through its
-residues and its real-axis integral, whose quadrature error from the roots
-near the branch cut is added back exactly as modes of their own
-(``mittag_leffler._Cut``, also the third of ``ml_eval``'s four regimes, at
-tau = 1), its small-rate end closed by one tail mode per block that
-matches the moments of the nodes it replaces.  Each sum is built to a
-fixed accuracy and checked against the exact kernel at log-spaced lags; a
+trapezoid rules in log r, each on its own lattice: a step from its
+integrand's analyticity strip and a target a decade or more under
+``_SUM_TOL`` (``mittag_leffler._log_lattice_step``), and ends at stated
+targets.  g_beta, 0 < beta < 1, is one on [min h, T] (Jiang, Zhang,
+Zhang and Zhang, Commun. Comput. Phys. 21 (2017)), its small-rate end
+closed by one exact tail mode; E_alpha(-tau^alpha A) is one on [0, T]
+through its residues and its real-axis integral, whose quadrature error
+from the roots near the branch cut is added back exactly as modes of
+their own (``mittag_leffler._Cut``, also the third of ``ml_eval``'s four
+regimes, at tau = 1), its small-rate end closed by one tail mode per
+block that matches the moments of the nodes it replaces.  Each sum is
+built to a fixed accuracy and checked against the exact kernel at log-spaced lags; a
 sum that misses ``_SUM_TOL`` raises ``ValueError`` instead of returning
 degraded numbers.
 """
@@ -48,7 +50,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .mittag_leffler import _CUT_EPS, _CUT_STEP, MLParams, _Cut, ml_eval, reciprocal_gamma
+from .mittag_leffler import (
+    _CUT_FACTOR,
+    _CUT_STRIP,
+    MLParams,
+    _Cut,
+    _log_lattice_step,
+    ml_eval,
+    reciprocal_gamma,
+)
 from .operator_model import AlmostSectorialModel
 
 __all__ = [
@@ -132,15 +142,25 @@ class Trajectory:
         return self.values.shape[1]
 
 
-# an exponential sum is built for the relative error _CUT_EPS and must pass
-# _SUM_TOL at _SUM_CHECK_LAGS log-spaced lags; it may hold _SUM_MAX_MODES
-# modes.  The check allows for its oracle, ml_eval, seen 1.9e-13 off (E_{1.97}
-# at z = -3e4 2.63^1.97).  In the mid-band it compares two quadratures of one
-# cut representation; the dense-reference tests in tests/test_fractional.py
-# are its independent guard
+# an exponential sum is built for relative errors under _SUM_TOL (each sum
+# states its own targets) and must pass _SUM_TOL at _SUM_CHECK_LAGS
+# log-spaced lags; it may hold _SUM_MAX_MODES modes.  The check allows for
+# its oracle, ml_eval, seen 1.9e-13 off (E_{1.97} at z = -3e4 2.63^1.97).  In
+# the mid-band it compares two quadratures of one cut representation; the
+# dense-reference tests in tests/test_fractional.py are its independent guard
 _SUM_TOL = 1e-12
 _SUM_CHECK_LAGS = 32
 _SUM_MAX_MODES = 1 << 14
+
+# the E_alpha sum: its step on the cut's strip at _E_STEP_EPS, its large-r
+# end at _E_STEP_EPS, its coupling floor, small-r end and tail cut at _E_EPS
+_E_STEP_EPS, _E_EPS = 1e-13, 1e-15
+# the g_beta sum: its strip half-width, its step at _G_STEP_EPS on that
+# strip and its two ends at _G_END_EPS
+_G_STRIP, _G_STEP_EPS, _G_END_EPS = 1.55, 1e-15, 1e-14
+
+# the log of the largest float: a sum's lattice forms no larger power
+_LOG_TOP = math.log(np.finfo(float).max)
 
 # a tile of the mode engine, some nodes times all the modes of a set, holds
 # at most this many bytes of history, or half the size of its data when that
@@ -344,7 +364,17 @@ def _mode_sums(z, w, t, u, lagged: bool = False, derivative: bool = False) -> np
     return out
 
 
-def _mode_count(x_lo: float, x_hi: float, step: float, what: str) -> int:
+def _mode_count(
+    x_lo: float, x_hi: float, step: float, what: str, top: float, tau_min: float, T: float
+) -> int:
+    """The nodes x_lo + j step, j < K, that reach x_hi: K.  ``top`` is the
+    log of the largest power of a rate the sum of ``what`` on [tau_min, T]
+    forms; a lattice that leaves the floats is refused before it is built."""
+    if not top < _LOG_TOP:
+        raise ValueError(
+            f"the exponential sum for {what} on [tau_min, T] = [{tau_min:.3g}, {T:.3g}] "
+            f"would form e^{top:.4g}, beyond the float range"
+        )
     k = int(math.ceil((x_hi - x_lo) / step)) + 1
     if k > _SUM_MAX_MODES:
         raise ValueError(
@@ -360,17 +390,23 @@ def _power_sum(beta: float, tau_min: float, T: float):
     ``_SUM_TOL`` relative on [tau_min, T], for 0 < beta < 1.
 
     g_beta(tau) = (sin(pi beta)/pi) int e^{-e^x tau} e^{(1-beta) x} dx by the
-    trapezoid rule on x_lo + j h, h = ``_CUT_STEP``, weights h r_j^(1-beta).
-    One mode A_0 e^{-rho tau}, rho = A_1/A_0, matches the moments A_k =
-    h r_lo^(k+1-beta) / expm1((k+1-beta) h) of the nodes below x_lo in tau^0
-    and tau^1 and is O((r_lo T)^(3-beta)) off them relative: it closes the
+    trapezoid rule on x_lo + j h, weights h r_j^(1-beta).  The integrand has
+    no poles: on |Im x| = d its L1 norm is cos(d)^(beta-1) of the value, so
+    the strip is d = ``_G_STRIP`` with C = 2 cos(d)^(beta-1), and h is its
+    step at ``_G_STEP_EPS`` (0.262 at beta = 1/2).  The top node is e^{-r
+    tau_min} = ``_G_END_EPS``; one mode A_0 e^{-rho tau}, rho = A_1/A_0,
+    matches the moments A_k = h r_lo^(k+1-beta) / expm1((k+1-beta) h) of the
+    nodes below x_lo in tau^0 and tau^1 and is O((r_lo T)^(3-beta)) off
+    them relative, which sets x_lo at ``_G_END_EPS``: it closes the
     trapezoid sum, not the integral, so the rule converges geometrically.
+    A horizon whose lattice leaves the floats raises ``ValueError``.
     """
-    h = _CUT_STEP
-    log_eps = math.log(_CUT_EPS)
+    h = _log_lattice_step(_G_STRIP, 2.0 * math.cos(_G_STRIP) ** (beta - 1.0), _G_STEP_EPS)
+    log_eps = math.log(_G_END_EPS)
     x_lo = log_eps / (3.0 - beta) - math.log(T)
-    x_hi = math.log(-log_eps / tau_min)
-    r = np.exp(x_lo + h * np.arange(_mode_count(x_lo, x_hi, h, f"g_{beta}")))
+    x_hi = math.log(-log_eps) - math.log(tau_min)
+    top = max(x_hi + h, (2.0 - beta) * x_lo)  # the top rate, the tail moment
+    r = np.exp(x_lo + h * np.arange(_mode_count(x_lo, x_hi, h, f"g_{beta}", top, tau_min, T)))
     a0, a1 = (h * r[0] ** (k + 1.0 - beta) / math.expm1((k + 1.0 - beta) * h) for k in (0, 1))
     rates = np.append(a1 / a0, r)
     weights = np.append(a0, h * r ** (1.0 - beta))
@@ -491,17 +527,20 @@ def _propagator_sum(m: AlmostSectorialModel, alpha: float, tau_min: float, T: fl
     On a block [[lambda, s], [0, lambda]] the diagonal is the residue and
     cut modes of ``mittag_leffler._Cut`` at delta = 1, on one lattice shared
     by all blocks, its offset chosen to keep every block's poles off the
-    nodes.  The superdiagonal is s d/dlambda E = (s tau/(alpha lambda))
-    d/dtau E, so a mode w e^{z tau} adds cw tau e^{z tau} to it, cw =
-    s z w/(alpha lambda); unlike d rho/d lambda, whose terms cancel to
-    O(lambda) of their size when |lambda| T^alpha << 1, this keeps the
-    coupling's relative accuracy.  The range is set by the tails:
-    |lambda| r^-alpha at large r, so the diagonal holds down to tau = 0,
-    but the superdiagonal's terms cw tau e^{-r tau}, |cw| ~ s h r^(1-alpha),
-    fall with r only through e^{-r tau}, so a coupled model's lattice also
-    reaches r tau_min = -log eps; at small r both r^alpha/|lambda| against
-    E(0) = 1 and (r T)^alpha/Gamma(alpha + 1) against the algebraic tail
-    |E(T)| ~ 1/(T^alpha |lambda| |Gamma(1 - alpha)|) of a stiff block, whose
+    nodes.  Its strip is the cut's, |Im log r| < 0.85 pi/2 with the poles
+    inside corrected, and its step that strip's at ``_E_STEP_EPS`` (0.2556,
+    against ``_CUT_STEP`` = 0.224 at the cut's 1e-15).  The superdiagonal
+    is s d/dlambda E = (s tau/(alpha lambda)) d/dtau E, so a mode w e^{z tau}
+    adds cw tau e^{z tau} to it, cw = s z w/(alpha lambda); unlike d rho/d
+    lambda, whose terms cancel to O(lambda) of their size when |lambda|
+    T^alpha << 1, this keeps the coupling's relative accuracy.  The range is
+    set by the tails: |lambda| r^-alpha at large r, at ``_E_STEP_EPS``, so
+    the diagonal holds down to tau = 0, but the superdiagonal's terms cw tau
+    e^{-r tau}, |cw| ~ s h r^(1-alpha), fall with r only through e^{-r tau},
+    so a coupled model's lattice also reaches r tau_min = -log eps, eps =
+    ``_E_EPS`` here and below; at small r both r^alpha/|lambda| against E(0)
+    = 1 and (r T)^alpha/Gamma(alpha + 1) against the algebraic tail |E(T)| ~
+    1/(T^alpha |lambda| |Gamma(1 - alpha)|) of a stiff block, whose
     small values the Duhamel integral accumulates over [0, T].
 
     Below a cut r_c the nodes are one tail mode per block, A_0 e^{-rho tau}
@@ -518,32 +557,37 @@ def _propagator_sum(m: AlmostSectorialModel, alpha: float, tau_min: float, T: fl
     eps min(|lambda|, T^-alpha) / (K T^2 (1 + 2 |s|/(alpha |lambda|))), the
     least over the blocks, with r_c^alpha <= min |lambda|/2: the first term
     holds the small |lambda| to E(0) = 1, the second a stiff block over a
-    long T to its tail.
+    long T to its tail.  A lattice that leaves the floats, as a coupled
+    model's on a tiny horizon, raises ``ValueError``.
     """
     if not (1.0 < alpha < 2.0):
         raise ValueError(f"alpha must lie in (1, 2), got {alpha}")
     lam = m.lam
-    log_eps = math.log(_CUT_EPS)
+    log_eps = math.log(_E_EPS)
+    step = _log_lattice_step(_CUT_STRIP, _CUT_FACTOR, _E_STEP_EPS)
     log_lam = np.log(np.abs(lam))
+    min_log_lam = float(np.min(log_lam))
     spread = math.log(math.pi * alpha / math.sin(math.pi * min(alpha - 1.0, 2.0 - alpha)))
-    x_lo = min(float(np.min(log_lam)) + spread, math.lgamma(alpha + 1.0) - alpha * math.log(T))
+    x_lo = min(min_log_lam + spread, math.lgamma(alpha + 1.0) - alpha * math.log(T))
     x_lo = (x_lo + log_eps) / alpha
-    x_hi = float(np.max(log_lam - spread - log_eps)) / alpha
+    x_hi = float(np.max(log_lam - spread - math.log(_E_STEP_EPS))) / alpha
     if np.any(m.coupling):
-        x_hi = max(x_hi, math.log(-log_eps / tau_min))
-    cut = _Cut(alpha, np.angle(lam), log_lam)
+        x_hi = max(x_hi, math.log(-log_eps) - math.log(tau_min))
+    cut = _Cut(alpha, np.angle(lam), log_lam, step)
     shifts, gaps = cut.gaps(x_lo)
     x0 = float(shifts[int(np.argmax(np.min(gaps, axis=1)))])
-    j = np.arange(_mode_count(x0, x_hi, _CUT_STEP, f"E_{alpha}"))[:, None]
+    # the top rate, and (r^alpha/lambda)^2, which the weights' denominator forms
+    top = max(x_hi + step, 2.0 * (alpha * (x_hi + step) - min_log_lam))
+    j = np.arange(_mode_count(x0, x_hi, step, f"E_{alpha}", top, tau_min, T))[:, None]
     r, weights, poles, pole_weights = cut.modes(1.0, x0, j)
     ds = m.coupling / (alpha * lam)
     # the nodes below the cut x_c = log r_c as one tail mode per block
     q = alpha + 2.0
-    k = 4.0 * math.sin(math.pi * (alpha - 1.0)) * _CUT_STEP
-    k /= -math.pi * math.expm1(-q * _CUT_STEP)
+    k = 4.0 * math.sin(math.pi * (alpha - 1.0)) * step
+    k /= -math.pi * math.expm1(-q * step)
     scale = np.minimum(log_lam, -alpha * math.log(T)) - np.log1p(2.0 * np.abs(ds))
     x_c = (log_eps - math.log(k) + float(np.min(scale)) - 2.0 * math.log(T)) / q
-    x_c = min(x_c, (float(np.min(log_lam)) - math.log(2.0)) / alpha)
+    x_c = min(x_c, (min_log_lam - math.log(2.0)) / alpha)
     n = int(np.count_nonzero(r[:, 0] < math.exp(x_c)))
     if n:
         a0, a1 = weights[:n].sum(axis=0), (r[:n] * weights[:n]).sum(axis=0)

@@ -101,18 +101,30 @@ _TAIL_NATS = 64.0 * math.log(2.0)
 #: points per chunk of an array call
 _CHUNK = 4096
 
-#: relative accuracy of the branch-cut sums and of the g_beta sums of ``fractional``
+#: relative accuracy of the branch-cut sums
 _CUT_EPS = 1e-15
 
+
+def _log_lattice_step(strip: float, factor: float, eps: float) -> float:
+    """The trapezoid step in x = log r, 2 pi d / (log C - log eps), that
+    resolves an integral over x to the relative error ``eps`` when its
+    integrand is analytic in the strip |Im x| < d = ``strip`` and the
+    rule's error is at most C e^{-2 pi d / h} of the integral, C =
+    ``factor``: twice the integrand's L1 norm along the strip's edges over
+    the integral, to leading order (Trefethen and Weideman, SIAM Rev. 56
+    (2014), Theorem 5.1 and section 14)."""
+    return 2.0 * math.pi * strip / (math.log(factor) - math.log(eps))
+
+
 # e^{-r tau} decays in the strip |Im log r| < pi/2 of the cut integral; the
-# trapezoid step in log r is set for a strip of 0.85 of that half-width.  It
-# serves the g_beta sums too, whose L1 norm on |Im log r| = d is cos(d)^(beta-1)
-# of the value: at this d, their step 2 pi d / log(2 cos(d)^(beta-1) / eps) > 0.228
+# trapezoid step in log r is set for a strip of 0.85 of that half-width, on
+# which the density, its poles corrected, is at most 1 + 4 / (pi/2 - d) times
+# its integral.  ``fractional`` takes the step of its E_alpha sums from this
+# strip at its own target
 _CUT_GAP = math.pi / 2.0
 _CUT_STRIP = 0.85 * _CUT_GAP
-_CUT_STEP = 2.0 * math.pi * _CUT_STRIP / (
-    math.log(1.0 + 4.0 / (_CUT_GAP - _CUT_STRIP)) - math.log(_CUT_EPS)
-)
+_CUT_FACTOR = 1.0 + 4.0 / (_CUT_GAP - _CUT_STRIP)
+_CUT_STEP = _log_lattice_step(_CUT_STRIP, _CUT_FACTOR, _CUT_EPS)
 
 #: lattice offsets, in fractions of a step, tried to keep the corrected poles
 #: of the blocks sharing one lattice off its nodes
@@ -488,10 +500,12 @@ class _Cut:
     1/alpha for a residue far from the cut and 0 for a far non-residue, so
     each such root is one mode whose weight stays finite as sigma crosses
     the cut.  ``gaps`` measures how far the poles stay from the nodes.
+    The step h is ``step``: ``_CUT_STEP`` for ``ml_eval``'s cut, the
+    caller's own for the E_alpha sums of ``fractional``.
     """
 
-    def __init__(self, alpha: float, arg: np.ndarray, log_modulus):
-        self.alpha, self.arg = alpha, arg
+    def __init__(self, alpha: float, arg: np.ndarray, log_modulus, step: float = _CUT_STEP):
+        self.alpha, self.arg, self.step = alpha, arg, step
         self.log_sigma = log_modulus / alpha
         # the roots on the sheets -2..1 and Im x_p of their poles
         theta = (self.arg + math.pi + 2.0 * math.pi * np.arange(-2, 2)[:, None]) / alpha
@@ -509,18 +523,18 @@ class _Cut:
         rows = np.any(keep, axis=1)
         self.theta, sign, self.keep = theta[rows], sign[rows], keep[rows]
         # e = e^{+-2 pi i (x0 - x_p)/h} or its inverse, whichever is at most 1
-        self.depth = 2.0 * math.pi * (np.abs(self.theta) - math.pi) / _CUT_STEP
+        self.depth = 2.0 * math.pi * (np.abs(self.theta) - math.pi) / step
         self.turn = np.where(self.depth > 0.0, -sign, sign)
 
     def _near(self, d):
-        return np.exp(-np.abs(self.depth) + 2j * math.pi * self.turn * d / _CUT_STEP)
+        return np.exp(-np.abs(self.depth) + 2j * math.pi * self.turn * d / self.step)
 
     def gaps(self, x_ref: float):
         """Lattice origins, ``_OFFSETS`` fractions of a step below ``x_ref``,
         and for each origin and column the least |1 - e| over the column's
         poles in the strip (+inf without one), shape (offsets, nb): how far
         they stay from a node."""
-        shifts = x_ref - _CUT_STEP * np.arange(_OFFSETS) / _OFFSETS
+        shifts = x_ref - self.step * np.arange(_OFFSETS) / _OFFSETS
         dist = np.abs(1.0 - self._near(shifts[:, None, None] - self.log_sigma))
         return shifts, np.min(np.where(self.keep, dist, np.inf), axis=1)
 
@@ -530,7 +544,7 @@ class _Cut:
         (n, nb), the trapezoid weights h r rho(r) (n, nb), the pole exponents
         sigma (P, nb) and their weights W sigma^(1-delta) (P, nb), 0 where a
         root is left out."""
-        alpha, step = self.alpha, _CUT_STEP
+        alpha, step = self.alpha, self.step
         r = np.exp(x0 + step * j)
         # the nodes less log|sigma|, taken from x0 - log|sigma| rather than from
         # r, so that a node next to a pole and the pole's weight see the same

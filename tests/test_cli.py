@@ -218,6 +218,19 @@ class TestExitCodes:
                 "error: config key tol: expected a finite number",
             ),
             ("solve", SCALAR_CFG + "grading = 1e6\n", 3, "error: grading 1000000.0 puts the first node"),
+            # refused before the Picard solve, which would print its own line
+            (
+                "solve",
+                SCALAR_CFG.replace("n_steps = 256", "n_steps = 2") + "problem = semilinear\nforcing = sin-w\n",
+                3,
+                "error: solve needs n_steps >= 3",
+            ),
+            (
+                "solve",
+                SCALAR_CFG.replace("T = 1.0", "T = 1e-300") + "problem = semilinear\nforcing = sin-w\n",
+                3,
+                "error: the exponential sum for g_0.5 on [tau_min, T] = [1.53e-305, 1e-300]",
+            ),
             # one block: every resolvent modulus is the same, so no slope
             *(
                 (command, SCALAR_CFG, 3, "error: a log-log slope needs positive finite values")
@@ -261,6 +274,8 @@ class TestExitCodes:
             "forcing-value-inf",
             "tol-nan",
             "grading-underflow",
+            "n-steps-2",
+            "tiny-horizon",
             *(f"one-modulus-slope-{c}" for c in ("verify", "model-check")),
             "unknown-axis",
             "regions-n-1",

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.special import gamma
 
-from fracwave import fractional
+from fracwave import fractional, mittag_leffler
 from fracwave.fractional import (
     Kernel,
     TimeGrid,
@@ -476,12 +476,45 @@ class TestExponentialHistory:
             fractional._check_propagator_sum(((z, weights, cw), poles), m, alpha, lags)
 
     def test_rate_modes_of_the_readme_models(self):
-        # the lattice nodes below the cut are one tail mode per block, so the
-        # rate sets at n = 4096 keep 144 of 204 nodes (scalar), 178 of 240 (ladder)
+        # the lattice nodes below the cut are one tail mode per block, and
+        # each sum takes its own step: at n = 4096 the rate sets keep 115
+        # nodes (scalar) and 144 (ladder), and g_{1/2} has 128 modes
         grid = TimeGrid(1.0, 4096)
-        for model, most in ((lambda: build_scalar_model(2.0, gamma=-0.75), 150), (readme_ladder, 180)):
+        for model, most in ((lambda: build_scalar_model(2.0, gamma=-0.75), 120), (readme_ladder, 150)):
             steps = fractional._DuhamelSteps(model(), 1.5, grid)
             assert steps.stage1[0][0].zt.shape[1] <= most
+            assert steps.stage2.zt.shape[1] <= 130
+
+    def test_cut_step_comes_from_the_lattice_rule(self):
+        # the Mittag-Leffler cut's step is the rule's at its strip and 1e-15,
+        # bit for bit the value it had as a formula of its own
+        ml = mittag_leffler
+        step = ml._log_lattice_step(ml._CUT_STRIP, ml._CUT_FACTOR, 1e-15)
+        assert ml._CUT_STEP == step == 0.22414232320185404
+
+    @pytest.mark.parametrize("call", ["rl_integral", "duhamel_convolve"])
+    def test_tiny_horizon_is_refused_before_any_overflow(self, call):
+        # tau_min = 3.9e-303: the g_{1/2} lattice's top rate and tail
+        # moments lie past the float range, so it is refused before they
+        # are formed
+        grid = TimeGrid(1e-300, 16)
+        u = Trajectory(grid, np.ones((17, 2)))
+        with pytest.raises(ValueError, match=r"tau_min, T\] = \[3.91e-303, 1e-300\]"):
+            if call == "rl_integral":
+                rl_integral(Kernel(0.5), u)
+            else:
+                duhamel_convolve(build_scalar_model(2.0, gamma=-0.75), 1.5, u)
+
+    @pytest.mark.parametrize("k", [100, 300])
+    def test_coupled_propagator_sum_on_a_tiny_horizon_is_refused(self, k):
+        # a coupled model's lattice reaches r tau_min = -log eps, and its
+        # weights form (r^alpha/lambda)^2, past the floats from T = 1e-100
+        # at n = 4096
+        T = 10.0**-k
+        profile = build_scalar_model(2.0, gamma=-0.75).profile
+        m = AlmostSectorialModel(np.array([2.0 + 0j]), np.array([1.0]), profile)
+        with pytest.raises(ValueError, match="beyond the float range"):
+            fractional._propagator_sum(m, 1.5, T / 4096**2, T)
 
     @pytest.mark.parametrize("T", [1.0, 8.14])
     @pytest.mark.parametrize("modulus", [1e-3, 2.0, 3e4])
