@@ -35,10 +35,10 @@ orders asked for:
   The branch terms decay in the sector ``mu <= |arg z| <= pi`` but are kept
   because they dominate the truncation error of the algebraic tail at
   moderate modulus.  The coefficients and envelope terms are cached per
-  ``(alpha, delta)``; each point stops at its own smallest term.  One term
-  loop serves both orders, each with its own stopping lanes.  The loop
-  costs about a millisecond per call whatever the number of points, which
-  is why it comes after the cut.
+  ``(alpha, delta)``; each point stops at its own smallest term.  It runs
+  once per order still missing, on that order's points.  A run costs about
+  a millisecond whatever the number of points, which is why it comes after
+  the cut.
 * everything else, in practice orders 2..4 outside the disc and alpha
   outside (1, 2), falls back one point at a time to an arbitrary-precision
   Taylor sum in mpmath, with the working precision chosen from the largest
@@ -264,7 +264,6 @@ def _exponential_branch_terms(alpha: float, delta: float, z, root, angs, order: 
     """Sum of residue contributions (1/alpha) s^(1-delta) e^s over admissible
     branches s = ``root`` e^{i angs}, for ``order`` 1 differentiated in z."""
     val = np.zeros(z.shape, dtype=complex)
-    dval = np.zeros(z.shape, dtype=complex)
     for ang in angs:
         live = np.abs(ang) <= math.pi * (1.0 + 1e-14)
         if not live.any():
@@ -280,11 +279,11 @@ def _exponential_branch_terms(alpha: float, delta: float, z, root, angs, order: 
         mag = weight * root ** (1.0 - delta) * np.exp(np.where(live, re, -np.inf))
         phase = (1.0 - delta) * ang + im
         base = np.where(live, mag * (np.cos(phase) + 1j * np.sin(phase)), 0.0)
-        val += base
         if order:
             # d/dz of (1/alpha) s^(1-delta) e^s with ds/dz = s/(alpha z)
-            dval += base * (1.0 - delta + (re + 1j * im)) / (alpha * z)
-    return val, dval
+            base = base * (1.0 - delta + (re + 1j * im)) / (alpha * z)
+        val += base
+    return val
 
 
 def _smaller_part(v: np.ndarray, real_axis: np.ndarray) -> np.ndarray:
@@ -293,29 +292,27 @@ def _smaller_part(v: np.ndarray, real_axis: np.ndarray) -> np.ndarray:
     return np.where(real_axis, re, np.minimum(re, np.abs(v.imag)))
 
 
-def _asymptotic(alpha: float, delta: float, z: np.ndarray, r: np.ndarray, orders):
-    """Algebraic expansion + exponential branches for each of ``orders``
-    (0, 1 or both); returns (values, accepted), one row per order.
+def _asymptotic(alpha: float, delta: float, z: np.ndarray, r: np.ndarray, order: int):
+    """Algebraic expansion + exponential branches for the derivative of
+    ``order`` (0 or 1); returns (values, accepted).
 
     Each point stops at its own smallest term.  Terms whose Gamma argument
     sits exactly on a pole vanish and are excluded from the smallest-term
-    truncation logic.  The envelopes, powers and branch terms are shared;
-    each order keeps its own lanes, sums and smallest term, so a row is the
-    one that order alone would give.
+    truncation logic.  A point's lane is the same whatever the other points,
+    so its value is the one it gets alone.
     """
     coefs, log_envelope = _asymptotic_table(alpha, delta)
     real_axis = z.imag == 0.0  # every term is real there
     inv = 1.0 / z
     log_absz = np.log(r)
-    # per order: the lanes still summing, the algebraic sum and that of its
-    # derivative (order 1 only), the smallest envelope term so far and
-    # whether every term taken sat on a Gamma pole
-    active = [np.ones(r.shape, dtype=bool) for _ in orders]
-    total = [np.zeros_like(z) for _ in orders]
-    dtotal = [np.zeros_like(z) for _ in orders]
-    smallest_env = [np.full(r.shape, np.inf) for _ in orders]
-    all_poles = [np.ones(r.shape, dtype=bool) for _ in orders]
-    derivative = 1 in orders
+    # the lanes still summing, the algebraic sum and that of its derivative
+    # (order 1 only), the smallest envelope term so far and whether every
+    # term taken sat on a Gamma pole
+    active = np.ones(r.shape, dtype=bool)
+    total = np.zeros_like(z)
+    dtotal = np.zeros_like(z)
+    smallest_env = np.full(r.shape, np.inf)
+    all_poles = np.ones(r.shape, dtype=bool)
     zk = inv
     prev_env = np.inf
     env_sum = 0.0
@@ -329,33 +326,22 @@ def _asymptotic(alpha: float, delta: float, z: np.ndarray, r: np.ndarray, orders
             log_env = h - k * log_absz
             env = np.where(log_env < 700.0, np.exp(log_env), np.inf)
             if k > 2:
-                falling = ~(env > prev_env)
-                for lanes in active:
-                    lanes &= falling
-                if not any(lanes.any() for lanes in active):
+                active &= ~(env > prev_env)
+                if not active.any():
                     break
             if coef != 0.0 and math.isfinite(coef):
-                nonzero = zk != 0.0
-                term = zk * coef
-                for i, order in enumerate(orders):
-                    live = active[i] & nonzero
-                    all_poles[i] &= ~live
-                    total[i] = np.where(live, total[i] - term, total[i])
-                    if order:
-                        dtotal[i] = np.where(live, dtotal[i] + k * zk * inv * coef, dtotal[i])
+                live = active & (zk != 0.0)
+                all_poles &= ~live
+                total = np.where(live, total - zk * coef, total)
+                if order:
+                    dtotal = np.where(live, dtotal + k * zk * inv * coef, dtotal)
             prev_env = env
             # an order-1 lane is judged on its derivative's envelope (k + 1) env / |z|
-            env_d = env * (k + 1) / r if derivative else None
-            for i, order in enumerate(orders):
-                env_k = env_d if order else env
-                smallest_env[i] = np.where(
-                    active[i], np.minimum(smallest_env[i], env_k), smallest_env[i]
-                )
+            env_k = env * (k + 1) / r if order else env
+            smallest_env = np.where(active, np.minimum(smallest_env, env_k), smallest_env)
             zk = zk * inv
             if k > 2:
-                nonzero = zk != 0.0
-                for lanes in active:
-                    lanes &= nonzero
+                active &= zk != 0.0
             env_sum = env_sum + env  # bounds |total|
             if k > 1 and k & (k - 1) == 0 and np.any(env < _NEGLIGIBLE * env_sum):
                 # every later term is below its envelope, which does not rise
@@ -364,46 +350,40 @@ def _asymptotic(alpha: float, delta: float, z: np.ndarray, r: np.ndarray, orders
                 # both parts of the sum, no later term changes a bit of it.
                 # A lane that qualifies stays qualified, so checking at powers
                 # of two is enough.
-                for i, order in enumerate(orders):
-                    negligible = env < _NEGLIGIBLE * _smaller_part(total[i], real_axis)
-                    if order:
-                        bound = len(coefs) * env / r
-                        negligible &= bound < _NEGLIGIBLE * _smaller_part(dtotal[i], real_axis)
-                    active[i] &= ~negligible
+                negligible = env < _NEGLIGIBLE * _smaller_part(total, real_axis)
+                if order:
+                    bound = len(coefs) * env / r
+                    negligible &= bound < _NEGLIGIBLE * _smaller_part(dtotal, real_axis)
+                active &= ~negligible
         root = r ** (1.0 / alpha)
         # arg s on the sheets |m| <= 3 alpha/4 + 1/2: they reach |arg s| < 3 pi/2
         # (e^s grows past it) and hold every live branch
         k = int(0.75 * alpha + 0.5)
         angs = (np.arctan2(z.imag, z.real) + 2.0 * math.pi * np.arange(-k, k + 1)[:, None]) / alpha
-        exp_val, exp_dval = _exponential_branch_terms(alpha, delta, z, root, angs, int(derivative))
-        values, errs, judged, tols = [], [], [], []
-        for i, order in enumerate(orders):
-            part = dtotal[i] if order else total[i]
-            values.append(part + (exp_dval if order else exp_val))
-            errs.append(smallest_env[i] / (np.abs(values[i]) + np.abs(part)))
-            tols.append(10.0 * _ASYMPTOTIC_RTOL if order else _ASYMPTOTIC_RTOL)
-            # every coefficient on a Gamma pole (e.g. alpha = 1): the branches are exact;
-            # a lane whose whole error lies below the subnormal spacing is its rounding
-            ok = (errs[i] <= tols[i]) | (smallest_env[i] < _SUBNORMAL)
-            judged.append(~all_poles[i] & ok)
-        if any(ok.any() for ok in judged):
+        part = dtotal if order else total
+        value = part + _exponential_branch_terms(alpha, delta, z, root, angs, order)
+        err = smallest_env / (np.abs(value) + np.abs(part))
+        tol = 10.0 * _ASYMPTOTIC_RTOL if order else _ASYMPTOTIC_RTOL
+        # every coefficient on a Gamma pole (e.g. alpha = 1): the branches are exact;
+        # a lane whose whole error lies below the subnormal spacing is its rounding
+        judged = ~all_poles & ((err <= tol) | (smallest_env < _SUBNORMAL))
+        if judged.any():
             # the Stokes error, which can only reject those lanes: a branch switches on across
             # |arg s| = pi by (1/2) erfc(sqrt(|s|/2) (pi - |arg s|)) (Berry smoothing), not by a
             # step, so each with |arg s| < 3 pi/2 adds its term times (1/2) e^{-|s| u^2/2}
-            lanes = np.flatnonzero(np.logical_or.reduce(judged))
+            lanes = np.flatnonzero(judged)
             mod, u = root[lanes], np.abs(angs[:, lanes]) - math.pi
             cu = np.cos(u)
             # one exponent, as e^{Re s} = e^{-|s| cos u} may overflow
             expo = (1.0 - delta) * np.log(mod) - math.log(2.0 * alpha) - mod * (cu + 0.5 * u * u)
             bound = np.exp(np.where(u < 0.5 * math.pi, expo, -np.inf))
-            if derivative:  # the derivative's terms grow by |1 - delta + s| / (alpha |z|)
+            if order:  # the derivative's terms grow by |1 - delta + s| / (alpha |z|)
                 grow = np.hypot(1.0 - delta - mod * cu, mod * np.sin(u)) / (alpha * r[lanes])
-            for i, order in enumerate(orders):
-                err = (bound * grow if order else bound).sum(axis=0)
-                rel = errs[i][lanes] + err / np.abs(values[i][lanes]) <= tols[i]
-                judged[i][lanes] &= rel | (smallest_env[i][lanes] + err < _SUBNORMAL)
-        accepted = [ok | poles for ok, poles in zip(judged, all_poles)]
-    return values, accepted
+                bound = bound * grow
+            stokes = bound.sum(axis=0)
+            rel = err[lanes] + stokes / np.abs(value[lanes]) <= tol
+            judged[lanes] &= rel | (smallest_env[lanes] + stokes < _SUBNORMAL)
+    return value, judged | all_poles
 
 
 @functools.lru_cache(maxsize=64)
@@ -720,8 +700,8 @@ def _ml_chunk(p: MLParams, z: np.ndarray, orders: tuple) -> np.ndarray:
     set of points no regime has accepted yet.  The series runs once per
     order; for the orders 0 and 1 among them, the cut sums run once, on
     every point with |z| >= 1 one of them left, then the asymptotic
-    expansion at most once, on the points outside the disc still left, for
-    the orders still missing there."""
+    expansion once per order, on that order's points outside the disc still
+    left."""
     r = np.abs(z)
     out = np.empty((len(orders),) + z.shape, dtype=complex)
     rest = np.ones(out.shape, dtype=bool)  # points no regime has accepted yet
@@ -738,23 +718,18 @@ def _ml_chunk(p: MLParams, z: np.ndarray, orders: tuple) -> np.ndarray:
         for i, order in enumerate(orders):
             accept(i, idx, *_series(p.alpha, p.delta, z[idx], r[idx], order))
     low = [(i, order) for i, order in enumerate(orders) if order <= 1]
-    if low:
-        rows = [i for i, _ in low]
-        if 1.0 < p.alpha < 2.0:
-            # what the series left, where the cut's lattice holds
-            idx = np.flatnonzero((r >= 1.0) & rest[rows].any(axis=0))
-            if idx.size:
-                top = max(order for _, order in low)
-                values, oks = _cut(p.alpha, p.delta, z[idx], r[idx], top)
-                for i, order in low:
-                    accept(i, idx, values[order], oks[order] & rest[i, idx])
-        # what the cut left outside the disc, or every point outside it
-        idx = np.flatnonzero(~disc & rest[rows].any(axis=0))
+    if low and 1.0 < p.alpha < 2.0:
+        # what the series left, where the cut's lattice holds
+        idx = np.flatnonzero((r >= 1.0) & rest[[i for i, _ in low]].any(axis=0))
         if idx.size:
-            need = [(i, order) for i, order in low if rest[i, idx].any()]
-            values, oks = _asymptotic(p.alpha, p.delta, z[idx], r[idx], [o for _, o in need])
-            for (i, _), value, ok in zip(need, values, oks):
-                accept(i, idx, value, ok & rest[i, idx])
+            values, oks = _cut(p.alpha, p.delta, z[idx], r[idx], max(order for _, order in low))
+            for i, order in low:
+                accept(i, idx, values[order], oks[order] & rest[i, idx])
+    for i, order in low:
+        # what the cut left outside the disc, or every point outside it
+        idx = np.flatnonzero(~disc & rest[i])
+        if idx.size:
+            accept(i, idx, *_asymptotic(p.alpha, p.delta, z[idx], r[idx], order))
     for i, order in enumerate(orders):
         for j in np.flatnonzero(rest[i]):
             out[i, j] = _series_mp(p.alpha, p.delta, complex(z[j]), order)

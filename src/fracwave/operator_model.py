@@ -284,8 +284,8 @@ def verify_resolvent_bound(
     """
     if arg_z is None:
         arg_z = math.pi
-    if abs(arg_z) <= m.profile.mu:
-        raise ValueError(f"|arg_z|={abs(arg_z)} must exceed mu={m.profile.mu}")
+    if not m.profile.mu < abs(arg_z) <= math.pi:
+        raise ValueError(f"|arg_z|={abs(arg_z)} must exceed mu={m.profile.mu} and be at most pi")
     if moduli is None or len(moduli) == 0:
         raise ValueError("need a nonempty list of moduli")
     moduli = np.asarray(moduli, dtype=float)

@@ -146,8 +146,7 @@ def validate_regime(p: WaveProblem, theorem: str) -> RegimeReport:
     """
     nu = p.forcing.nu
     if nu is None and p.forcing.kind == "time":
-        samples = np.array([p.forcing.func(t) for t in p.grid.nodes()], dtype=complex)
-        nu = hoelder_modulus(Trajectory(p.grid, np.atleast_2d(samples.T).T)).nu
+        nu = hoelder_modulus(Trajectory(p.grid, _sample_forcing(p))).nu
     return regime_report(theorem, p.alpha, p.model.profile.gamma, nu)
 
 

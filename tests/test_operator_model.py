@@ -165,6 +165,15 @@ class TestResolventBound:
         with pytest.raises(ValueError):
             verify_resolvent_bound(m, 0.1, [1.0, 10.0])
 
+    @pytest.mark.parametrize("arg_z", [2.0 * math.pi + 0.1, -2.0 * math.pi - 0.1, math.pi + 1e-9])
+    def test_rejects_angles_past_pi(self, arg_z):
+        # 2 pi + 0.1 is the ray at 0.1 rad, inside the sector, whose norms
+        # would overwrite c_mu
+        m = ladder()
+        with pytest.raises(ValueError, match="be at most pi"):
+            verify_resolvent_bound(m, arg_z, [1.0, 10.0])
+        assert math.isnan(m.profile.c_mu)
+
     def test_rejects_empty(self):
         m = ladder()
         with pytest.raises(ValueError):

@@ -93,6 +93,15 @@ class TestValidateRegime:
         with pytest.raises(ValueError):
             validate_regime(scalar_problem(), "mild")
 
+    def test_refuses_a_forcing_of_the_wrong_shape(self):
+        # three components for a model of dimension 2: solve_linear refuses
+        # it, so the regime check must not sample it into classical_ok
+        f = ForcingSpec.time_dependent(lambda t: np.full(3, t))
+        p = scalar_problem(forcing=f, n=64)
+        for check in (lambda: validate_regime(p, "linear"), lambda: solve_linear(p)):
+            with pytest.raises(ValueError, match=r"^forcing samples have shape \(65, 3\), want \(65, 2\)$"):
+                check()
+
 
 class TestHomogeneous:
     def test_scalar_w0_only(self):

@@ -245,8 +245,8 @@ class TestArrayInput:
 class TestOrderPair:
     """One dispatch for orders (0, 1), as the spectral symbols ask for them,
     gives the bits of ``ml_eval`` and ``ml_derivative(., 1)``, runs the cut
-    sums once per chunk and the expansion at most once, on what the cut
-    rejected, and hands the cut each point at most once."""
+    sums once per chunk and the expansion at most once per order, on what
+    the cut rejected, and hands the cut each point at most once."""
 
     @staticmethod
     def count_calls(monkeypatch, names) -> dict:
@@ -264,8 +264,9 @@ class TestOrderPair:
     @staticmethod
     def record_routes(monkeypatch):
         """Record the points the cut rejects for some order it is asked
-        for, and the points the expansion gets, in the two lists returned."""
-        rejected, expanded = [], []
+        for, the points the expansion gets and the order of each expansion
+        call, in the three lists returned."""
+        rejected, expanded, expansion_orders = [], [], []
         cut, expansion = mittag_leffler._cut, mittag_leffler._asymptotic
 
         def recorded_cut(alpha, delta, z, r, order):
@@ -273,13 +274,14 @@ class TestOrderPair:
             rejected.extend(z[~oks.all(axis=0)])
             return values, oks
 
-        def recorded_expansion(alpha, delta, z, r, orders):
+        def recorded_expansion(alpha, delta, z, r, order):
             expanded.extend(z)
-            return expansion(alpha, delta, z, r, orders)
+            expansion_orders.append(order)
+            return expansion(alpha, delta, z, r, order)
 
         monkeypatch.setattr(mittag_leffler, "_cut", recorded_cut)
         monkeypatch.setattr(mittag_leffler, "_asymptotic", recorded_expansion)
-        return rejected, expanded
+        return rejected, expanded, expansion_orders
 
     @staticmethod
     def check_pair(p, z):
@@ -292,26 +294,34 @@ class TestOrderPair:
     def test_pair_matches_single_orders(self, monkeypatch, delta):
         # the series disc, the expansion and the cut at alpha = 1.5; the
         # arbitrary-precision sum at alpha = 0.8, just outside its disc in the
-        # decay sector, where the expansion is still short of its target
+        # decay sector, where the expansion is still short of its target; at
+        # alpha = 2, outside the cut's range and the disc, both orders reach
+        # the expansion
         rng = np.random.default_rng(20261102)
         regimes = ("_series", "_asymptotic", "_cut_sums", "_series_mp")
         for alpha, n, (lo, hi), (r_lo, r_hi) in (
             (1.5, mittag_leffler._CHUNK + 1000, (-math.pi, math.pi), (1e-2, 200.0)),
             (0.8, 4, (0.5 * math.pi, math.pi), (6.0, 12.0)),
+            (2.0, 100, (0.6 * math.pi, math.pi), (13.0, 400.0)),
         ):
             d = {"1": 1.0, "alpha": alpha, "2": 2.0, "alpha + 1": alpha + 1.0}[delta]
             p = MLParams(alpha, d)
             r = np.exp(rng.uniform(math.log(r_lo), math.log(r_hi), n))
             z = r * np.exp(1j * rng.uniform(lo, hi, n) * rng.choice((-1.0, 1.0), n))
             counts = self.count_calls(monkeypatch, regimes)
-            rejected, expanded = self.record_routes(monkeypatch)
+            rejected, expanded, orders = self.record_routes(monkeypatch)
             mittag_leffler._ml(p, z, (0, 1))
+            # at most one expansion pass per order and chunk
+            chunks = -(-n // mittag_leffler._CHUNK)
+            assert orders.count(0) <= chunks and orders.count(1) <= chunks
             if alpha == 1.5:
-                # one cut pass per chunk, both orders, and at most one
-                # expansion pass, which sees only the cut's rejects
-                assert counts["_cut_sums"] == 2 and counts["_asymptotic"] <= 2
+                # one cut pass per chunk, both orders, and expansion passes
+                # that see only the cut's rejects
+                assert counts["_cut_sums"] == 2
                 assert np.isin(expanded, rejected).all()
                 assert counts["_series"] == 4
+            elif alpha == 2.0:
+                assert counts["_cut_sums"] == 0 and sorted(orders) == [0, 1]
             else:
                 assert counts["_series_mp"] == 2 * n
             self.check_pair(p, z)
@@ -344,6 +354,24 @@ class TestOrderPair:
             assert not np.isin(points.conj(), points[points.imag != 0.0]).any()
             counts.append(points.size)
         assert counts[0] > 500 and sum(counts[1:]) > 0
+
+    def test_readme_ladder_sends_only_values_to_the_expansion(self, monkeypatch):
+        # the traffic the one-order expansion is built for: under the oracle,
+        # the Gamma_theta path and the Laplace check, the cut serves every
+        # first derivative, the expansion gets only values, and no point
+        # falls back to the arbitrary-precision sum
+        m = build_ladder_model(-0.75, math.pi / 6, 1e-2, 1e4, 4)
+        x = np.random.default_rng(1).standard_normal(m.dimension) + 0j
+        _, _, orders = self.record_routes(monkeypatch)
+        fallback = TestCutRegime.record_fallback(monkeypatch)
+        oracle = make_propagator(m, 1.5, representation="oracle")
+        gamma = make_propagator(m, 1.5, representation="gamma-path")
+        laplace_check(oracle, 2.0, x)
+        for t in np.geomspace(0.01, 10.0, 8):
+            prop_apply(oracle, t, x)
+            prop_apply(gamma, t, x)
+        assert orders and set(orders) == {0}
+        assert fallback == []
 
 
 @functools.lru_cache(maxsize=64)
@@ -600,7 +628,7 @@ class TestCutRegime:
         m = build_ladder_model(-0.75, math.pi / 6, 1e-2, 1e4, 4)
         z = -np.geomspace(0.01, 10.0, 12)[:, None] ** 1.5 * m.lam[m.lam.imag > 0]
         assert np.count_nonzero(np.abs(z) > 8.0) > 100
-        rejected, expanded = TestOrderPair.record_routes(monkeypatch)
+        rejected, expanded, _ = TestOrderPair.record_routes(monkeypatch)
         for d in (1.0, 2.0, 1.5, 2.5):
             mittag_leffler._ml(MLParams(1.5, d), z, (0, 1))
         assert rejected == [] and expanded == []
@@ -635,7 +663,7 @@ class TestCutRegime:
     def test_cut_rejects_reach_the_expansion(self, monkeypatch, r, conj):
         z = self.CUT_REJECTS[r]
         z = np.array([z.conjugate() if conj else z])
-        rejected, expanded = TestOrderPair.record_routes(monkeypatch)
+        rejected, expanded, _ = TestOrderPair.record_routes(monkeypatch)
         fallback = self.record_fallback(monkeypatch)
         value = ml_eval(MLParams(1.5, 1.0), z)[0]
         assert rejected == expanded == list(z) and fallback == []
